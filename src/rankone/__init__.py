@@ -3,7 +3,7 @@ evaluations: search for a nonzero point, reconstruct from axis lines,
 plus dispersion machinery, budget planners and lower-bound harnesses."""
 
 from .adversary import (FoolingFamily, RandomizedFoolReport, fool_deterministic,
-                        fool_randomized, uniform_guarantee_bound)
+                        fool_randomized)
 from .dispersion import (DispersionResult, PointSet, disp_probability_bound,
                          dispersion_lower_estimate, exact_dispersion, halton,
                          n_disp_upper, uniform_pointset)

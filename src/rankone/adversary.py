@@ -191,14 +191,3 @@ def fool_randomized(strategy: SeededStrategy, d: int, r: int, n: int,
         ci_halfwidth=rms - math.sqrt(lo),
     )
 
-
-def uniform_guarantee_bound(n1: int, d: int, V: float) -> float:
-    """Lower bound max(0, 1 - (e n1 / d)^(2d) 2^(-V n1 / 2)) on the
-    probability that one shared random point sequence succeeds for every
-    function in the support class simultaneously."""
-    if n1 < 1 or d < 1:
-        raise ParameterError("n1 and d must be positive")
-    log_tail = 2 * d * math.log(math.e * n1 / d) - 0.5 * V * n1 * math.log(2.0)
-    if log_tail >= 0:
-        return 0.0
-    return max(0.0, 1.0 - math.exp(log_tail))

@@ -15,19 +15,17 @@ import csv
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
-from . import rng
 from .adversary import fool_deterministic, fool_randomized
 from .dispersion import (PointSet, dispersion_lower_estimate, exact_dispersion,
                          halton, uniform_pointset)
 from .errors import (BudgetExhaustedError, BudgetTooSmallError, DomainError,
                      InstanceTooLargeError, NonzeroCenterError, ParameterError)
-from .pipeline import (ExperimentConfig, convergence_sweep, fit_order,
-                       run_pipeline, wilson_interval)
-from .recovery import RecoveryConfig, recover
+from .pipeline import ExperimentConfig, convergence_sweep, fit_order, run_pipeline
+from .recovery import RecoveryConfig, min_budget, recover
 from .search import (SubsetSearchParams, plan, search_deterministic,
                      search_subset, search_uniform_multi, search_uniform_single)
 from .specs import approximant_to_dict, tensor_from_spec
@@ -149,8 +147,6 @@ def cmd_approx(args) -> int:
         raw["seed"] = args.seed
     if args.trials is not None:
         raw["trials"] = args.trials
-    if args.threads is not None:
-        raw["threads"] = args.threads
     cfg = ExperimentConfig.from_dict(raw)
     rows, summary = run_pipeline(cfg)
     header = ["trial", "seed", "queries_phase1", "queries_phase2", "found",
@@ -197,8 +193,7 @@ def _adversary_strategy(name: str, d: int):
     if name == "halton-scan":
         def det(oracle):
             budget = oracle.budget if oracle.budget is not None else 1
-            ps = halton(budget, oracle.d)
-            outcome = search_deterministic(oracle, ps)
+            search_deterministic(oracle, halton(budget, oracle.d))
             return None  # scan only: output stays zero unless recovered
         return det, None
     if name == "uniform-recover":
@@ -210,7 +205,6 @@ def _adversary_strategy(name: str, d: int):
                 return None
             r = oracle.target.r
             n2 = budget - outcome.queries_used
-            from .recovery import min_budget
             if n2 < min_budget(oracle.d, r):
                 return None
             rec = recover(oracle, outcome.z_star,
@@ -311,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="full pipeline over repeated trials")
     p.add_argument("--config", required=True, help="experiment config JSON file")
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_approx)

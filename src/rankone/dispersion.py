@@ -257,7 +257,11 @@ def dispersion_lower_estimate(ps: PointSet, boxes: int = 10_000,
 
 def disp_probability_bound(n: int, d: int, V: float) -> float:
     """Lower bound max(0, 1 - (e n / d)^(2d) 2^(-V n / 2)) on
-    P(disp of n i.i.d. uniform points <= V)."""
+    P(disp of n i.i.d. uniform points <= V).
+
+    Read for phase 1, it bounds the probability that one shared sequence
+    of n uniform points hits the support of every function in the
+    support class at once."""
     if n < 1 or d < 1:
         raise ParameterError("n and d must be positive")
     log_tail = 2 * d * math.log(math.e * n / d) - 0.5 * V * n * math.log(2.0)

@@ -3,13 +3,12 @@
 A pipeline trial plans budgets, runs phase 1 (search), runs phase 2
 (reconstruction) when a nonzero point was found, and measures the error
 bracket.  Everything is a pure function of the master seed and the
-configuration, so runs are reproducible regardless of parallelism.
+configuration, so runs are reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -173,7 +172,6 @@ class ExperimentConfig:
     seed: int = 0
     grid: int = 10_001
     samples: int = 20_000
-    threads: int = 1
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "ExperimentConfig":
@@ -267,13 +265,7 @@ def run_pipeline(cfg: ExperimentConfig) -> Tuple[List[Dict[str, Any]], Dict[str,
     """Execute all trials; returns (raw rows, aggregate summary)."""
     bp = plan(cfg.r, cfg.M, cfg.d, cfg.eps, V=cfg.V, p=cfg.p,
               prefer_deterministic=(cfg.strategy == "det"))
-    trials = range(cfg.trials)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(lambda t: run_trial(cfg, bp, t), trials))
-    else:
-        rows = [run_trial(cfg, bp, t) for t in trials]
-    rows.sort(key=lambda r: r["trial"])
+    rows = [run_trial(cfg, bp, t) for t in range(cfg.trials)]
 
     n_ok = sum(1 for r in rows if r["error_upper"] <= cfg.eps)
     n_found = sum(1 for r in rows if r["found"])

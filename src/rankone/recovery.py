@@ -10,8 +10,8 @@ the sup error decays like n^(-r) in the total budget n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -43,7 +43,6 @@ def error_constant(r: int) -> float:
 class RecoveryConfig:
     r: int
     budget_n2: int
-    c_calibrated: float = 0.0  # 0 means: use error_constant(r)
     min_center_value: float = 0.0
 
     def __post_init__(self):
@@ -51,8 +50,6 @@ class RecoveryConfig:
             raise ParameterError("smoothness order r must be a positive integer")
         if self.budget_n2 < 1:
             raise ParameterError("budget must be positive")
-        if self.c_calibrated == 0.0:
-            object.__setattr__(self, "c_calibrated", error_constant(self.r))
 
 
 @dataclass(frozen=True)
@@ -123,20 +120,16 @@ def recover(oracle: QueryOracle, z_star, cfg: RecoveryConfig) -> RankOneApproxim
             f"|f(z*)| = {abs(center)} below guard {cfg.min_center_value}; "
             "amplification risk")
 
+    # all d axis lines as one (d, m, d) block, queried in axis-major order;
+    # a node equal to z*_i reuses f(z*) instead of a query
     nodes = block_chebyshev_nodes(m, cfg.r)
-    interpolants = []
-    for i in range(d):
-        line = np.tile(z, (len(nodes), 1))
-        line[:, i] = nodes
-        reuse = nodes == z[i]
-        vals = np.empty(len(nodes))
-        if reuse.any():
-            vals[reuse] = center
-            fresh = ~reuse
-            vals[fresh] = oracle.evaluate_batch(line[fresh])
-        else:
-            vals = oracle.evaluate_batch(line)
-        interpolants.append(interpolate_line(list(zip(nodes, vals)), cfg.r))
-
-    return RankOneApproximant(line_interpolants=tuple(interpolants),
+    axes = np.arange(d)
+    lines = np.tile(z, (d, len(nodes), 1))
+    lines[axes, :, axes] = nodes
+    reuse = nodes == z[:, None]
+    vals = np.full(reuse.shape, center)
+    vals[~reuse] = oracle.evaluate_batch(lines[~reuse])
+    interpolants = tuple(interpolate_line(np.column_stack((nodes, v)), cfg.r)
+                         for v in vals)
+    return RankOneApproximant(line_interpolants=interpolants,
                               center_value=center)

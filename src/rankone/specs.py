@@ -62,13 +62,24 @@ def tensor_from_spec(spec: Dict[str, Any]) -> RankOneTensor:
 
 
 def approximant_to_dict(approx) -> Dict[str, Any]:
-    """Serialize a reconstruction: breakpoints and local coefficients per axis."""
+    """Serialize a reconstruction: breakpoints and local coefficients per axis.
+
+    Each piece's coefficients are those of its interpolating polynomial
+    in the local variable (t - piece midpoint), ascending order.
+    """
     axes = []
     for g in approx.line_interpolants:
+        deg = g.nodes.shape[1] - 1
+        midpoints = 0.5 * (g.breakpoints[:-1] + g.breakpoints[1:])
+        coefficients = []
+        for nodes, values, mid in zip(g.nodes, g.values, midpoints):
+            coef = np.polynomial.Polynomial.fit(nodes - mid, values, deg=deg,
+                                                domain=[]).coef
+            coefficients.append(np.pad(coef, (0, deg + 1 - len(coef))).tolist())
         axes.append({
-            "breakpoints": [float(b) for b in g.breakpoints],
-            "coefficients": [[float(c) for c in piece] for piece in g.coefficients],
-            "nodes": [[float(t) for t in piece] for piece in g.nodes],
-            "values": [[float(v) for v in piece] for piece in g.values],
+            "breakpoints": g.breakpoints.tolist(),
+            "coefficients": coefficients,
+            "nodes": g.nodes.tolist(),
+            "values": g.values.tolist(),
         })
     return {"center_value": float(approx.center_value), "axes": axes}

@@ -7,7 +7,7 @@ function calls; the count is the information cost of an algorithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -10,7 +10,7 @@ a function with large sup-norm).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -212,64 +212,36 @@ def _poly_abs_max(poly: np.polynomial.Polynomial, lo: float = 0.0,
 class PiecewisePolynomial:
     """Piecewise polynomial of local degree < r on [0,1].
 
-    Stored per piece as interpolation nodes, values and barycentric
-    weights; evaluation uses the barycentric formula for stability.
-    ``coefficients`` holds the equivalent monomial coefficients in the
-    local variable (t - piece midpoint), ascending order, for
-    serialization.
+    Piece j covers [breakpoints[j], breakpoints[j+1]) and is stored as
+    row j of three (k, r) arrays: its interpolation nodes, the values
+    there, and the barycentric weights of the nodes.  Evaluation gathers
+    each point's row and applies the barycentric formula to all points
+    at once; a point within 1e-300 of a node of its piece returns that
+    node's value.
     """
 
-    breakpoints: np.ndarray            # shape (k+1,), 0 = first < ... < last = 1
-    nodes: Tuple[np.ndarray, ...]      # k arrays of shape (r,)
-    values: Tuple[np.ndarray, ...]
-    weights: Tuple[np.ndarray, ...]
-    coefficients: Tuple[np.ndarray, ...] = field(repr=False, default=())
+    breakpoints: np.ndarray  # shape (k+1,), 0 = first < ... < last = 1
+    nodes: np.ndarray        # shape (k, r)
+    values: np.ndarray       # shape (k, r)
+    weights: np.ndarray      # shape (k, r)
 
     @property
     def pieces(self) -> int:
-        return len(self.nodes)
+        return self.nodes.shape[0]
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
         tf = np.atleast_1d(t)
-        out = np.empty_like(tf)
-        idx = np.clip(np.searchsorted(self.breakpoints, tf, side="right") - 1,
-                      0, self.pieces - 1)
-        for j in range(self.pieces):
-            sel = idx == j
-            if np.any(sel):
-                out[sel] = _bary_eval(tf[sel], self.nodes[j], self.values[j],
-                                      self.weights[j])
-        return float(out[0]) if scalar else out
-
-
-def _bary_weights(nodes: np.ndarray) -> np.ndarray:
-    diff = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(diff, 1.0)
-    return 1.0 / diff.prod(axis=1)
-
-
-def _bary_eval(t: np.ndarray, nodes: np.ndarray, values: np.ndarray,
-               weights: np.ndarray) -> np.ndarray:
-    diff = t[:, None] - nodes[None, :]
-    exact = np.isclose(diff, 0.0, atol=1e-300)
-    # guard exact node hits before dividing
-    safe = np.where(exact, 1.0, diff)
-    terms = weights / safe
-    num = terms @ values
-    den = terms.sum(axis=1)
-    out = num / den
-    hit_rows, hit_cols = np.nonzero(exact)
-    out[hit_rows] = values[hit_cols]
-    return out
-
-
-def _local_coefficients(nodes: np.ndarray, values: np.ndarray,
-                        center: float) -> np.ndarray:
-    deg = len(nodes) - 1
-    p = np.polynomial.Polynomial.fit(nodes - center, values, deg=deg, domain=[])
-    return p.coef if len(p.coef) == deg + 1 else np.pad(p.coef, (0, deg + 1 - len(p.coef)))
+        j = np.clip(np.searchsorted(self.breakpoints, tf, side="right") - 1,
+                    0, self.pieces - 1)
+        values = self.values[j]
+        diff = tf[..., None] - self.nodes[j]
+        exact = np.abs(diff) <= 1e-300
+        # guard exact node hits before dividing
+        terms = self.weights[j] / np.where(exact, 1.0, diff)
+        out = (terms * values).sum(axis=-1) / terms.sum(axis=-1)
+        out[exact.any(axis=-1)] = values[exact]
+        return float(out[0]) if t.ndim == 0 else out
 
 
 def interpolate_line(samples: Sequence[Tuple[float, float]], r: int,
@@ -285,7 +257,7 @@ def interpolate_line(samples: Sequence[Tuple[float, float]], r: int,
     """
     if r < 1:
         raise ParameterError("smoothness order r must be a positive integer")
-    pts = np.asarray([(t, v) for t, v in samples], dtype=float)
+    pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < r:
         raise ParameterError(f"need at least r={r} sample nodes, got {0 if pts.ndim != 2 else pts.shape[0]}")
     ts, vs = pts[:, 0], pts[:, 1]
@@ -295,30 +267,18 @@ def interpolate_line(samples: Sequence[Tuple[float, float]], r: int,
         raise ParameterError("sample nodes must lie in [0, 1]")
 
     m = len(ts)
-    k = m // r
-    groups = [np.arange(j * r, (j + 1) * r) for j in range(k - 1)]
-    groups.append(np.arange(m - r, m))
-
-    bps = [0.0]
-    for j in range(1, k):
-        bps.append(0.5 * (ts[groups[j - 1][-1]] + ts[groups[j][0]]))
-    bps.append(1.0)
-    breakpoints = np.asarray(bps)
-
-    nodes, values, weights, coeffs = [], [], [], []
-    for j, g in enumerate(groups):
-        nd, vl = ts[g], vs[g]
-        nodes.append(nd)
-        values.append(vl)
-        weights.append(_bary_weights(nd))
-        coeffs.append(_local_coefficients(nd, vl, 0.5 * (breakpoints[j] + breakpoints[j + 1])))
-
+    starts = np.arange(m // r) * r
+    starts[-1] = m - r
+    groups = starts[:, None] + np.arange(r)
+    nodes = ts[groups]
+    inner = 0.5 * (nodes[:-1, -1] + nodes[1:, 0])
+    # w_i = 1 / prod_{l != i} (x_i - x_l); the identity fills the diagonal
+    diff = nodes[:, :, None] - nodes[:, None, :] + np.eye(r)
     return PiecewisePolynomial(
-        breakpoints=breakpoints,
-        nodes=tuple(nodes),
-        values=tuple(values),
-        weights=tuple(weights),
-        coefficients=tuple(coeffs),
+        breakpoints=np.concatenate(([0.0], inner, [1.0])),
+        nodes=nodes,
+        values=vs[groups],
+        weights=1.0 / diff.prod(axis=-1),
     )
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from rankone.adversary import (FoolingFamily, find_untouched_orthant,
                                fool_deterministic, fool_randomized,
-                               orthants_touched, uniform_guarantee_bound)
-from rankone.dispersion import halton, n_disp_upper
+                               orthants_touched)
+from rankone.dispersion import halton
 from rankone.errors import ParameterError
 from rankone.search import search_deterministic
 from rankone.tensor import QueryOracle, check_membership
@@ -150,20 +150,3 @@ class TestFoolRandomized:
         b = fool_randomized(lambda o, s: None, d=4, r=2, n=4, trials=20, seed=9)
         np.testing.assert_array_equal(a.trial_errors, b.trial_errors)
 
-
-class TestUniformGuaranteeBound:
-    def test_tiny_n1_clamps_to_zero(self):
-        assert uniform_guarantee_bound(5, 4, 0.3) == 0.0
-
-    def test_positive_at_behw_threshold(self):
-        for d, V in [(2, 0.3), (4, 0.5)]:
-            n1 = n_disp_upper(V, d, "behw")
-            assert uniform_guarantee_bound(n1, d, V) > 0.0
-
-    def test_monotone_in_n1(self):
-        assert (uniform_guarantee_bound(600, 2, 0.3)
-                > uniform_guarantee_bound(400, 2, 0.3))
-
-    def test_invalid(self):
-        with pytest.raises(ParameterError):
-            uniform_guarantee_bound(0, 2, 0.3)

@@ -63,8 +63,7 @@ class TestOutputs:
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            run(["approx", "--config", str(cfg), "--out", str(out),
-                 "--threads", "1" if name == "a" else "2"])
+            run(["approx", "--config", str(cfg), "--out", str(out)])
             outs.append((out / "trials.csv").read_bytes())
         assert outs[0] == outs[1]
 

@@ -145,6 +145,14 @@ class TestCostBounds:
         bs = [disp_probability_bound(n, 2, 0.3) for n in (500, 1000, 2000)]
         assert bs == sorted(bs)
 
+    def test_probability_bound_positive_at_behw_threshold(self):
+        for d, V in [(2, 0.3), (4, 0.5)]:
+            assert disp_probability_bound(n_disp_upper(V, d, "behw"), d, V) > 0.0
+
+    def test_probability_bound_invalid(self):
+        with pytest.raises(ParameterError):
+            disp_probability_bound(0, 2, 0.3)
+
     def test_behw_reference_value(self):
         assert n_disp_upper(0.5, 2, "behw") == 301
 

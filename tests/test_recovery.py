@@ -41,10 +41,6 @@ class TestBudgetFormulas:
 
 
 class TestRecoveryConfig:
-    def test_defaults_fill_constant(self):
-        cfg = RecoveryConfig(r=2, budget_n2=20)
-        assert cfg.c_calibrated == error_constant(2)
-
     def test_invalid(self):
         with pytest.raises(ParameterError):
             RecoveryConfig(r=0, budget_n2=10)
@@ -68,6 +64,25 @@ class TestRecover:
         o = QueryOracle(t, budget=29)
         recover(o, np.full(4, 0.5), RecoveryConfig(r=2, budget_n2=29))
         assert o.query_count <= 29
+
+    def test_node_at_center_reuses_center_value(self):
+        # m = 9 nodes per line, three blocks of 3: the middle node of the
+        # middle block is 0.5 = z*_i on every axis, so each line needs 8
+        # fresh queries and z* itself is queried once
+        t = poly_tensor(4, 3, [0.5, 0.2, 0.1])
+        o = QueryOracle(t, log=True)
+        z = np.full(4, 0.5)
+        ap = recover(o, z, RecoveryConfig(r=3, budget_n2=37))
+        assert np.count_nonzero(ap.line_interpolants[0].nodes == 0.5) == 1
+        assert o.query_count == 33
+        queries = np.array([q for q, _ in o.query_log])
+        assert np.all(queries == z, axis=1).sum() == 1
+        # after the center, each query moves one coordinate, in axis order
+        moved = np.argmax(queries[1:] != z, axis=1)
+        assert np.array_equal(moved, np.repeat(np.arange(4), 8))
+        for g in ap.line_interpolants:
+            assert g(0.5) == ap.center_value
+        assert ap.value(z) == pytest.approx(t.value(z), rel=1e-12)
 
     def test_center_value_stored(self):
         t = poly_tensor(2, 1, [0.5, 0.2])

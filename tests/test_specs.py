@@ -78,3 +78,18 @@ class TestApproximantSerialization:
         axis = obj["axes"][0]
         assert len(axis["coefficients"]) == len(axis["breakpoints"]) - 1
         assert all(len(piece) == 2 for piece in axis["nodes"])
+
+    def test_coefficients_reproduce_interpolant(self):
+        t = tensor_from_spec({"d": 2, "r": 3, "M": 1.0, "replicate": True,
+                              "factor": {"kind": "trig", "amplitude": 0.2,
+                                         "frequency": 1.0, "offset": 0.7}})
+        ap = recover(QueryOracle(t), np.full(2, 0.4),
+                     RecoveryConfig(r=3, budget_n2=37))
+        for axis, g in zip(approximant_to_dict(ap)["axes"], ap.line_interpolants):
+            bps = axis["breakpoints"]
+            assert len(axis["coefficients"]) == g.pieces == 6
+            for lo, hi, coef in zip(bps[:-1], bps[1:], axis["coefficients"]):
+                assert len(coef) == 3
+                ts = np.linspace(lo, hi, 50, endpoint=False)
+                local = np.polynomial.Polynomial(coef)(ts - 0.5 * (lo + hi))
+                np.testing.assert_allclose(local, g(ts), rtol=0, atol=1e-10)

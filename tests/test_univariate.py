@@ -10,6 +10,33 @@ from rankone.univariate import (block_chebyshev_nodes, interp_error_bound,
                                 interpolate_line, make_bump, polynomial_factor,
                                 support_lower_bound, table_factor, trig_factor)
 
+EPS = np.finfo(float).eps
+
+
+def reference_eval(g, t):
+    """Per-piece barycentric evaluation, one piece at a time, with the
+    weights recomputed from each piece's nodes."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty_like(t)
+    idx = np.clip(np.searchsorted(g.breakpoints, t, side="right") - 1,
+                  0, g.pieces - 1)
+    for j in range(g.pieces):
+        sel = idx == j
+        if not np.any(sel):
+            continue
+        nodes, values = g.nodes[j], g.values[j]
+        diff = nodes[:, None] - nodes[None, :]
+        np.fill_diagonal(diff, 1.0)
+        weights = 1.0 / diff.prod(axis=1)
+        diff = t[sel][:, None] - nodes[None, :]
+        exact = np.isclose(diff, 0.0, atol=1e-300)
+        terms = weights / np.where(exact, 1.0, diff)
+        piece = (terms @ values) / terms.sum(axis=1)
+        hit_rows, hit_cols = np.nonzero(exact)
+        piece[hit_rows] = values[hit_cols]
+        out[sel] = piece
+    return out
+
 
 class TestInterpErrorBound:
     def test_value(self):
@@ -154,6 +181,34 @@ class TestInterpolateLine:
         g = interpolate_line(list(zip(ts, ts ** 2)), 3)
         assert g.pieces == 2
         np.testing.assert_allclose(g.nodes[1], ts[-3:])
+
+    def test_dense_layout(self):
+        ts = np.linspace(0.05, 0.95, 11)
+        g = interpolate_line(list(zip(ts, np.sin(ts))), 3)
+        assert g.nodes.shape == g.values.shape == g.weights.shape == (3, 3)
+        np.testing.assert_array_equal(g.nodes, ts[[[0, 1, 2], [3, 4, 5], [8, 9, 10]]])
+        np.testing.assert_array_equal(g.values, np.sin(g.nodes))
+        np.testing.assert_array_equal(
+            g.breakpoints, [0.0, 0.5 * (ts[2] + ts[3]), 0.5 * (ts[5] + ts[8]), 1.0])
+        t = np.linspace(0, 1, 101)
+        loop = reference_eval(g, t)
+        assert np.max(np.abs(g(t) - loop)) <= 24 * EPS * np.max(np.abs(loop))
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_dense_evaluation_matches_piecewise_loop(self, r):
+        gen = np.random.default_rng(r)
+        for k in range(1, 41):
+            nodes = block_chebyshev_nodes(k * r, r)
+            vals = gen.standard_normal(nodes.size)
+            g = interpolate_line(list(zip(nodes, vals)), r)
+            t = np.concatenate([gen.random(200), nodes, [0.0, 1.0]])
+            dense, loop = g(t), reference_eval(g, t)
+            if r == 1:
+                np.testing.assert_array_equal(dense, loop)
+            else:
+                assert np.max(np.abs(dense - loop)) <= 8 * r * EPS * np.max(np.abs(vals))
+            np.testing.assert_array_equal(g(nodes), vals)
+            assert g(float(nodes[-1])) == vals[-1]
 
     def test_breakpoints_cover_unit_interval(self):
         ts = np.linspace(0.1, 0.9, 8)
