@@ -7,15 +7,17 @@ from .adversary import (FoolingFamily, RandomizedFoolReport, fool_deterministic,
 from .dispersion import (DispersionResult, PointSet, disp_probability_bound,
                          dispersion_lower_estimate, exact_dispersion, halton,
                          n_disp_upper, uniform_pointset)
-from .errors import (BudgetExhaustedError, BudgetTooSmallError, DomainError,
-                     InstanceTooLargeError, NonzeroCenterError, ParameterError)
+from .errors import (BudgetExhaustedError, BudgetTooSmallError, ConfigError,
+                     DomainError, InstanceTooLargeError, NonzeroCenterError,
+                     ParameterError)
 from .pipeline import (ExperimentConfig, convergence_sweep, fit_order,
                        run_pipeline, wilson_interval)
 from .recovery import (RankOneApproximant, RecoveryConfig, error_constant,
                        min_budget, recover, required_n2)
 from .search import (BudgetPlan, SearchOutcome, SubsetSearchParams, plan,
-                     search_deterministic, search_subset, search_uniform_multi,
-                     search_uniform_single, subset_success_bound)
+                     run_search, search_deterministic, search_subset,
+                     search_uniform_multi, search_uniform_single,
+                     subset_success_bound)
 from .specs import approximant_to_dict, factor_from_spec, tensor_from_spec
 from .tensor import (Box, MembershipResult, QueryOracle, RankOneTensor,
                      check_membership, sup_distance_bound, sup_norm)

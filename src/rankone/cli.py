@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -22,12 +23,13 @@ import numpy as np
 from .adversary import fool_deterministic, fool_randomized
 from .dispersion import (PointSet, dispersion_lower_estimate, exact_dispersion,
                          halton, uniform_pointset)
-from .errors import (BudgetExhaustedError, BudgetTooSmallError, DomainError,
-                     InstanceTooLargeError, NonzeroCenterError, ParameterError)
+from .errors import (BudgetExhaustedError, BudgetTooSmallError, ConfigError,
+                     DomainError, InstanceTooLargeError, NonzeroCenterError,
+                     ParameterError)
 from .pipeline import ExperimentConfig, convergence_sweep, fit_order, run_pipeline
 from .recovery import RecoveryConfig, min_budget, recover
-from .search import (SubsetSearchParams, plan, search_deterministic,
-                     search_subset, search_uniform_multi, search_uniform_single)
+from .search import (STRATEGIES, SubsetSearchParams, plan, run_search,
+                     search_deterministic, search_uniform_multi)
 from .specs import approximant_to_dict, tensor_from_spec
 from .tensor import QueryOracle, sup_distance_bound
 
@@ -100,21 +102,10 @@ def cmd_plan(args) -> int:
 def cmd_search(args) -> int:
     spec = _load_json(args.config)
     tensor = tensor_from_spec(spec)
-    oracle = QueryOracle(tensor)
-    seed = args.seed
-    if args.strategy == "single":
-        outcome = search_uniform_single(oracle, seed)
-    elif args.strategy == "multi":
-        outcome = search_uniform_multi(oracle, args.n1, seed)
-    elif args.strategy == "subset":
-        params = SubsetSearchParams.from_problem(tensor.r, tensor.M, args.eps)
-        outcome = search_subset(oracle, params, args.n1, seed)
-    elif args.strategy == "det":
-        ps = (halton(args.n1, tensor.d) if args.pointset == "halton"
-              else uniform_pointset(args.n1, tensor.d, seed))
-        outcome = search_deterministic(oracle, ps)
-    else:
-        raise ParameterError(f"unknown strategy {args.strategy!r}")
+    params = (SubsetSearchParams.from_problem(tensor.r, tensor.M, args.eps)
+              if args.strategy == "subset" else None)
+    outcome = run_search(args.strategy, QueryOracle(tensor), args.n1, args.seed,
+                         params, args.pointset)
     _emit({"found": outcome.found,
            "z_star": None if outcome.z_star is None else outcome.z_star.tolist(),
            "value": outcome.value,
@@ -259,6 +250,7 @@ def cmd_curves(args) -> int:
 # Argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="rankone",
@@ -282,32 +274,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deterministic", action="store_true",
                    help="prefer the low-dispersion scan in the support regime")
     common(p)
-    p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("search", help="phase 1 only, on a tensor spec")
     p.add_argument("--config", required=True, help="tensor spec JSON file")
-    p.add_argument("--strategy", choices=["single", "subset", "multi", "det"],
-                   required=True)
+    p.add_argument("--strategy", choices=STRATEGIES, required=True)
     p.add_argument("--n1", type=int, default=1)
     p.add_argument("--eps", type=float, default=0.1,
                    help="target accuracy (subset strategy parameters)")
     p.add_argument("--pointset", choices=["halton", "uniform"], default="halton")
     common(p)
-    p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("recover", help="phase 2 from a known nonzero point")
     p.add_argument("--config", required=True, help="tensor spec JSON file")
     p.add_argument("--z", required=True, help="comma-separated coordinates of z*")
     p.add_argument("--budget", type=int, required=True)
     common(p)
-    p.set_defaults(fn=cmd_recover)
 
     p = sub.add_parser("approx", help="full pipeline over repeated trials")
     p.add_argument("--config", required=True, help="experiment config JSON file")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn=cmd_approx)
 
     p = sub.add_parser("dispersion", help="dispersion of a point set")
     p.add_argument("--points", default=None, help="CSV file, one point per row")
@@ -319,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boxes", type=int, default=10_000)
     p.add_argument("--export", default=None, help="write the point set to this CSV")
     common(p)
-    p.set_defaults(fn=cmd_dispersion)
 
     p = sub.add_parser("adversary", help="curse-of-dimensionality harness")
     p.add_argument("--mode", choices=["det", "ran"], required=True)
@@ -330,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="zero",
                    choices=["zero", "halton-scan", "uniform-recover"])
     common(p)
-    p.set_defaults(fn=cmd_adversary)
 
     p = sub.add_parser("curves", help="error against phase-2 budget, with slope")
     p.add_argument("--d", type=int, default=3)
@@ -338,16 +323,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budgets", default="31,61,121,241,481",
                    help="comma-separated phase-2 budgets")
     common(p)
-    p.set_defaults(fn=cmd_curves)
 
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up per call, so a replaced cmd_* global takes effect
+        return globals()["cmd_" + args.command](args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except _PRECONDITION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -9,6 +9,10 @@ class ParameterError(ValueError):
     """Inconsistent or out-of-range algorithm parameters."""
 
 
+class ConfigError(ParameterError):
+    """A malformed configuration or tensor spec file."""
+
+
 class BudgetExhaustedError(RuntimeError):
     """An oracle evaluation was requested after the query budget ran out."""
 

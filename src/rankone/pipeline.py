@@ -15,11 +15,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import rng
-from .dispersion import uniform_pointset
-from .errors import ParameterError
+from .errors import ConfigError, ParameterError
 from .recovery import RecoveryConfig, recover
-from .search import (BudgetPlan, SubsetSearchParams, plan, search_deterministic,
-                     search_subset, search_uniform_multi, search_uniform_single)
+from .search import (REGIME_STRATEGY, STRATEGIES, BudgetPlan, SubsetSearchParams,
+                     plan, run_search)
 from .specs import tensor_from_spec
 from .tensor import RankOneTensor, QueryOracle, sup_distance_bound, sup_norm
 from .univariate import UnivariateFactor, polynomial_factor, table_factor, trig_factor
@@ -165,7 +164,7 @@ class ExperimentConfig:
     tensor_spec: Optional[Dict[str, Any]] = None
     family: Optional[str] = None
     family_params: Dict[str, Any] = field(default_factory=dict)
-    strategy: str = "plan"  # plan | single | multi | subset | det
+    strategy: str = "plan"  # "plan" (by regime) or one of search.STRATEGIES
     n1: Optional[int] = None
     n2: Optional[int] = None
     trials: int = 100
@@ -178,22 +177,22 @@ class ExperimentConfig:
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
         unknown = set(raw) - known
         if unknown:
-            raise ParameterError(f"unknown config fields: {sorted(unknown)}")
+            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
             cfg = cls(**raw)
         except TypeError as exc:
-            raise ParameterError(str(exc))
+            raise ConfigError(str(exc))
         cfg.validate()
         return cfg
 
     def validate(self):
         if self.tensor_spec is None and self.family is None:
-            raise ParameterError("config needs either 'tensor_spec' or 'family'")
+            raise ConfigError("config needs either 'tensor_spec' or 'family'")
         if self.family is not None and self.family not in FAMILIES:
-            raise ParameterError(
+            raise ConfigError(
                 f"unknown family {self.family!r}; choose from {sorted(FAMILIES)}")
-        if self.strategy not in ("plan", "single", "multi", "subset", "det"):
-            raise ParameterError(f"unknown strategy {self.strategy!r}")
+        if self.strategy != "plan" and self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.trials < 0:
             raise ParameterError("trials must be nonnegative")
 
@@ -216,26 +215,12 @@ class ExperimentConfig:
 
 def _run_phase1(cfg: ExperimentConfig, bp: BudgetPlan, oracle: QueryOracle,
                 trial: int):
-    strategy = cfg.strategy
-    if strategy == "plan":
-        strategy = {"trivial_M_small": "single", "subset_search": "subset",
-                    "support_class_random": "multi",
-                    "support_class_deterministic": "det",
-                    "intractable": "multi"}[bp.regime]
+    strategy = REGIME_STRATEGY[bp.regime] if cfg.strategy == "plan" else cfg.strategy
+    params = bp.subset_params
+    if strategy == "subset" and params is None:  # outside the subset regime
+        params = SubsetSearchParams.from_problem(cfg.r, cfg.M, cfg.eps)
     n1 = cfg.n1 if cfg.n1 is not None else bp.n1
-    seed1 = rng._mix(cfg.seed, trial, 1)
-    if strategy == "single":
-        return search_uniform_single(oracle, seed1)
-    if strategy == "multi":
-        return search_uniform_multi(oracle, n1, seed1)
-    if strategy == "subset":
-        params = bp.subset_params or SubsetSearchParams.from_problem(
-            cfg.r, cfg.M, cfg.eps)
-        return search_subset(oracle, params, n1, seed1)
-    if strategy == "det":
-        ps = uniform_pointset(n1, cfg.d, seed1)
-        return search_deterministic(oracle, ps)
-    raise ParameterError(f"unknown strategy {strategy!r}")
+    return run_search(strategy, oracle, n1, rng._mix(cfg.seed, trial, 1), params)
 
 
 def run_trial(cfg: ExperimentConfig, bp: BudgetPlan, trial: int) -> Dict[str, Any]:

@@ -4,7 +4,8 @@ Four ways of locating a point z* with f(z*) != 0: a single uniform
 draw (enough with probability 1 when M <= r! eps), repeated uniform
 draws (for the large-support class), the coordinate-subset search that
 concentrates most coordinates near 1/2 (for r! eps < M < 2^r r!), and a
-deterministic scan of a low-dispersion point set.  The planner maps
+deterministic scan of a low-dispersion point set.  ``run_search`` is
+the one place that maps a strategy name to its search.  The planner maps
 problem parameters to budgets and success-probability guarantees.
 """
 
@@ -12,17 +13,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import rng
-from .dispersion import PointSet, n_disp_upper
+from .dispersion import PointSet, halton, n_disp_upper, uniform_pointset
 from .errors import ParameterError
 from .recovery import error_constant, min_budget, required_n2
 from .tensor import QueryOracle
 
 _CHUNK_CAP = 4096
+_FLOAT_MAX = float(np.finfo(float).max)
+# below this, exp(x) is finite even after rounding of the logs that give x
+_LOG_FLOAT_MAX = math.log(_FLOAT_MAX) - 1e-9
+
+STRATEGIES = ("single", "multi", "subset", "det")
+# the search the paper runs in each regime of ``plan``
+REGIME_STRATEGY = {"trivial_M_small": "single", "subset_search": "subset",
+                   "support_class_random": "multi", "intractable": "multi",
+                   "support_class_deterministic": "det"}
 
 
 @dataclass(frozen=True)
@@ -50,7 +60,9 @@ class SubsetSearchParams:
         d_star = max(1, math.ceil(
             math.log(1.0 / eps) / math.log(1.0 / (M / (2 ** (r + 1) * rf) + 0.5))))
         alpha = 1.0 + 2 ** (r + 1) * rf * math.log(1.0 / eps) / (2 ** r * rf - M)
-        c_prob = (3 ** r * M / (rf * eps)) ** (alpha / r)
+        base = 3 ** r * M / (rf * eps)
+        c_prob = (base ** (alpha / r) if alpha / r * math.log(base) < _LOG_FLOAT_MAX
+                  else _FLOAT_MAX)
         return cls(r=r, M=M, eps=eps, delta_star=delta, d_star=d_star,
                    alpha=alpha, c_prob=c_prob)
 
@@ -61,7 +73,6 @@ class SearchOutcome:
     value: Optional[float]        # f(z*) when found
     queries_used: int
     iterations: int
-    trace: Optional[List[np.ndarray]] = None
 
     @property
     def found(self) -> bool:
@@ -83,14 +94,23 @@ class BudgetPlan:
     subset_params: Optional[SubsetSearchParams] = None
 
 
-def _chunks(total: int):
-    """Growing chunk sizes 1, 2, 4, ... summing to ``total``."""
-    c, done = 1, 0
-    while done < total:
-        size = min(c, total - done, _CHUNK_CAP)
-        yield done, size
-        done += size
-        c *= 2
+def _scan(oracle: QueryOracle, n: int,
+          batch: Callable[[int, int], np.ndarray]) -> SearchOutcome:
+    """Evaluate the points ``batch(start, size)`` in growing chunks of
+    1, 2, 4, ... up to ``n`` points in all; the first nonzero wins."""
+    start, c = 0, 1
+    while start < n:
+        size = min(c, n - start, _CHUNK_CAP)
+        X = batch(start, size)
+        vals = oracle.evaluate_batch(X)
+        hit = np.nonzero(vals != 0.0)[0]
+        if hit.size:
+            j = int(hit[0])
+            return SearchOutcome(z_star=X[j].copy(), value=float(vals[j]),
+                                 queries_used=start + size,
+                                 iterations=start + j + 1)
+        start, c = start + size, 2 * c
+    return SearchOutcome(z_star=None, value=None, queries_used=n, iterations=n)
 
 
 def search_uniform_single(oracle: QueryOracle, seed: int) -> SearchOutcome:
@@ -103,8 +123,7 @@ def search_uniform_single(oracle: QueryOracle, seed: int) -> SearchOutcome:
     return SearchOutcome(z_star=None, value=None, queries_used=1, iterations=1)
 
 
-def search_uniform_multi(oracle: QueryOracle, n1: int, seed: int,
-                         keep_trace: bool = False) -> SearchOutcome:
+def search_uniform_multi(oracle: QueryOracle, n1: int, seed: int) -> SearchOutcome:
     """Up to n1 i.i.d. uniform draws; first nonzero wins.
 
     Draws are consumed from one seeded stream, so the outcome for a given
@@ -113,29 +132,11 @@ def search_uniform_multi(oracle: QueryOracle, n1: int, seed: int,
     if n1 < 1:
         raise ParameterError("n1 must be positive")
     g = rng.spawn(seed)
-    d = oracle.d
-    trace: Optional[List[np.ndarray]] = [] if keep_trace else None
-    used = 0
-    for start, size in _chunks(n1):
-        X = g.random((size, d))
-        vals = oracle.evaluate_batch(X)
-        used += size
-        if trace is not None:
-            trace.extend(X)
-        hit = np.nonzero(vals != 0.0)[0]
-        if hit.size:
-            j = int(hit[0])
-            if trace is not None:
-                del trace[start + j + 1:]
-            return SearchOutcome(z_star=X[j], value=float(vals[j]),
-                                 queries_used=used, iterations=start + j + 1,
-                                 trace=trace)
-    return SearchOutcome(z_star=None, value=None, queries_used=used,
-                         iterations=n1, trace=trace)
+    return _scan(oracle, n1, lambda start, size: g.random((size, oracle.d)))
 
 
 def search_subset(oracle: QueryOracle, params: SubsetSearchParams, n1: int,
-                  seed: int, keep_trace: bool = False) -> SearchOutcome:
+                  seed: int) -> SearchOutcome:
     """Coordinate-subset search: per iteration, a uniform subset I of
     min(d*, d) coordinates is drawn free in [0,1]; the rest are drawn
     uniformly in [1/2 - delta*, 1/2 + delta*].
@@ -150,46 +151,43 @@ def search_subset(oracle: QueryOracle, params: SubsetSearchParams, n1: int,
     k = min(params.d_star, d)
     delta = params.delta_star
     g = rng.spawn(seed)
-    trace: Optional[List[np.ndarray]] = [] if keep_trace else None
     for i in range(n1):
         subset = rng.floyd_sample(g, d, k)
         z = g.random(d)
         x = 0.5 + delta * (2.0 * z - 1.0)
         x[subset] = z[subset]
         v = oracle.evaluate(x)
-        if trace is not None:
-            trace.append(x)
         if v != 0.0:
-            return SearchOutcome(z_star=x, value=v, queries_used=i + 1,
-                                 iterations=i + 1, trace=trace)
-    return SearchOutcome(z_star=None, value=None, queries_used=n1,
-                         iterations=n1, trace=trace)
+            return SearchOutcome(z_star=x, value=v, queries_used=i + 1, iterations=i + 1)
+    return SearchOutcome(z_star=None, value=None, queries_used=n1, iterations=n1)
 
 
-def search_deterministic(oracle: QueryOracle, ps: PointSet,
-                         keep_trace: bool = False) -> SearchOutcome:
+def search_deterministic(oracle: QueryOracle, ps: PointSet) -> SearchOutcome:
     """Scan the point set in order; if disp(ps) <= V and f is nonzero on
     a box of volume > V, a nonzero is guaranteed to be found."""
     if ps.d != oracle.d:
         raise ParameterError(f"point set dimension {ps.d} != oracle dimension {oracle.d}")
-    trace: Optional[List[np.ndarray]] = [] if keep_trace else None
-    used = 0
-    for start, size in _chunks(ps.n):
-        X = ps.points[start:start + size]
-        vals = oracle.evaluate_batch(X)
-        used += size
-        if trace is not None:
-            trace.extend(X)
-        hit = np.nonzero(vals != 0.0)[0]
-        if hit.size:
-            j = int(hit[0])
-            if trace is not None:
-                del trace[start + j + 1:]
-            return SearchOutcome(z_star=X[j].copy(), value=float(vals[j]),
-                                 queries_used=used, iterations=start + j + 1,
-                                 trace=trace)
-    return SearchOutcome(z_star=None, value=None, queries_used=used,
-                         iterations=ps.n, trace=trace)
+    return _scan(oracle, ps.n, lambda start, size: ps.points[start:start + size])
+
+
+def run_search(strategy: str, oracle: QueryOracle, n1: int, seed: int,
+               params: Optional[SubsetSearchParams] = None,
+               pointset: str = "uniform") -> SearchOutcome:
+    """Run the phase-1 strategy named ``strategy``, one of STRATEGIES.  "subset"
+    needs ``params``; "det" scans ``pointset``: "uniform" (from ``seed``) or "halton"."""
+    if strategy == "single":
+        return search_uniform_single(oracle, seed)
+    if strategy == "multi":
+        return search_uniform_multi(oracle, n1, seed)
+    if strategy == "subset":
+        if params is None:
+            raise ParameterError("the subset strategy needs SubsetSearchParams")
+        return search_subset(oracle, params, n1, seed)
+    if strategy == "det":
+        ps = (halton(n1, oracle.d) if pointset == "halton"
+              else uniform_pointset(n1, oracle.d, seed))
+        return search_deterministic(oracle, ps)
+    raise ParameterError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
 
 def subset_success_bound(params: SubsetSearchParams, d: int, n1: int,
@@ -203,8 +201,8 @@ def subset_success_bound(params: SubsetSearchParams, d: int, n1: int,
     if sharp:
         q = ((math.factorial(params.r) * params.eps / params.M) ** (1.0 / params.r)
              * params.d_star / (3.0 * d)) ** params.d_star
-    else:
-        q = d ** (-params.alpha) / params.c_prob
+    else:  # a saturated c_prob stands for a C past the float range
+        q = d ** (-params.alpha) / params.c_prob if params.c_prob < _FLOAT_MAX else 0.0
     q = min(max(q, 0.0), 1.0)
     if q == 1.0:
         return 1.0
@@ -213,8 +211,7 @@ def subset_success_bound(params: SubsetSearchParams, d: int, n1: int,
 
 
 def plan(r: int, M: float, d: int, eps: float, V: Optional[float] = None,
-         p: float = 0.5, c_r: Optional[float] = None,
-         prefer_deterministic: bool = False) -> BudgetPlan:
+         p: float = 0.5, prefer_deterministic: bool = False) -> BudgetPlan:
     """Select the applicable regime and fill in budgets and guarantees.
 
     Regimes: trivial_M_small (M <= r! eps: one draw suffices almost
@@ -223,6 +220,10 @@ def plan(r: int, M: float, d: int, eps: float, V: Optional[float] = None,
     declared), intractable (M >= 2^r r!, no V: any algorithm needs 2^d
     queries).  n2 always comes from the reconstruction cost formula,
     raised to the smallest budget the reconstruction accepts.
+
+    Near M = 2^r r! the subset-search c_prob and n1 can pass the float
+    range; they then saturate at the largest finite float, and with a
+    saturated c_prob, success_prob_lower is the valid bound 0.0.
     """
     if r < 1 or d < 1 or M <= 0:
         raise ParameterError("r, d must be positive integers and M > 0")
@@ -233,9 +234,7 @@ def plan(r: int, M: float, d: int, eps: float, V: Optional[float] = None,
     if V is not None and not 0 < V < 1:
         raise ParameterError("V must lie in (0, 1)")
     rf = math.factorial(r)
-    if c_r is None:
-        c_r = error_constant(r)
-    n2 = max(required_n2(d, r, M, eps, c_r), min_budget(d, r))
+    n2 = max(required_n2(d, r, M, eps, error_constant(r)), min_budget(d, r))
 
     if M <= rf * eps:
         return BudgetPlan(n1=1, n2=n2, success_prob_lower=1.0,
@@ -243,7 +242,10 @@ def plan(r: int, M: float, d: int, eps: float, V: Optional[float] = None,
                           V=V, p=p)
     if M < 2 ** r * rf:
         params = SubsetSearchParams.from_problem(r, M, eps)
-        n1 = math.ceil(params.c_prob * d ** params.alpha * math.log(1.0 / p))
+        n1 = _FLOAT_MAX  # unless each factor and the product are in range
+        if params.c_prob < _FLOAT_MAX and params.alpha * math.log(d) < _LOG_FLOAT_MAX:
+            n1 = min(params.c_prob * d ** params.alpha * math.log(1.0 / p), _FLOAT_MAX)
+        n1 = math.ceil(n1)
         return BudgetPlan(n1=n1, n2=n2,
                           success_prob_lower=subset_success_bound(params, d, n1),
                           regime="subset_search", r=r, M=M, d=d, eps=eps,

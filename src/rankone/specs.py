@@ -12,7 +12,7 @@ from typing import Any, Dict
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConfigError
 from .tensor import Box, RankOneTensor
 from .univariate import (UnivariateFactor, make_bump, polynomial_factor,
                          table_factor, trig_factor)
@@ -31,7 +31,7 @@ def factor_from_spec(spec: Dict[str, Any], r: int) -> UnivariateFactor:
     if kind == "explicit-table":
         return table_factor(spec["ts"], spec["values"], spec["sup_bound"],
                             spec["deriv_bound"], r)
-    raise ParameterError(f"unknown factor kind {kind!r}")
+    raise ConfigError(f"unknown factor kind {kind!r}")
 
 
 def tensor_from_spec(spec: Dict[str, Any]) -> RankOneTensor:
@@ -41,14 +41,14 @@ def tensor_from_spec(spec: Dict[str, Any]) -> RankOneTensor:
         r = int(spec["r"])
         M = float(spec["M"])
     except KeyError as exc:
-        raise ParameterError(f"tensor spec missing field {exc}")
+        raise ConfigError(f"tensor spec missing field {exc}")
     if spec.get("replicate"):
         fspec = spec.get("factor") or spec["factors"][0]
         factors = tuple(factor_from_spec(fspec, r) for _ in range(d))
     else:
         fspecs = spec.get("factors", [])
         if len(fspecs) != d:
-            raise ParameterError(f"expected {d} factor specs, got {len(fspecs)}")
+            raise ConfigError(f"expected {d} factor specs, got {len(fspecs)}")
         factors = tuple(factor_from_spec(fs, r) for fs in fspecs)
     V = spec.get("V")
     witness = None

@@ -104,9 +104,6 @@ class QueryOracle:
     def d(self) -> int:
         return self.target.d
 
-    def remaining(self) -> Optional[int]:
-        return None if self.budget is None else self.budget - self.query_count
-
     def _charge(self, k: int):
         if self.budget is not None and self.query_count + k > self.budget:
             raise BudgetExhaustedError(

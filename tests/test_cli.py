@@ -3,6 +3,11 @@ import json
 import pytest
 
 from rankone.cli import main
+from rankone.dispersion import halton, uniform_pointset
+from rankone.search import (SubsetSearchParams, search_deterministic,
+                            search_subset, search_uniform_multi)
+from rankone.specs import tensor_from_spec
+from rankone.tensor import QueryOracle
 
 
 def run(args):
@@ -28,6 +33,21 @@ class TestExitCodes:
     def test_precondition_error(self, capsys):
         # adversary det with n >= 2^d violates the theorem's hypothesis
         assert run(["adversary", "--mode", "det", "--d", "2", "--n", "4"]) == 3
+
+    @pytest.mark.parametrize("extra", [{"bogus": 1}, {"strategy": "nope"}],
+                             ids=["unknown-field", "unknown-strategy"])
+    def test_malformed_experiment_config(self, tmp_path, capsys, extra):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 5, "M": 10.0, "d": 3, "eps": 0.1,
+                                   "family": "shifted_smooth", **extra}))
+        assert run(["approx", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_unknown_factor_kind(self, tmp_path, capsys):
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({"d": 2, "r": 1, "M": 1.0, "replicate": True,
+                                    "factor": {"kind": "nope"}}))
+        assert run(["search", "--config", str(spec), "--strategy", "single"]) == 2
 
     def test_budget_error(self, tmp_path, capsys):
         spec = tmp_path / "t.json"
@@ -105,3 +125,36 @@ class TestOutputs:
                     "--budgets", "12,24,48,96", "--out", str(out)]) == 0
         summary = json.loads((out / "curve.json").read_text())
         assert summary["slope"] < -1.5
+
+
+# nonzero exactly where every coordinate exceeds 1/2: a hit has probability 1/16
+BUMP_SPEC = {"d": 4, "r": 1, "M": 1.9, "replicate": True,
+             "factor": {"kind": "bump", "orientation": "right"}}
+
+
+class TestSearchStrategies:
+    """`rankone search` reports what the matching search_* call returns."""
+
+    @pytest.mark.parametrize("argv, direct", [
+        (["--strategy", "multi"],
+         lambda o: search_uniform_multi(o, 100, 5)),
+        (["--strategy", "subset"],
+         lambda o: search_subset(o, SubsetSearchParams.from_problem(1, 1.9, 0.2),
+                                 100, 5)),
+        (["--strategy", "det", "--pointset", "halton"],
+         lambda o: search_deterministic(o, halton(100, 4))),
+        (["--strategy", "det", "--pointset", "uniform"],
+         lambda o: search_deterministic(o, uniform_pointset(100, 4, 5))),
+    ], ids=["multi", "subset", "det-halton", "det-uniform"])
+    def test_matches_direct_call(self, tmp_path, capsys, argv, direct):
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps(BUMP_SPEC))
+        assert run(["search", "--config", str(spec), "--n1", "100",
+                    "--eps", "0.2", "--seed", "5", *argv]) == 0
+        out = json.loads(capsys.readouterr().out)
+        expected = direct(QueryOracle(tensor_from_spec(BUMP_SPEC)))
+        assert expected.found and out["found"]
+        assert out["z_star"] == expected.z_star.tolist()
+        assert out["value"] == expected.value
+        assert out["queries_used"] == expected.queries_used
+        assert out["iterations"] == expected.iterations

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+from rankone import pipeline
+from rankone.dispersion import n_disp_upper, uniform_pointset
 from rankone.errors import ParameterError
 from rankone.pipeline import (ExperimentConfig, convergence_sweep,
                               family_box_support, family_offcenter_triangle,
                               family_shifted_smooth, family_trig_smooth,
                               fit_order, run_pipeline, wilson_interval)
-from rankone.tensor import check_membership, sup_norm
+from rankone.search import (SubsetSearchParams, search_deterministic,
+                            search_subset, search_uniform_multi,
+                            search_uniform_single)
+from rankone.tensor import QueryOracle, check_membership, sup_norm
 from rankone import rng
 
 
@@ -146,6 +151,58 @@ class TestRunPipeline:
         r2, s2 = run_pipeline(small_config(trials=6))
         assert r1 == r2
         assert s1 == s2
+
+
+OFFCENTER = dict(r=1, M=1.9, d=6, eps=0.2, V=0.3, family="offcenter_triangle",
+                 n1=300, trials=8, seed=3, grid=801, samples=500)
+# M >= 2^r r! with a declared support volume: the support-class regimes
+BOX = dict(r=1, M=4.0, d=2, eps=0.5, V=0.3, family="box_support",
+           trials=4, seed=2, grid=801, samples=500)
+
+
+class TestPhase1Strategies:
+    """Each trial's phase 1 is the matching search_* call, seeded with
+    rng._mix(seed, trial, 1)."""
+
+    @pytest.mark.parametrize("base, strategy, regime, search", [
+        (OFFCENTER, "single", "subset_search", search_uniform_single),
+        (OFFCENTER, "subset", "subset_search",
+         lambda o, s: search_subset(o, SubsetSearchParams.from_problem(1, 1.9, 0.2),
+                                    300, s)),
+        (OFFCENTER, "det", "subset_search",
+         lambda o, s: search_deterministic(o, uniform_pointset(300, 6, s))),
+        (BOX, "plan", "support_class_random",
+         lambda o, s: search_uniform_multi(o, 2, s)),
+        (BOX, "det", "support_class_deterministic",
+         lambda o, s: search_deterministic(
+             o, uniform_pointset(n_disp_upper(0.3, 2, "behw"), 2, s))),
+    ], ids=["single", "subset", "det", "plan-support-random",
+            "det-support-deterministic"])
+    def test_matches_direct_call(self, monkeypatch, base, strategy, regime,
+                                 search):
+        centers = []
+        real_recover = pipeline.recover
+
+        def recording_recover(oracle, z, config):
+            centers.append(z)
+            return real_recover(oracle, z, config)
+
+        monkeypatch.setattr(pipeline, "recover", recording_recover)
+        cfg = ExperimentConfig.from_dict(dict(base, strategy=strategy))
+        rows, summary = run_pipeline(cfg)
+        assert summary["plan"]["regime"] == regime
+        expected_centers = []
+        for trial, row in enumerate(rows):
+            oracle = QueryOracle(cfg.make_tensor(trial))
+            out = search(oracle, rng._mix(cfg.seed, trial, 1))
+            assert row["found"] == out.found
+            assert row["queries_phase1"] == oracle.query_count
+            if out.found:
+                expected_centers.append(out.z_star)
+        assert expected_centers, "no trial found a nonzero point"
+        assert len(centers) == len(expected_centers)
+        for z, expected in zip(centers, expected_centers):
+            np.testing.assert_array_equal(z, expected)
 
 
 class TestConvergenceSweep:

@@ -1,10 +1,14 @@
+import itertools
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankone.cli import main
 from rankone.dispersion import halton, uniform_pointset
 from rankone.errors import ParameterError
 from rankone.search import (SubsetSearchParams, plan, search_deterministic,
@@ -83,11 +87,6 @@ class TestUniformSearch:
         np.testing.assert_array_equal(outs[0].z_star, outs[1].z_star)
         assert outs[0].iterations == outs[1].iterations
 
-    def test_trace_kept_and_truncated(self):
-        o = QueryOracle(const_tensor(2))
-        out = search_uniform_multi(o, n1=50, seed=0, keep_trace=True)
-        assert len(out.trace) == out.iterations
-
     def test_invalid_n1(self):
         with pytest.raises(ParameterError):
             search_uniform_multi(QueryOracle(const_tensor(2)), n1=0, seed=0)
@@ -104,9 +103,9 @@ class TestSubsetSearch:
         params = SubsetSearchParams.from_problem(1, 1.9, 0.2)
         d = 100  # d > d_star so some coordinates are squeezed
         assert params.d_star < d
-        o = QueryOracle(const_tensor(d))
-        out = search_subset(o, params, n1=1, seed=3, keep_trace=True)
-        x = out.trace[0]
+        o = QueryOracle(const_tensor(d), log=True)
+        search_subset(o, params, n1=1, seed=3)
+        [(x, _)] = o.query_log
         delta = params.delta_star
         near = np.abs(x - 0.5) <= delta + 1e-12
         assert near.sum() >= d - params.d_star
@@ -227,3 +226,46 @@ class TestPlanner:
             assert bp.regime == "intractable"
         assert bp.n1 >= 1 and bp.n2 >= 1
         assert 0.0 <= bp.success_prob_lower <= 1.0
+
+
+SATURATED_N1 = math.ceil(sys.float_info.max)
+
+
+class TestPlannerSaturation:
+    """Near M = 2^r r! the subset-search constants leave the float range."""
+
+    def test_n1_saturates_when_d_to_the_alpha_overflows(self):
+        bp = plan(3, 46.0, 2, 0.015625)
+        assert bp.regime == "subset_search"
+        assert math.isfinite(bp.subset_params.c_prob)
+        assert bp.n1 == SATURATED_N1
+        assert bp.success_prob_lower == 0.0
+
+    def test_c_prob_saturates(self):
+        bp = plan(3, 47.9, 8, 0.01)
+        assert bp.subset_params.c_prob == sys.float_info.max
+        assert bp.n1 == SATURATED_N1
+        assert bp.success_prob_lower == 0.0
+
+    def test_product_overflow_below_log_limit(self):
+        # log(n1) is below the float limit, but c_prob * d^alpha is not
+        bp = plan(3, 47, 50, 0.3, p=0.99)
+        sp = bp.subset_params
+        log_product = math.log(sp.c_prob) + sp.alpha * math.log(50)
+        log_limit = math.log(sys.float_info.max)
+        assert log_product + math.log(math.log(1 / 0.99)) < log_limit < log_product
+        assert bp.n1 == SATURATED_N1
+        assert 0.0 <= bp.success_prob_lower <= 1.0
+
+    def test_grid_sweep_plan_output_is_finite_json(self, capsys):
+        for r in range(1, 5):
+            top = 2 ** r * math.factorial(r)
+            for frac, d, eps, p in itertools.product(
+                    (0.5, 0.9, 0.99, 0.999, 0.9999), (1, 2, 8, 50),
+                    (0.3, 0.1, 0.015625, 0.01, 0.001), (0.5, 0.99)):
+                argv = ["plan", "--r", str(r), "--M", repr(frac * top),
+                        "--d", str(d), "--eps", repr(eps), "--p", repr(p)]
+                assert main(argv) == 0, argv
+                out = json.loads(capsys.readouterr().out)
+                json.dumps(out, allow_nan=False)
+                assert 0.0 <= out["success_prob_lower"] <= 1.0, argv
