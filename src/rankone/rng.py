@@ -3,7 +3,8 @@
 All randomness in this package flows through Philox counter-based
 generators keyed by ``(seed, stream)``.  A draw for stream index ``i``
 is a pure function of ``(seed, i)``, so results are reproducible and
-independent of thread count or chunking.
+independent of thread count or chunking.  ``uniform_points`` draws a
+whole point set that way from one re-keyed generator.
 """
 
 from __future__ import annotations
@@ -33,13 +34,24 @@ def spawn(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def uniform_point(seed: int, index: int, d: int) -> np.ndarray:
-    """The ``index``-th uniform point in [0,1]^d for this seed.
+def uniform_points(seed: int, n: int, d: int) -> np.ndarray:
+    """The first ``n`` uniform points in [0,1]^d for this seed, shape (n, d).
 
-    Pure function of ``(seed, index)``: point sets assembled from it do
-    not depend on the order or batching of the calls.
+    Row ``i`` is ``spawn(seed, i).random(d)``: a pure function of
+    ``(seed, i)``, so point sets do not depend on how they are batched.
+    One Philox generator is built and reset to each row's fresh state.
     """
-    return spawn(seed, index).random(d)
+    bitgen = np.random.Philox(0)  # a fixed seed skips the OS entropy read
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # counter 0 and an empty buffer, as in spawn()
+    key = state["state"]["key"]
+    key[0] = int(seed) & _MASK64
+    out = np.empty((n, d))
+    for i in range(n):
+        key[1] = _mix(i)
+        bitgen.state = state
+        out[i] = gen.random(d)
+    return out
 
 
 def floyd_sample(gen: np.random.Generator, n: int, k: int) -> np.ndarray:

@@ -198,9 +198,10 @@ def subset_success_bound(params: SubsetSearchParams, d: int, n1: int,
     sharp=True uses the tighter intermediate per-iteration bound
     theta >= ((r! eps / M)^(1/r) * d* / (3d))^(d*).
     """
-    if sharp:
-        q = ((math.factorial(params.r) * params.eps / params.M) ** (1.0 / params.r)
-             * params.d_star / (3.0 * d)) ** params.d_star
+    if sharp:  # base >= 1 clamps q to 1; its d*-th power could overflow
+        base = ((math.factorial(params.r) * params.eps / params.M) ** (1.0 / params.r)
+                * params.d_star / (3.0 * d))
+        q = base ** params.d_star if base < 1.0 else 1.0
     else:  # a saturated c_prob stands for a C past the float range
         q = d ** (-params.alpha) / params.c_prob if params.c_prob < _FLOAT_MAX else 0.0
     q = min(max(q, 0.0), 1.0)
@@ -256,9 +257,13 @@ def plan(r: int, M: float, d: int, eps: float, V: Optional[float] = None,
             return BudgetPlan(n1=n1, n2=n2, success_prob_lower=1.0,
                               regime="support_class_deterministic", r=r, M=M,
                               d=d, eps=eps, V=V, p=p)
-        n1 = max(1, math.ceil(math.log(p) / math.log(1.0 - V)))
-        return BudgetPlan(n1=n1, n2=n2,
-                          success_prob_lower=1.0 - (1.0 - V) ** n1,
+        if 1.0 - V < 1.0:
+            n1 = max(1, math.ceil(math.log(p) / math.log(1.0 - V)))
+            success = 1.0 - (1.0 - V) ** n1
+        else:  # 1 - V rounds to 1.0: only the log1p form sees V
+            n1 = math.ceil(min(math.log(p) / math.log1p(-V), _FLOAT_MAX))
+            success = -math.expm1(n1 * math.log1p(-V))
+        return BudgetPlan(n1=n1, n2=n2, success_prob_lower=success,
                           regime="support_class_random", r=r, M=M, d=d,
                           eps=eps, V=V, p=p)
     # curse of dimensionality: 2^d sentinel

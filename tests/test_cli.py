@@ -43,6 +43,15 @@ class TestExitCodes:
         assert run(["approx", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["0.5,nan", "inf,0.5"])
+    def test_non_finite_points_file(self, tmp_path, capsys, row):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"0.2,0.3\n{row}\n")
+        assert run(["dispersion", "--points", str(pts)]) == 3
+        captured = capsys.readouterr()
+        assert "dispersion" not in captured.out
+        assert "finite" in captured.err
+
     def test_unknown_factor_kind(self, tmp_path, capsys):
         spec = tmp_path / "t.json"
         spec.write_text(json.dumps({"d": 2, "r": 1, "M": 1.0, "replicate": True,

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankone import rng
 from rankone.dispersion import (PointSet, disp_probability_bound,
                                 dispersion_lower_estimate, exact_dispersion,
                                 halton, n_disp_upper, radical_inverse,
@@ -35,6 +37,55 @@ def brute_force_dispersion(pts: np.ndarray) -> float:
                 * axes_pairs[2][None, None, :])
     vols = np.where(counts == 0, vols, 0.0)
     return float(vols.max())
+
+
+def reference_dispersion_2d(pts: np.ndarray):
+    """The per-anchor and per-gap loop the vectorized planar sweep replaced,
+    kept as its bit-for-bit reference: (value, witness lower, witness upper)."""
+    order = np.argsort(pts[:, 0], kind="stable")
+    xs, ys = pts[order, 0], pts[order, 1]
+    n = len(xs)
+    best = [-1.0, None, None]
+
+    def offer(volume, lower, upper):
+        lo, hi = tuple(lower), tuple(upper)
+        if volume > best[0]:
+            best[:] = [volume, lo, hi]
+        elif volume == best[0] and (lo, hi) < (best[1], best[2]):
+            best[1:] = [lo, hi]
+
+    for a in range(n):
+        px, py = xs[a], ys[a]
+        sel = xs > px
+        ry, rx = ys[sel], xs[sel]
+        hi = np.minimum.accumulate(np.concatenate(([1.0], np.where(ry >= py, ry, 1.0))))
+        lo = np.maximum.accumulate(np.concatenate(([0.0], np.where(ry <= py, ry, 0.0))))
+        rights = np.concatenate((rx, [1.0]))
+        vols = (rights - px) * (hi - lo)
+        vmax = vols.max()
+        for j in np.nonzero(vols == vmax)[0]:
+            offer(float(vols[j]), (px, lo[j]), (rights[j], hi[j]))
+
+    seen = []
+    for j in range(n + 1):
+        right = xs[j] if j < n else 1.0
+        if right > 0.0:
+            levels = [0.0] + seen + [1.0]
+            for g_lo, g_hi in zip(levels[:-1], levels[1:]):
+                if g_hi > g_lo:
+                    offer(right * (g_hi - g_lo), (0.0, g_lo), (right, g_hi))
+        if j < n:
+            bisect.insort(seen, ys[j])
+    return best[0], np.array(best[1]), np.array(best[2])
+
+
+def assert_matches_reference(pts):
+    res = exact_dispersion(PointSet(points=pts, provenance="x"))
+    value, lower, upper = reference_dispersion_2d(np.asarray(pts, dtype=float))
+    assert res.value == value
+    # compared through repr, so signs of zero must match as well
+    assert repr(res.witness_box.lower.tolist()) == repr(lower.tolist())
+    assert repr(res.witness_box.upper.tolist()) == repr(upper.tolist())
 
 
 class TestHalton:
@@ -69,6 +120,24 @@ class TestPointSet:
     def test_coordinates_validated(self):
         with pytest.raises(ParameterError):
             PointSet(points=np.array([[0.5, 1.5]]), provenance="x")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            PointSet(points=np.array([[0.2, 0.3], [0.5, bad]]), provenance="x")
+
+    def test_non_finite_csv_rejected(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("0.2,0.3\n0.5,nan\n")
+        with pytest.raises(ParameterError):
+            PointSet.from_csv(path)
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_uniform_rows_are_per_index_streams(self, seed, d):
+        ps = uniform_pointset(7, d, seed)
+        for i in range(7):
+            np.testing.assert_array_equal(ps.points[i], rng.spawn(seed, i).random(d))
 
     def test_uniform_is_pure_in_seed_and_index(self):
         a = uniform_pointset(10, 4, seed=3)
@@ -130,6 +199,55 @@ class TestExactDispersion:
         exact = exact_dispersion(ps).value
         est = dispersion_lower_estimate(ps, boxes=2000, seed=1)
         assert est <= exact + 1e-12
+
+
+class TestPlanarSweepPinned:
+    """The planar sweep against the loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_sets(self, seed):
+        g = np.random.default_rng(seed)
+        pts = g.random((int(g.integers(1, 61)), 2))
+        if seed % 3 == 0:  # shared x and y, points on the walls
+            pts = np.round(pts * 8) / 8
+        assert_matches_reference(pts)
+
+    @pytest.mark.parametrize("pts", [
+        [[0.5, 0.5]],
+        [[0.0, 0.0]],
+        [[1.0, 1.0]],
+        [[0.0, 0.7]],
+        [[1.0, 0.3]],
+        [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]],
+        [[0.0, 0.5], [1.0, 0.2], [0.3, 0.0], [0.6, 1.0]],
+        [[0.4, 0.1], [0.4, 0.6], [0.4, 0.9], [0.8, 0.3]],
+        [[0.1, 0.3], [0.6, 0.3], [0.9, 0.3], [0.3, 0.7]],
+        [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]],
+        [[0.25, 0.25], [0.5, 0.5], [0.75, 0.75]],
+        [[x, y] for x in (0.25, 0.5, 0.75) for y in (0.25, 0.5, 0.75)],
+        [[0.0, y] for y in (0.1, 0.4, 0.8)] + [[1.0, y] for y in (0.2, 0.9)],
+        [[0.5, 0.5], [0.25, -0.0], [0.75, 0.75], [0.75, 0.25]],
+    ], ids=["center", "origin", "far-corner", "left-wall", "right-wall",
+            "corners", "on-walls", "shared-x", "shared-y", "repeated",
+            "diagonal", "grid", "wall-columns", "negative-zero-floor"])
+    def test_hand_made_sets(self, pts):
+        assert_matches_reference(np.array(pts, dtype=float))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_negative_zero_coordinates(self, seed):
+        # -0.0 passes the [0, 1] check; the witness keeps its sign as before
+        g = np.random.default_rng(seed)
+        pts = np.round(g.random((int(g.integers(1, 9)), 2)) * 4) / 4
+        pts[pts == 0] = -0.0
+        assert_matches_reference(pts)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_uniform_301(self, seed):
+        assert_matches_reference(uniform_pointset(301, 2, seed).points)
+
+    def test_grid_301(self):
+        pts = np.round(np.random.default_rng(5).random((301, 2)) * 16) / 16
+        assert_matches_reference(pts)
 
 
 class TestCostBounds:

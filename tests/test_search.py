@@ -159,6 +159,14 @@ class TestSuccessBound:
         assert (subset_success_bound(params, d, n1, sharp=True)
                 >= subset_success_bound(params, d, n1) - 1e-12)
 
+    def test_sharp_base_above_one_gives_one(self):
+        # d* / (3d) is large at d=1: the per-iteration base exceeds 1 and
+        # its d*-th power used to overflow
+        params = SubsetSearchParams.from_problem(3, 47.9, 0.01)
+        assert params.d_star == 4419
+        assert subset_success_bound(params, 1, 10, sharp=True) == 1.0
+        assert subset_success_bound(params, 10 ** 6, 10, sharp=True) == 0.0
+
     def test_no_underflow_for_huge_n1(self):
         params = SubsetSearchParams.from_problem(1, 1.9, 0.2)
         n1 = math.ceil(params.c_prob * 8 ** params.alpha * math.log(2.0))
@@ -192,6 +200,17 @@ class TestPlanner:
         assert bp.regime == "support_class_random"
         assert bp.success_prob_lower == pytest.approx(1 - 0.7 ** bp.n1)
         assert bp.success_prob_lower >= 0.9 - 1e-12
+
+    @pytest.mark.parametrize("V", [1e-17, 2.0 ** -54, 5e-324])
+    def test_support_class_random_tiny_V(self, V):
+        # 1 - V rounds to 1.0, so log(1 - V) is 0; the log1p form sees V
+        bp = plan(1, 4.0, 2, 0.5, V=V)
+        assert bp.regime == "support_class_random"
+        assert 1 <= bp.n1 <= SATURATED_N1
+        assert 0.0 < bp.success_prob_lower <= 1.0
+        if V == 1e-17:
+            assert bp.n1 == math.ceil(math.log(0.5) / math.log1p(-1e-17))
+            assert bp.success_prob_lower == pytest.approx(0.5)
 
     def test_support_class_deterministic(self):
         bp = plan(1, 4.0, 2, 0.5, V=0.5, prefer_deterministic=True)
