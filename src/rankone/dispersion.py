@@ -64,11 +64,12 @@ class PointSet:
 
     @classmethod
     def from_csv(cls, path: str) -> "PointSet":
-        rows = []
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if row:
-                    rows.append([float(c) for c in row])
+            rows = [[float(c) for c in row] for row in csv.reader(fh) if row]
+        if not rows:
+            raise ParameterError(f"{path}: no points")
+        if len({len(row) for row in rows}) > 1:
+            raise ParameterError(f"{path}: rows have different numbers of coordinates")
         return cls(points=np.asarray(rows, dtype=float), provenance="explicit")
 
 

@@ -2,9 +2,11 @@
 
 Given z* with f(z*) != 0, the line restrictions
 g_i(t) = f(z*_1, ..., t, ..., z*_d) satisfy
-prod_i g_i(x_i) = f(x) * f(z*)^(d-1), so interpolating each line and
-rescaling by f(z*)^-(d-1) reconstructs f.  With block-Chebyshev nodes
-the sup error decays like n^(-r) in the total budget n.
+f(x) = f(z*) * prod_i (g_i(x_i) / f(z*)), so interpolating each line
+and taking that normalized product reconstructs f.  Each normalized
+line is f_i(x_i) / f_i(z*_i), so no power of f(z*) is ever formed and
+the product stays in the float range at any d.  With block-Chebyshev
+nodes the sup error decays like n^(-r) in the total budget n.
 """
 
 from __future__ import annotations
@@ -54,32 +56,25 @@ class RecoveryConfig:
 
 @dataclass(frozen=True)
 class RankOneApproximant:
-    """Product of line interpolants rescaled by the center value."""
+    """A(x) = f(z*) * prod_i (g_i(x_i) / f(z*)) from the d axis lines g_i,
+    which share one piece layout (``lines.values`` has shape (d, k, r))."""
 
-    line_interpolants: Tuple[PiecewisePolynomial, ...]
+    lines: PiecewisePolynomial
     center_value: float
 
     @property
-    def d(self) -> int:
-        return len(self.line_interpolants)
-
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        out = self.center_value ** (-(self.d - 1))
-        for i, g in enumerate(self.line_interpolants):
-            out *= g(float(x[i]))
-        return float(out)
-
-    def value_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.full(X.shape[0], self.center_value ** (-(self.d - 1)))
-        for i, g in enumerate(self.line_interpolants):
-            out *= g(X[:, i])
-        return out
+    def line_interpolants(self) -> Tuple[PiecewisePolynomial, ...]:
+        """Each axis line as a one-line interpolant on the shared layout."""
+        g = self.lines
+        return tuple(PiecewisePolynomial(g.breakpoints, g.nodes, v, g.weights)
+                     for v in g.values)
 
     def __call__(self, x):
+        """A at a d-vector (a float) or at each row of an (n, d) array."""
         x = np.asarray(x, dtype=float)
-        return self.value(x) if x.ndim == 1 else self.value_batch(x)
+        c = self.center_value
+        out = c * np.prod(self.lines(x) / c, axis=-1)
+        return float(out) if x.ndim == 1 else out
 
 
 def required_n2(d: int, r: int, M: float, eps: float, C_r: float) -> int:
@@ -124,12 +119,10 @@ def recover(oracle: QueryOracle, z_star, cfg: RecoveryConfig) -> RankOneApproxim
     # a node equal to z*_i reuses f(z*) instead of a query
     nodes = block_chebyshev_nodes(m, cfg.r)
     axes = np.arange(d)
-    lines = np.tile(z, (d, len(nodes), 1))
-    lines[axes, :, axes] = nodes
+    points = np.tile(z, (d, len(nodes), 1))
+    points[axes, :, axes] = nodes
     reuse = nodes == z[:, None]
     vals = np.full(reuse.shape, center)
-    vals[~reuse] = oracle.evaluate_batch(lines[~reuse])
-    interpolants = tuple(interpolate_line(np.column_stack((nodes, v)), cfg.r)
-                         for v in vals)
-    return RankOneApproximant(line_interpolants=interpolants,
+    vals[~reuse] = oracle.evaluate_batch(points[~reuse])
+    return RankOneApproximant(lines=interpolate_line(nodes, vals, cfg.r),
                               center_value=center)

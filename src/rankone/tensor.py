@@ -7,6 +7,7 @@ function calls; the count is the information cost of an algorithm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -69,13 +70,8 @@ class RankOneTensor:
     def d(self) -> int:
         return len(self.factors)
 
-    def factor_values(self, x: np.ndarray) -> np.ndarray:
-        """Per-factor values at a single point; shape (d,)."""
-        return np.array([float(f(x[i])) for i, f in enumerate(self.factors)])
-
     def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(np.prod(self.factor_values(x)))
+        return float(self.value_batch(np.asarray(x, dtype=float)[None])[0])
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
         """Values at each row of X; shape (k,)."""
@@ -197,20 +193,24 @@ def sup_distance_bound(t: RankOneTensor,
                        grid: int = DEFAULT_GRID,
                        samples: int = DEFAULT_SAMPLES,
                        seed: int = 0) -> Tuple[float, float]:
-    """Bracket the sup distance between f and scale^-(d-1) * prod(approx).
+    """Bracket the sup distance between f and A = scale * prod_i (approx_i / scale).
 
-    upper: telescoping bound.  The combined approximant is written as a
-    product of rescaled factors B_i = mu_i * ghat_i with
-    prod(mu_i) = scale^-(d-1); each mu_i is fitted on a 1-D grid so the
-    per-factor differences f_i - B_i are measured in matching
-    normalizations, then the telescoping sum
+    upper: telescoping bound.  A is written as a product of rescaled
+    factors B_i = mu_i * approx_i with prod(mu_i) = scale^-(d-1); each
+    mu_i is fitted on the grid so the per-factor differences f_i - B_i
+    are measured in matching normalizations, then the telescoping sum
     sum_i ||f_i - B_i|| * prod_{j<i} max|B_j| * prod_{j>i} max|f_j|
-    bounds the product difference.
+    bounds the product difference.  scale^-(d-1) enters only as a log
+    and a sign, so no power of scale is formed.
 
-    lower: max of |f - approximant| over a seeded random sample of
-    points, a certified lower estimate.
+    lower: max of |f - A| over a seeded random sample of points, a
+    certified lower estimate.
 
-    Guarantee: lower <= true sup distance <= upper + grid slack.
+    Guarantee: lower <= true sup distance <= upper + grid slack.  The
+    norms and maxima in upper are taken over ``grid`` equispaced points
+    of [0, 1], so upper certifies the telescoping bound on that 1-D grid;
+    the slack is how far the true per-factor maxima exceed their grid
+    values, which shrinks as ``grid`` grows but is not bounded here.
     """
     d = t.d
     if len(approx) != d:
@@ -222,34 +222,30 @@ def sup_distance_bound(t: RankOneTensor,
     F = [np.asarray(f(ts), dtype=float) for f in t.factors]
     G = [np.asarray(g(ts), dtype=float) for g in approx]
 
-    target = float(scale) ** (-(d - 1))
+    log_target = -(d - 1) * math.log(abs(scale))
     mu = np.empty(d)
     for i in range(d):
         gg = float(G[i] @ G[i])
-        mu[i] = (G[i] @ F[i]) / gg if gg > 1e-300 else abs(target) ** (1.0 / d)
-        if mu[i] == 0.0:
-            mu[i] = abs(target) ** (1.0 / d)
-    prod_mu = float(np.prod(mu))
-    corr = target / prod_mu
-    if corr > 0:
-        mu *= corr ** (1.0 / d)
-    else:
-        # sign mismatch: fold the whole correction into the first factor
-        mu[0] *= corr
+        mu[i] = (G[i] @ F[i]) / gg if gg > 1e-300 else 0.0
+    mu[mu == 0.0] = math.exp(log_target / d)
+    # make prod(mu) = scale^-(d-1): the magnitude spread evenly over the
+    # factors, a sign mismatch folded into the first factor
+    mu *= math.exp((log_target - float(np.sum(np.log(np.abs(mu))))) / d)
+    if np.sign(scale) ** (d - 1) * np.prod(np.sign(mu)) < 0:
+        mu[0] = -mu[0]
 
     B = [mu[i] * G[i] for i in range(d)]
     err = np.array([np.max(np.abs(F[i] - B[i])) for i in range(d)])
     bmax = np.array([np.max(np.abs(b)) for b in B])
     fmax = np.array([np.max(np.abs(f)) for f in F])
-    upper = 0.0
-    for i in range(d):
-        upper += err[i] * np.prod(bmax[:i]) * np.prod(fmax[i + 1:])
+    before = np.concatenate(([1.0], np.cumprod(bmax[:-1])))
+    after = np.concatenate((np.cumprod(fmax[:0:-1])[::-1], [1.0]))
+    upper = float(np.sum(err * before * after))
 
     X = rng.spawn(seed, 0x5D).random((samples, d))
-    fv = t.value_batch(X)
-    av = np.ones(samples) * target
+    av = np.ones(samples)
     for i in range(d):
-        av *= approx[i](X[:, i])
-    lower = float(np.max(np.abs(fv - av)))
+        av *= approx[i](X[:, i]) / scale
+    lower = float(np.max(np.abs(t.value_batch(X) - scale * av)))
 
-    return float(upper), lower
+    return upper, lower

@@ -210,19 +210,20 @@ def _poly_abs_max(poly: np.polynomial.Polynomial, lo: float = 0.0,
 
 @dataclass(frozen=True)
 class PiecewisePolynomial:
-    """Piecewise polynomial of local degree < r on [0,1].
+    """Piecewise polynomial of local degree < r on [0,1], or d of them.
 
     Piece j covers [breakpoints[j], breakpoints[j+1]) and is stored as
-    row j of three (k, r) arrays: its interpolation nodes, the values
-    there, and the barycentric weights of the nodes.  Evaluation gathers
-    each point's row and applies the barycentric formula to all points
-    at once; a point within 1e-300 of a node of its piece returns that
-    node's value.
+    row j of the (k, r) arrays of its interpolation nodes and their
+    barycentric weights.  ``values`` holds the values at the nodes:
+    shape (k, r) for one line, or (d, k, r) for d lines that share the
+    layout.  Evaluation gathers each point's row and applies the
+    barycentric formula to all points at once; a point within 1e-300 of
+    a node of its piece returns that node's value.
     """
 
     breakpoints: np.ndarray  # shape (k+1,), 0 = first < ... < last = 1
     nodes: np.ndarray        # shape (k, r)
-    values: np.ndarray       # shape (k, r)
+    values: np.ndarray       # shape (k, r), or (d, k, r)
     weights: np.ndarray      # shape (k, r)
 
     @property
@@ -230,11 +231,14 @@ class PiecewisePolynomial:
         return self.nodes.shape[0]
 
     def __call__(self, t):
+        """Values at t, of t's shape.  With d lines, t[..., i] is a
+        point on line i, so t has d as its last axis."""
         t = np.asarray(t, dtype=float)
         tf = np.atleast_1d(t)
         j = np.clip(np.searchsorted(self.breakpoints, tf, side="right") - 1,
                     0, self.pieces - 1)
-        values = self.values[j]
+        values = (self.values[j] if self.values.ndim == 2
+                  else self.values[np.arange(len(self.values)), j])
         diff = tf[..., None] - self.nodes[j]
         exact = np.abs(diff) <= 1e-300
         # guard exact node hits before dividing
@@ -244,23 +248,27 @@ class PiecewisePolynomial:
         return float(out[0]) if t.ndim == 0 else out
 
 
-def interpolate_line(samples: Sequence[Tuple[float, float]], r: int,
-                     ) -> PiecewisePolynomial:
-    """Blockwise degree-(r-1) interpolation of samples on [0,1].
+def interpolate_line(ts, values, r: int) -> PiecewisePolynomial:
+    """Blockwise degree-(r-1) interpolation on [0,1] of values at nodes ts.
 
-    The nodes are partitioned into consecutive groups of r (the final
-    group is the last r nodes when the count is not a multiple of r);
-    each group defines one polynomial piece.  Piece boundaries sit at
-    the midpoints between adjacent groups, with the first piece starting
-    at 0 and the last ending at 1.  Reproduces any global polynomial of
-    degree <= r-1 exactly.
+    ``values`` has one entry per node along its last axis: shape (m,)
+    for one line, or (d, m) for d lines sampled at the same nodes, which
+    then share one piece layout.  The nodes are partitioned into
+    consecutive groups of r (the final group is the last r nodes when
+    the count is not a multiple of r); each group defines one polynomial
+    piece.  Piece boundaries sit at the midpoints between adjacent
+    groups, with the first piece starting at 0 and the last ending at 1.
+    Reproduces any global polynomial of degree <= r-1 exactly.
     """
     if r < 1:
         raise ParameterError("smoothness order r must be a positive integer")
-    pts = np.asarray(samples, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < r:
-        raise ParameterError(f"need at least r={r} sample nodes, got {0 if pts.ndim != 2 else pts.shape[0]}")
-    ts, vs = pts[:, 0], pts[:, 1]
+    ts = np.asarray(ts, dtype=float)
+    vs = np.asarray(values, dtype=float)
+    if ts.ndim != 1 or ts.size < r:
+        raise ParameterError(f"need at least r={r} sample nodes, got {ts.size}")
+    if vs.ndim not in (1, 2) or vs.shape[-1] != ts.size:
+        raise ParameterError(
+            f"values must have shape ({ts.size},) or (d, {ts.size}), got {vs.shape}")
     if np.any(np.diff(ts) <= 0):
         raise ParameterError("sample nodes must be strictly increasing")
     if ts[0] < 0 or ts[-1] > 1:
@@ -277,7 +285,7 @@ def interpolate_line(samples: Sequence[Tuple[float, float]], r: int,
     return PiecewisePolynomial(
         breakpoints=np.concatenate(([0.0], inner, [1.0])),
         nodes=nodes,
-        values=vs[groups],
+        values=vs[..., groups],
         weights=1.0 / diff.prod(axis=-1),
     )
 

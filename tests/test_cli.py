@@ -52,6 +52,18 @@ class TestExitCodes:
         assert "dispersion" not in captured.out
         assert "finite" in captured.err
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "no points"), ("\n\n", "no points"),
+        ("0.2,0.3\n0.4\n", "different numbers of coordinates")],
+        ids=["empty", "blank-lines", "ragged"])
+    def test_malformed_points_file(self, tmp_path, capsys, text, message):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(text)
+        assert run(["dispersion", "--points", str(pts)]) == 3
+        captured = capsys.readouterr()
+        assert "dispersion" not in captured.out
+        assert str(pts) in captured.err and message in captured.err
+
     def test_unknown_factor_kind(self, tmp_path, capsys):
         spec = tmp_path / "t.json"
         spec.write_text(json.dumps({"d": 2, "r": 1, "M": 1.0, "replicate": True,

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,17 @@ class TestRunPipeline:
         r2, s2 = run_pipeline(small_config(trials=6))
         assert r1 == r2
         assert s1 == s2
+
+    @pytest.mark.parametrize("d", [150, 1000])
+    def test_trivial_regime_at_large_d(self, d):
+        # criterion 3's setting past the point where f(z*)^-(d-1) leaves
+        # the float range (d = 150 raised OverflowError before)
+        cfg = ExperimentConfig.from_dict(dict(
+            r=5, M=10.0, d=d, eps=0.1, family="shifted_smooth", trials=2,
+            seed=0, grid=801, samples=2000))
+        rows, summary = run_pipeline(cfg)
+        assert all(r["found"] and r["error_upper"] <= cfg.eps for r in rows)
+        json.dumps(summary, allow_nan=False)
 
 
 OFFCENTER = dict(r=1, M=1.9, d=6, eps=0.2, V=0.3, family="offcenter_triangle",

@@ -1,10 +1,13 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from rankone.errors import (BudgetTooSmallError, NonzeroCenterError,
                             ParameterError)
-from rankone.recovery import (RecoveryConfig, error_constant, min_budget,
-                              recover, required_n2)
+from rankone.recovery import (CALIBRATED_ERROR_CONSTANT, RecoveryConfig,
+                              error_constant, min_budget, recover, required_n2)
 from rankone.tensor import QueryOracle, RankOneTensor, sup_distance_bound
 from rankone.univariate import make_bump, polynomial_factor, trig_factor
 
@@ -33,6 +36,16 @@ class TestBudgetFormulas:
     def test_min_budget(self):
         assert min_budget(3, 1) == 7   # 1 + 3 * 2
         assert min_budget(3, 5) == 16  # 1 + 3 * 5
+
+    @pytest.mark.parametrize("r", sorted(CALIBRATED_ERROR_CONSTANT))
+    def test_frozen_constants_cover_calibration(self, r):
+        # rerun the calibration sweep: the frozen constant must still
+        # bound the worst observed ratio, or the error contract is broken
+        path = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_error_constant.py"
+        spec = importlib.util.spec_from_file_location("calibrate_error_constant", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.calibrate(r) <= CALIBRATED_ERROR_CONSTANT[r]
 
     def test_error_constant_known_orders(self):
         for r in range(1, 6):
@@ -82,7 +95,7 @@ class TestRecover:
         assert np.array_equal(moved, np.repeat(np.arange(4), 8))
         for g in ap.line_interpolants:
             assert g(0.5) == ap.center_value
-        assert ap.value(z) == pytest.approx(t.value(z), rel=1e-12)
+        assert ap(z) == pytest.approx(t.value(z), rel=1e-12)
 
     def test_center_value_stored(self):
         t = poly_tensor(2, 1, [0.5, 0.2])
@@ -96,7 +109,7 @@ class TestRecover:
         o = QueryOracle(t)
         z = np.full(3, 0.45)
         ap = recover(o, z, RecoveryConfig(r=2, budget_n2=31))
-        assert ap.value(z) == pytest.approx(t.value(z), rel=1e-10)
+        assert ap(z) == pytest.approx(t.value(z), rel=1e-10)
 
     def test_budget_too_small(self):
         t = poly_tensor(3, 3, [0.5])
@@ -129,9 +142,44 @@ class TestRecover:
         o = QueryOracle(t)
         ap = recover(o, np.full(3, 0.4), RecoveryConfig(r=2, budget_n2=25))
         X = np.random.default_rng(0).random((10, 3))
-        vb = ap.value_batch(X)
+        vb = ap(X)
+        assert vb.shape == (10,)
         for row, v in zip(X, vb):
-            assert ap.value(row) == pytest.approx(v)
+            assert ap(row) == v
+
+    @pytest.mark.parametrize("r", range(1, 6))
+    @pytest.mark.parametrize("d", [1, 2, 5, 10])
+    def test_matches_power_rescaled_product(self, d, r):
+        # the normalized product f(z*) prod_i (g_i / f(z*)) against the
+        # earlier formula f(z*)^-(d-1) prod_i g_i(x_i), one line at a time
+        gen = np.random.default_rng(100 * d + r)
+        t = RankOneTensor(
+            factors=tuple(trig_factor(0.2, 1.0, 6.0 * gen.random(), 0.7, r)
+                          for _ in range(d)), r=r, M=0.2 * (2 * np.pi) ** r)
+        z = gen.random(d)
+        ap = recover(QueryOracle(t), z, RecoveryConfig(r=r, budget_n2=1 + 4 * r * d))
+        X = np.vstack([gen.random((200, d)), z])
+        ref = ap.center_value ** -(d - 1) * np.prod(
+            [g(X[:, i]) for i, g in enumerate(ap.line_interpolants)], axis=0)
+        np.testing.assert_allclose(ap(X), ref, rtol=1e-12, atol=0)
+
+    def test_tiny_center_value_at_large_d(self):
+        # f(z*) = 1e-3 at d = 150: f(z*)^-(d-1) = 1e447 is beyond the float
+        # range, while A and f are not
+        d = 150
+        a = 1e-3 ** (1.0 / d)
+        t = poly_tensor(d, 2, [a - 0.05, 0.1])  # f_i(0.5) = a, f(z*) = 1e-3
+        z = np.full(d, 0.5)
+        ap = recover(QueryOracle(t), z, RecoveryConfig(r=2, budget_n2=1 + 4 * d))
+        assert ap.center_value == pytest.approx(1e-3, rel=1e-12)
+        X = np.random.default_rng(1).random((50, d))
+        vals = ap(X)
+        assert np.all(np.isfinite(vals))
+        np.testing.assert_allclose(vals, t.value_batch(X), rtol=1e-11, atol=0)
+        assert ap(z) == pytest.approx(ap.center_value, rel=1e-12)
+        up, lo = sup_distance_bound(t, ap.line_interpolants, ap.center_value,
+                                    grid=201, samples=200)
+        assert 0.0 <= lo <= up <= 1e-12
 
     def test_error_contract_on_smooth_family(self):
         # calibrated contract: error <= C_r M d^(r+1) n2^(-r)

@@ -1,7 +1,11 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rankone.errors import BudgetExhaustedError, DomainError
+from rankone.pipeline import FAMILIES, ExperimentConfig
 from rankone.recovery import RecoveryConfig, recover
 from rankone.tensor import (Box, QueryOracle, RankOneTensor, check_membership,
                             sup_distance_bound, sup_norm)
@@ -40,11 +44,12 @@ class TestRankOneTensor:
         assert t.value(x) == pytest.approx(expected)
 
     def test_value_batch_matches_pointwise(self):
-        t = product_tensor(d=4)
-        X = np.random.default_rng(0).random((20, 4))
-        vb = t.value_batch(X)
-        for row, v in zip(X, vb):
-            assert t.value(row) == pytest.approx(v)
+        for family, d in itertools.product(sorted(FAMILIES), (1, 4, 10)):
+            t = ExperimentConfig(r=3, M=10.0, d=d, eps=0.1, family=family).make_tensor(0)
+            X = np.random.default_rng(d).random((50, d))
+            vb = t.value_batch(X)
+            for row, v in zip(X, vb):
+                assert t.value(row) == v, (family, d)
 
     def test_mismatched_r_rejected(self):
         with pytest.raises(DomainError):
@@ -175,6 +180,43 @@ class TestSupDistanceBound:
         up, lo = sup_distance_bound(t, scaled, ap.center_value * 2,
                                     grid=1001, samples=1000)
         assert lo <= up + 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 8])
+    def test_upper_matches_power_form_telescoping_sum(self, d):
+        # the upper bound written with scale^-(d-1) formed directly, one
+        # product per term, as before the log form; factors with
+        # max|f_i| < 1 so that the order of the products matters
+        gen = np.random.default_rng(d)
+        t = RankOneTensor(
+            factors=tuple(trig_factor(0.2, 1.0, 6.0 * gen.random(), 0.7, 1)
+                          for _ in range(d)), r=1, M=0.2 * 2 * np.pi)
+        ap = self._recover(t, 1 + 6 * d)
+        ts = np.linspace(0.0, 1.0, 501)
+        F = [f(ts) for f in t.factors]
+        G = [g(ts) for g in ap.line_interpolants]
+        mu = np.array([(g @ f) / (g @ g) for f, g in zip(F, G)])
+        mu *= (ap.center_value ** -(d - 1) / np.prod(mu)) ** (1.0 / d)
+        B = [m * g for m, g in zip(mu, G)]
+        err = [np.max(np.abs(f - b)) for f, b in zip(F, B)]
+        bmax = [np.max(np.abs(b)) for b in B]
+        fmax = [np.max(np.abs(f)) for f in F]
+        ref = sum(err[i] * np.prod(bmax[:i]) * np.prod(fmax[i + 1:])
+                  for i in range(d))
+        up, _ = sup_distance_bound(t, ap.line_interpolants, ap.center_value,
+                                   grid=501, samples=10)
+        assert up == pytest.approx(ref, rel=1e-10)
+
+    def test_sign_flipped_line_keeps_bracket(self):
+        # A with one line negated is -A: the fitted factors' signs then
+        # disagree with scale^-(d-1); the true sup distance is 2 sup|f|,
+        # reached at x = (1, 1, 1), a grid point
+        t = product_tensor()
+        ap = self._recover(t, 30)
+        lines = ap.line_interpolants
+        flipped = (replace(lines[0], values=-lines[0].values),) + lines[1:]
+        up, lo = sup_distance_bound(t, flipped, ap.center_value,
+                                    grid=1001, samples=1000)
+        assert lo <= 2 * sup_norm(t) <= up * (1 + 1e-12)
 
     def test_dimension_mismatch(self):
         t = product_tensor()

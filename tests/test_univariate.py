@@ -164,27 +164,27 @@ class TestInterpolateLine:
             nodes = block_chebyshev_nodes(4 * r, r)
             coeffs = np.arange(1, r + 1, dtype=float)
             p = np.polynomial.Polynomial(coeffs)
-            g = interpolate_line(list(zip(nodes, p(nodes))), r)
+            g = interpolate_line(nodes, p(nodes), r)
             ts = np.linspace(0, 1, 501)
             np.testing.assert_allclose(g(ts), p(ts), atol=1e-10)
 
     def test_node_hit_exact(self):
         nodes = block_chebyshev_nodes(6, 3)
         vals = np.sin(nodes)
-        g = interpolate_line(list(zip(nodes, vals)), 3)
+        g = interpolate_line(nodes, vals, 3)
         for t, v in zip(nodes, vals):
             assert g(float(t)) == pytest.approx(v, abs=1e-14)
 
     def test_remainder_group_uses_last_nodes(self):
         # 7 nodes, r=3: two pieces, the second built on the last 3 nodes
         ts = np.linspace(0.05, 0.95, 7)
-        g = interpolate_line(list(zip(ts, ts ** 2)), 3)
+        g = interpolate_line(ts, ts ** 2, 3)
         assert g.pieces == 2
         np.testing.assert_allclose(g.nodes[1], ts[-3:])
 
     def test_dense_layout(self):
         ts = np.linspace(0.05, 0.95, 11)
-        g = interpolate_line(list(zip(ts, np.sin(ts))), 3)
+        g = interpolate_line(ts, np.sin(ts), 3)
         assert g.nodes.shape == g.values.shape == g.weights.shape == (3, 3)
         np.testing.assert_array_equal(g.nodes, ts[[[0, 1, 2], [3, 4, 5], [8, 9, 10]]])
         np.testing.assert_array_equal(g.values, np.sin(g.nodes))
@@ -200,7 +200,7 @@ class TestInterpolateLine:
         for k in range(1, 41):
             nodes = block_chebyshev_nodes(k * r, r)
             vals = gen.standard_normal(nodes.size)
-            g = interpolate_line(list(zip(nodes, vals)), r)
+            g = interpolate_line(nodes, vals, r)
             t = np.concatenate([gen.random(200), nodes, [0.0, 1.0]])
             dense, loop = g(t), reference_eval(g, t)
             if r == 1:
@@ -212,18 +212,41 @@ class TestInterpolateLine:
 
     def test_breakpoints_cover_unit_interval(self):
         ts = np.linspace(0.1, 0.9, 8)
-        g = interpolate_line(list(zip(ts, np.cos(ts))), 2)
+        g = interpolate_line(ts, np.cos(ts), 2)
         assert g.breakpoints[0] == 0.0
         assert g.breakpoints[-1] == 1.0
         assert np.all(np.diff(g.breakpoints) > 0)
 
     def test_errors(self):
         with pytest.raises(ParameterError):
-            interpolate_line([(0.1, 1.0)], 2)
+            interpolate_line([0.1], [1.0], 2)
         with pytest.raises(ParameterError):
-            interpolate_line([(0.5, 1.0), (0.5, 2.0)], 1)
+            interpolate_line([0.5, 0.5], [1.0, 2.0], 1)
         with pytest.raises(ParameterError):
-            interpolate_line([(0.5, 1.0), (1.5, 2.0)], 1)
+            interpolate_line([0.5, 1.5], [1.0, 2.0], 1)
+        with pytest.raises(ParameterError):
+            interpolate_line([0.2, 0.5], [1.0], 1)
+        with pytest.raises(ParameterError):
+            interpolate_line([0.2, 0.5], np.ones((2, 2, 2)), 1)
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_shared_layout_matches_single_lines(self, r):
+        # d lines at the same nodes share one layout; evaluating them
+        # together, t[..., i] on line i, is bit for bit each line alone
+        gen = np.random.default_rng(10 + r)
+        nodes = block_chebyshev_nodes(7 * r, r)
+        vals = gen.standard_normal((4, nodes.size))
+        lines = interpolate_line(nodes, vals, r)
+        assert lines.values.shape == (4, 7, r)
+        T = np.vstack([gen.random((300, 4)), np.tile(nodes[:, None], 4),
+                       [[0.0, 1.0, 0.5, nodes[0]]]])
+        out = lines(T)
+        assert out.shape == T.shape
+        for i in range(4):
+            single = interpolate_line(nodes, vals[i], r)
+            np.testing.assert_array_equal(lines.values[i], single.values)
+            np.testing.assert_array_equal(out[:, i], single(T[:, i]))
+        np.testing.assert_array_equal(lines(T[0]), out[0])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 1000))
@@ -236,7 +259,7 @@ class TestInterpolateLine:
         M = a * (2 * np.pi) ** r
         m = blocks * r
         nodes = block_chebyshev_nodes(m, r)
-        g = interpolate_line(list(zip(nodes, f(nodes))), r)
+        g = interpolate_line(nodes, f(nodes), r)
         ts = np.linspace(0, 1, 2001)
         err = np.max(np.abs(g(ts) - f(ts)))
         assert err <= interp_error_bound(M, 0.0, 1.0 / blocks, r) + 1e-12
