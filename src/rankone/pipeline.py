@@ -9,7 +9,7 @@ configuration, so runs are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,7 +21,7 @@ from .search import (REGIME_STRATEGY, STRATEGIES, BudgetPlan, SubsetSearchParams
                      plan, run_search)
 from .specs import tensor_from_spec
 from .tensor import RankOneTensor, QueryOracle, sup_distance_bound, sup_norm
-from .univariate import UnivariateFactor, polynomial_factor, table_factor, trig_factor
+from .univariate import UnivariateFactor, table_factor, trig_factor
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96,
@@ -79,26 +79,29 @@ def triangle_factor(support_lo: float, support_hi: float, peak: float,
         ts, vals = ts[:-1], vals[:-1]
         ts[-1] = 1.0
     f = table_factor(ts, vals, sup_bound=peak, deriv_bound=peak / half, r=r)
-    return UnivariateFactor(fn=f.fn, sup_bound=f.sup_bound,
-                            deriv_bound=f.deriv_bound, r=r,
-                            kind="explicit-table",
-                            support=(support_lo, support_hi))
+    return replace(f, support=(support_lo, support_hi))
 
 
 def family_shifted_smooth(d: int, r: int, M: float, gen: np.random.Generator,
                           ) -> RankOneTensor:
     """Factors 1 - a t - b t^r with small random a, b: sup-norm exactly 1
-    at the origin, r-th derivative bound b r! <= M."""
+    at the origin, r-th derivative bound b r! <= M.
+
+    Each factor is monotone on [0, 1], so these bounds are declared
+    rather than found from roots: sup 1 = p(0), and the r-th derivative
+    is the constant polyder(c, r)[0]."""
     bmax = min(M / math.factorial(r), 0.1)
-    factors = []
-    for _ in range(d):
-        a = 0.1 * gen.random()
-        b = bmax * gen.random()
-        coeffs = np.zeros(r + 1)
-        coeffs[0], coeffs[1] = 1.0, -a
-        coeffs[r] += -b
-        factors.append(polynomial_factor(coeffs, r))
-    return RankOneTensor(factors=tuple(factors), r=r, M=M)
+    ab = gen.random((d, 2))  # (a, b) per factor, drawn in factor order
+    C = np.zeros((r + 1, d))  # column i: ascending coefficients of factor i
+    C[0] = 1.0
+    C[1] = -(0.1 * ab[:, 0])
+    C[r] += -(bmax * ab[:, 1])
+    deriv = np.abs(np.polynomial.polynomial.polyder(C, r)[0])
+    factors = tuple(
+        UnivariateFactor(fn=None, sup_bound=1.0, deriv_bound=float(deriv[i]), r=r,
+                         kind="polynomial-piecewise", params=tuple(C[:, i].tolist()))
+        for i in range(d))
+    return RankOneTensor(factors=factors, r=r, M=M)
 
 
 def family_trig_smooth(d: int, r: int, M: float, gen: np.random.Generator,

@@ -139,7 +139,9 @@ def search_subset(oracle: QueryOracle, params: SubsetSearchParams, n1: int,
                   seed: int) -> SearchOutcome:
     """Coordinate-subset search: per iteration, a uniform subset I of
     min(d*, d) coordinates is drawn free in [0,1]; the rest are drawn
-    uniformly in [1/2 - delta*, 1/2 + delta*].
+    uniformly in [1/2 - h, 1/2 + h] with h = min(delta*, 1/2), which
+    keeps the queries in the cube and still covers the window the
+    success bound counts on.
 
     The theory assumes d >= d*; for d < d* the subset is clamped to all
     coordinates, which degenerates to plain uniform search (the printed
@@ -149,12 +151,12 @@ def search_subset(oracle: QueryOracle, params: SubsetSearchParams, n1: int,
         raise ParameterError("n1 must be positive")
     d = oracle.d
     k = min(params.d_star, d)
-    delta = params.delta_star
+    half = min(params.delta_star, 0.5)
     g = rng.spawn(seed)
     for i in range(n1):
         subset = rng.floyd_sample(g, d, k)
         z = g.random(d)
-        x = 0.5 + delta * (2.0 * z - 1.0)
+        x = 0.5 + half * (2.0 * z - 1.0)
         x[subset] = z[subset]
         v = oracle.evaluate(x)
         if v != 0.0:
@@ -220,7 +222,9 @@ def plan(r: int, M: float, d: int, eps: float, V: Optional[float] = None,
     support_class_deterministic (M >= 2^r r! but a support volume V is
     declared), intractable (M >= 2^r r!, no V: any algorithm needs 2^d
     queries).  n2 always comes from the reconstruction cost formula,
-    raised to the smallest budget the reconstruction accepts.
+    raised to the smallest budget the reconstruction accepts and then to
+    whole blocks of r nodes per line, n2 = 1 + d r ceil(m / r) with
+    m = (n2 - 1) // d, since ``recover`` uses only whole blocks.
 
     Near M = 2^r r! the subset-search c_prob and n1 can pass the float
     range; they then saturate at the largest finite float, and with a
@@ -236,6 +240,7 @@ def plan(r: int, M: float, d: int, eps: float, V: Optional[float] = None,
         raise ParameterError("V must lie in (0, 1)")
     rf = math.factorial(r)
     n2 = max(required_n2(d, r, M, eps, error_constant(r)), min_budget(d, r))
+    n2 = max(n2, 1 + d * r * -(-((n2 - 1) // d) // r))
 
     if M <= rf * eps:
         return BudgetPlan(n1=1, n2=n2, success_prob_lower=1.0,

@@ -7,18 +7,23 @@ function calls; the count is the information cost of an algorithm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import rng
 from .errors import BudgetExhaustedError, DomainError
-from .univariate import PiecewisePolynomial, UnivariateFactor
+from .univariate import KERNELS, PiecewisePolynomial, UnivariateFactor
 
 DEFAULT_GRID = 10_001
 DEFAULT_SAMPLES = 100_000
+# cells (rows x d) of one block: value_batch, sup_norm and the bracket
+# work through their rows a block at a time, so no (rows, d) temporary
+# grows past this whatever the number of rows
+_BLOCK_CELLS = 2048
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,12 @@ class Box:
         return bool(np.all(x > self.lower) and np.all(x < self.upper))
 
 
+def _row_blocks(n: int, d: int) -> Iterator[slice]:
+    """Slices of at most _BLOCK_CELLS // d rows that cover range(n)."""
+    step = max(1, _BLOCK_CELLS // d)
+    return (slice(s, min(s + step, n)) for s in range(0, n, step))
+
+
 @dataclass(frozen=True)
 class RankOneTensor:
     """d factors plus the class parameters (r, M, optional support volume V)."""
@@ -65,20 +76,67 @@ class RankOneTensor:
             raise DomainError("all factors must share the same smoothness order r")
         if self.support_volume is not None and not 0 < self.support_volume < 1:
             raise DomainError("support volume V must lie in (0, 1)")
+        object.__setattr__(self, "_functions_only",
+                           all(f.fn is not None for f in self.factors))
 
     @property
     def d(self) -> int:
         return len(self.factors)
 
+    @functools.cached_property
+    def _groups(self) -> list:
+        """One (columns, kernel, params (p, g)) per kind and parameter
+        count of the closed-form factors; (i, None, None) for each factor
+        i that is a function.  Built on first use."""
+        keys: dict = {}
+        for i, f in enumerate(self.factors):
+            key = i if f.fn is not None else (f.kind, len(f.params))
+            keys.setdefault(key, []).append(i)
+        groups = []
+        for cols in keys.values():
+            f = self.factors[cols[0]]
+            if f.fn is not None:
+                groups.append((cols[0], None, None))
+            else:
+                groups.append((slice(None) if len(cols) == self.d else np.array(cols),
+                               KERNELS[f.kind],
+                               np.array([self.factors[i].params for i in cols]).T))
+        return groups
+
+    def _group_values(self, X, cols, kernel, P):
+        if kernel is None:
+            return self.factors[cols](X[:, cols])
+        return kernel(X[:, cols], P, self.r)
+
+    def factor_values(self, X: np.ndarray) -> np.ndarray:
+        """f_i(X[:, i]) in column i; shape (rows, d).  Same-kind closed
+        forms are evaluated together, with one kernel call."""
+        X = np.asarray(X, dtype=float)
+        groups = self._groups
+        if len(groups) == 1 and isinstance(groups[0][0], slice):
+            return self._group_values(X, *groups[0])
+        V = np.empty(X.shape)
+        for g in groups:
+            V[:, g[0]] = self._group_values(X, *g)
+        return V
+
     def value(self, x) -> float:
         return float(self.value_batch(np.asarray(x, dtype=float)[None])[0])
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
-        """Values at each row of X; shape (k,)."""
+        """Values at each row of X; shape (k,).  The product runs over the
+        factors in order: with closed-form factors one block of rows at a
+        time, otherwise one factor call at a time, since a tensor of
+        functions gains nothing from a (rows, d) block."""
         X = np.asarray(X, dtype=float)
-        out = np.ones(X.shape[0])
-        for i, f in enumerate(self.factors):
-            out *= f(X[:, i])
+        if self._functions_only:
+            out = np.ones(len(X))
+            for i, f in enumerate(self.factors):
+                out *= f(X[:, i])
+            return out
+        out = np.empty(len(X))
+        for rows in _row_blocks(len(X), self.d):
+            out[rows] = np.multiply.reduce(self.factor_values(X[rows]), axis=1)
         return out
 
 
@@ -132,13 +190,22 @@ class QueryOracle:
         return vals
 
 
+def _grid_blocks(ts: np.ndarray, d: int):
+    """(rows, T) per row block of the grid ts, T[:, i] = ts[rows] for
+    every axis i: a read-only (len(rows), d) view."""
+    for rows in _row_blocks(len(ts), d):
+        yield rows, np.broadcast_to(ts[rows, None], (rows.stop - rows.start, d))
+
+
 def sup_norm(t: RankOneTensor, grid: int = DEFAULT_GRID) -> float:
     """Sup-norm of the product, exact up to the 1-D grid resolution.
 
     Rank-one structure makes the sup factorize: max|f| = prod_i max|f_i|.
     """
-    ts = np.linspace(0.0, 1.0, grid)
-    return float(np.prod([np.max(np.abs(f(ts))) for f in t.factors]))
+    fmax = np.zeros(t.d)
+    for _, T in _grid_blocks(np.linspace(0.0, 1.0, grid), t.d):
+        fmax = np.maximum(fmax, np.max(np.abs(t.factor_values(T)), axis=0))
+    return float(np.prod(fmax))
 
 
 @dataclass(frozen=True)
@@ -211,16 +278,28 @@ def sup_distance_bound(t: RankOneTensor,
     of [0, 1], so upper certifies the telescoping bound on that 1-D grid;
     the slack is how far the true per-factor maxima exceed their grid
     values, which shrinks as ``grid`` grows but is not bounded here.
+
+    ``approx`` holds one-line interpolants on one piece layout (as
+    ``RankOneApproximant.line_interpolants`` gives them); they are
+    evaluated together.  Besides two (d, grid) arrays, the work runs in
+    row blocks of at most _BLOCK_CELLS cells, so memory does not grow
+    with ``samples``.
     """
     d = t.d
     if len(approx) != d:
         raise DomainError(f"need {d} approximant factors, got {len(approx)}")
     if scale == 0:
         raise DomainError("scale must be nonzero")
+    lines = _stacked(approx)
 
+    # f_i and g_i on the grid as row i of (d, grid) arrays, so that each
+    # line's dot products see one contiguous vector, as a lone line would
     ts = np.linspace(0.0, 1.0, grid)
-    F = [np.asarray(f(ts), dtype=float) for f in t.factors]
-    G = [np.asarray(g(ts), dtype=float) for g in approx]
+    F = np.empty((d, grid))
+    G = np.empty((d, grid))
+    for rows, T in _grid_blocks(ts, d):
+        F[:, rows] = t.factor_values(T).T
+        G[:, rows] = lines(T).T
 
     log_target = -(d - 1) * math.log(abs(scale))
     mu = np.empty(d)
@@ -234,18 +313,38 @@ def sup_distance_bound(t: RankOneTensor,
     if np.sign(scale) ** (d - 1) * np.prod(np.sign(mu)) < 0:
         mu[0] = -mu[0]
 
-    B = [mu[i] * G[i] for i in range(d)]
-    err = np.array([np.max(np.abs(F[i] - B[i])) for i in range(d)])
-    bmax = np.array([np.max(np.abs(b)) for b in B])
-    fmax = np.array([np.max(np.abs(f)) for f in F])
+    # per-line maxima of |f_i - mu_i g_i|, |f_i| and |g_i|, block by block
+    err = fmax = gmax = np.zeros(d)
+    for rows in _row_blocks(grid, d):
+        Fb, Gb = F[:, rows], G[:, rows]
+        err = np.maximum(err, np.max(np.abs(Fb - mu[:, None] * Gb), axis=1))
+        fmax = np.maximum(fmax, np.max(np.abs(Fb), axis=1))
+        gmax = np.maximum(gmax, np.max(np.abs(Gb), axis=1))
+    # max_j |mu g_j| = |mu| max_j |g_j|, as rounding is monotone
+    bmax = np.abs(mu) * gmax
     before = np.concatenate(([1.0], np.cumprod(bmax[:-1])))
     after = np.concatenate((np.cumprod(fmax[:0:-1])[::-1], [1.0]))
     upper = float(np.sum(err * before * after))
 
-    X = rng.spawn(seed, 0x5D).random((samples, d))
-    av = np.ones(samples)
-    for i in range(d):
-        av *= approx[i](X[:, i]) / scale
-    lower = float(np.max(np.abs(t.value_batch(X) - scale * av)))
+    # the samples come in row blocks of one stream, the same points as
+    # one (samples, d) draw
+    gen = rng.spawn(seed, 0x5D)
+    lower = 0.0
+    for rows in _row_blocks(samples, d):
+        X = gen.random((rows.stop - rows.start, d))
+        av = np.multiply.reduce(lines(X) / scale, axis=1)
+        lower = np.maximum(lower, np.max(np.abs(t.value_batch(X) - scale * av)))
 
-    return upper, lower
+    return upper, float(lower)
+
+
+def _stacked(approx: Sequence[PiecewisePolynomial]) -> PiecewisePolynomial:
+    """The one-line interpolants ``approx`` as one interpolant of d lines."""
+    g = approx[0]
+    for h in approx[1:]:
+        for a, b in ((h.breakpoints, g.breakpoints), (h.nodes, g.nodes),
+                     (h.weights, g.weights)):
+            if a is not b and not np.array_equal(a, b):
+                raise DomainError("the approximant lines must share one piece layout")
+    return PiecewisePolynomial(g.breakpoints, g.nodes,
+                               np.stack([h.values for h in approx]), g.weights)

@@ -47,35 +47,61 @@ def support_lower_bound(eps: float, M: float, r: int) -> float:
     return (math.factorial(r) * eps / M) ** (1.0 / r)
 
 
+def _horner(X, P, r):
+    """sum_j P[j] X^j by Horner's rule, as numpy's Polynomial evaluates it
+    (its identity domain map 0.0 + X included)."""
+    X = 0.0 + X
+    out = P[-1] + X * 0
+    for c in P[-2::-1]:
+        out = c + out * X
+    return out
+
+
+def _sine(X, P, r):
+    """a sin(2 pi k X + phi) + c."""
+    a, k, phi, c = P
+    return a * np.sin(2 * np.pi * k * X + phi) + c
+
+
+# the closed form of each factor kind that has one, evaluated on a
+# (rows, g) array X whose column j belongs to the factor with params P[:, j]
+KERNELS = {"polynomial-piecewise": _horner, "trig": _sine}
+
+
 @dataclass(frozen=True)
 class UnivariateFactor:
     """An evaluable function on [0,1] with declared bounds.
 
-    ``fn`` must be exact, side-effect free, and vectorized over numpy
-    arrays.  ``sup_bound`` and ``deriv_bound`` are declared bounds on
-    the sup-norm of the function and of its r-th derivative; they are
+    With ``fn`` None the factor is the closed form ``KERNELS[kind]``
+    with the numbers ``params``; otherwise it is ``fn``, which must be
+    exact, side-effect free and vectorized over
+    numpy arrays.  ``sup_bound`` and ``deriv_bound`` are declared bounds
+    on the sup-norm of the function and of its r-th derivative; they are
     supplied analytically at construction, never estimated.
     ``support`` optionally records the closure of {f != 0} when it is
     known to be an interval (None means nonzero almost everywhere or
     unknown).
     """
 
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Optional[Callable[[np.ndarray], np.ndarray]]
     sup_bound: float
     deriv_bound: float
     r: int
     kind: str
     support: Optional[Tuple[float, float]] = None
+    params: Tuple[float, ...] = ()
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        return self.fn(t)
+        if self.fn is not None:
+            return self.fn(t)
+        P = np.array(self.params)[:, None]
+        return KERNELS[self.kind](t[..., None], P, self.r)[..., 0]
 
     def scaled(self, c: float) -> "UnivariateFactor":
         """The factor multiplied by the constant c."""
-        inner = self.fn
         return UnivariateFactor(
-            fn=lambda t: c * inner(t),
+            fn=lambda t: c * self(t),
             sup_bound=abs(c) * self.sup_bound,
             deriv_bound=abs(c) * self.deriv_bound,
             r=self.r,
@@ -104,16 +130,13 @@ def polynomial_factor(coeffs: Sequence[float], r: int) -> UnivariateFactor:
     """
     c = np.asarray(coeffs, dtype=float)
     poly = np.polynomial.Polynomial(c)
-    dr = poly.deriv(r)
-    sup = _poly_abs_max(poly)
-    dsup = _poly_abs_max(dr)
     return UnivariateFactor(
-        fn=lambda t: poly(t),
-        sup_bound=sup,
-        deriv_bound=dsup,
+        fn=None,
+        sup_bound=_poly_abs_max(poly),
+        deriv_bound=_poly_abs_max(poly.deriv(r)),
         r=r,
         kind="polynomial-piecewise",
-        support=None,
+        params=tuple(c.tolist()),
     )
 
 
@@ -121,17 +144,13 @@ def trig_factor(amplitude: float, frequency: float, phase: float, offset: float,
                 r: int) -> UnivariateFactor:
     """Factor a*sin(2*pi*k*t + phi) + c with the analytic derivative bound."""
     a, k, phi, c = float(amplitude), float(frequency), float(phase), float(offset)
-
-    def fn(t):
-        return a * np.sin(2 * np.pi * k * t + phi) + c
-
     return UnivariateFactor(
-        fn=fn,
+        fn=None,
         sup_bound=abs(a) + abs(c),
         deriv_bound=abs(a) * (2 * np.pi * k) ** r,
         r=r,
         kind="trig",
-        support=None,
+        params=(a, k, phi, c),
     )
 
 
@@ -232,9 +251,13 @@ class PiecewisePolynomial:
 
     def __call__(self, t):
         """Values at t, of t's shape.  With d lines, t[..., i] is a
-        point on line i, so t has d as its last axis."""
+        point on line i, so t has d as its last axis; when that axis has
+        stride 0 (one point for all lines, as from ``np.broadcast_to``),
+        the piece lookup and the barycentric terms are done once."""
         t = np.asarray(t, dtype=float)
         tf = np.atleast_1d(t)
+        if self.values.ndim == 3 and tf.strides[-1] == 0:
+            tf = tf[..., :1]
         j = np.clip(np.searchsorted(self.breakpoints, tf, side="right") - 1,
                     0, self.pieces - 1)
         values = (self.values[j] if self.values.ndim == 2
@@ -243,9 +266,23 @@ class PiecewisePolynomial:
         exact = np.abs(diff) <= 1e-300
         # guard exact node hits before dividing
         terms = self.weights[j] / np.where(exact, 1.0, diff)
-        out = (terms * values).sum(axis=-1) / terms.sum(axis=-1)
-        out[exact.any(axis=-1)] = values[exact]
+        out = _node_sum(terms * values) / _node_sum(terms)
+        if exact.any():
+            exact = np.broadcast_to(exact, values.shape)
+            out[exact.any(axis=-1)] = values[exact]
         return float(out[0]) if t.ndim == 0 else out
+
+
+def _node_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1) bit for bit.  numpy adds fewer than 8 terms in
+    order, starting from 0.0; doing the same one column at a time avoids
+    its slow per-row reduction over a short last axis."""
+    if a.shape[-1] >= 8:
+        return a.sum(axis=-1)
+    out = 0.0 + a[..., 0]
+    for q in range(1, a.shape[-1]):
+        out += a[..., q]
+    return out
 
 
 def interpolate_line(ts, values, r: int) -> PiecewisePolynomial:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rankone.cli import main
@@ -94,6 +95,33 @@ class TestOutputs:
         assert len(lines) == 4
         summary = json.loads((out / "summary.json").read_text())
         assert summary["trials"] == 3
+
+    def test_subset_search_with_wide_window_stays_in_cube(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # r=4, M=10, eps=0.1 plans the subset search with delta* = 0.553,
+        # whose window [1/2 - delta*, 1/2 + delta*] leaves the cube
+        queries = []
+
+        def logged(method):
+            def query(self, x):
+                queries.append(np.array(x, ndmin=2))
+                return method(self, x)
+            return query
+
+        for name in ("evaluate", "evaluate_batch"):
+            monkeypatch.setattr(QueryOracle, name, logged(getattr(QueryOracle, name)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "r": 4, "M": 10.0, "d": 10, "eps": 0.1,
+            "family": "shifted_smooth", "trials": 3, "seed": 7,
+            "grid": 801, "samples": 200}))
+        out = tmp_path / "out"
+        assert run(["approx", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["plan"]["regime"] == "subset_search"
+        assert summary["found"] == 3
+        X = np.vstack(queries)
+        assert X.shape[1] == 10 and np.all((X >= 0.0) & (X <= 1.0))
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rankone.search import (SubsetSearchParams, search_deterministic,
                             search_subset, search_uniform_multi,
                             search_uniform_single)
 from rankone.tensor import QueryOracle, check_membership, sup_norm
+from rankone.univariate import polynomial_factor
 from rankone import rng
 
 
@@ -61,6 +63,25 @@ class TestFamilies:
             t = family_shifted_smooth(4, 5, 10.0, rng.spawn(seed))
             assert check_membership(t, "F").ok
             assert sup_norm(t) == pytest.approx(1.0)  # attained at the origin
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_shifted_smooth_declares_the_root_based_bounds(self, r):
+        # the factors are monotone on [0, 1]: the declared bounds are the
+        # ones polynomial_factor finds from critical points, bit for bit,
+        # and the coefficients come from the same draws as one at a time
+        M = 10.0
+        bmax = min(M / math.factorial(r), 0.1)
+        for seed in range(30):
+            t = family_shifted_smooth(10, r, M, rng.spawn(seed, r))
+            gen = rng.spawn(seed, r)
+            for f in t.factors:
+                coeffs = np.zeros(r + 1)
+                coeffs[0], coeffs[1] = 1.0, -(0.1 * gen.random())
+                coeffs[r] += -(bmax * gen.random())
+                assert f.params == tuple(coeffs)
+                exact = polynomial_factor(coeffs, r)
+                assert f.sup_bound == exact.sup_bound == 1.0
+                assert f.deriv_bound == exact.deriv_bound
 
     def test_trig_smooth_admissible(self):
         M = 0.2 * (2 * np.pi) ** 2
@@ -164,6 +185,8 @@ class TestRunPipeline:
         rows, summary = run_pipeline(cfg)
         assert all(r["found"] and r["error_upper"] <= cfg.eps for r in rows)
         json.dumps(summary, allow_nan=False)
+        if d == 1000:  # whole blocks of r nodes per line: all of n2 is spent
+            assert all(r["queries_phase2"] == summary["plan"]["n2"] for r in rows)
 
 
 OFFCENTER = dict(r=1, M=1.9, d=6, eps=0.2, V=0.3, family="offcenter_triangle",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rankone.cli import main
 from rankone.dispersion import halton, uniform_pointset
 from rankone.errors import ParameterError
+from rankone.recovery import error_constant, min_budget, required_n2
 from rankone.search import (SubsetSearchParams, plan, search_deterministic,
                             search_subset, search_uniform_multi,
                             search_uniform_single, subset_success_bound)
@@ -117,6 +118,18 @@ class TestSubsetSearch:
         out = search_subset(o, params, n1=5, seed=0)
         assert out.found
 
+    def test_queries_stay_in_cube_when_delta_star_exceeds_half(self):
+        params = SubsetSearchParams.from_problem(4, 10.0, 0.1)
+        assert params.delta_star > 0.5
+        o = QueryOracle(const_tensor(10, c=0.0), log=True)
+        search_subset(o, params, n1=200, seed=1)
+        X = np.array([x for x, _ in o.query_log])
+        assert X.shape == (200, 10)
+        assert np.all((X >= 0.0) & (X <= 1.0))
+        # the squeezed window is the whole cube: some coordinate outside
+        # the subset reaches past 1/2 +- 0.45
+        assert np.abs(X - 0.5).max() > 0.45
+
     def test_zero_function_exhausts(self):
         params = SubsetSearchParams.from_problem(1, 1.0, 0.5)
         o = QueryOracle(const_tensor(3, c=0.0))
@@ -220,6 +233,23 @@ class TestPlanner:
     def test_n2_at_least_recovery_minimum(self):
         bp = plan(5, 10.0, 2, 0.5)
         assert bp.n2 >= 1 + 2 * 5
+
+    @pytest.mark.parametrize("d,n2", [(1000, 10_001), (2000, 20_001), (5000, 50_001)])
+    def test_n2_whole_blocks_per_line(self, d, n2):
+        # recover spends 1 + d r floor(m / r) queries with m = (n2 - 1) // d;
+        # the plan rounds m up to whole blocks of r, so all of n2 is spent
+        bp = plan(5, 10.0, d, 0.1)
+        assert (bp.n2 - 1) % (d * 5) == 0
+        assert bp.n2 == n2
+
+    def test_n2_unchanged_when_lines_hold_whole_blocks(self):
+        # where the cost formula already gives m a multiple of r, the
+        # plan is the formula itself (every d <= 100 at this setting)
+        for d in range(1, 101):
+            raw = max(required_n2(d, 5, 10.0, 0.1, error_constant(5)), min_budget(d, 5))
+            assert ((raw - 1) // d) % 5 == 0
+            assert plan(5, 10.0, d, 0.1).n2 == raw
+        assert plan(5, 10.0, 10, 0.1).n2 == 51
 
     def test_invalid_inputs(self):
         with pytest.raises(ParameterError):

@@ -1,22 +1,95 @@
 import itertools
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rankone import rng
 from rankone.errors import BudgetExhaustedError, DomainError
-from rankone.pipeline import FAMILIES, ExperimentConfig
+from rankone.pipeline import FAMILIES, ExperimentConfig, family_shifted_smooth
 from rankone.recovery import RecoveryConfig, recover
 from rankone.tensor import (Box, QueryOracle, RankOneTensor, check_membership,
                             sup_distance_bound, sup_norm)
-from rankone.univariate import (constant_factor, make_bump, polynomial_factor,
-                                trig_factor)
+from rankone.univariate import (block_chebyshev_nodes, constant_factor,
+                                interpolate_line, make_bump, polynomial_factor,
+                                table_factor, trig_factor)
 
 
 def product_tensor(d=3, r=2):
     return RankOneTensor(
         factors=tuple(polynomial_factor([0.5, 0.4], r) for _ in range(d)),
         r=r, M=2.0)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def per_factor_product(t, X):
+    """The product taken one factor call at a time, in factor order."""
+    out = np.ones(len(X))
+    for i, f in enumerate(t.factors):
+        out *= f(X[:, i])
+    return out
+
+
+def mixed_tensor(r=3):
+    """Every factor kind, closed forms interleaved with tables, some scaled."""
+    gen = np.random.default_rng(r)
+    fs = []
+    for i in range(12):
+        kind = i % 6
+        if kind == 0:
+            f = polynomial_factor(np.r_[0.6, np.zeros(r)] + gen.uniform(-0.3, 0.3, r + 1), r)
+        elif kind == 1:
+            f = trig_factor(0.2 * gen.random(), 1.0 + i, 6 * gen.random(), 0.7, r)
+        elif kind == 2:
+            lo = 0.3 * gen.random()
+            f = make_bump(r, "left" if i % 4 else "right", (lo, lo + 0.6))
+        elif kind == 3:
+            f = table_factor([0, 0.3, 1], [0.4, 1.0, 0.5], 1.0, 2.0, r)
+        elif kind == 4:
+            f = polynomial_factor([0.9, -0.1], r)  # a second polynomial degree
+        else:
+            f = constant_factor(0.75, r)
+        if i in (2, 7, 8):
+            f = f.scaled(-0.5)
+        fs.append(f)
+    fs.append(fs[0].scaled(2.0).scaled(-0.25))  # a scaled scaled factor
+    return RankOneTensor(factors=tuple(fs), r=r, M=1e6)
+
+
+def reference_sup_distance_bound(t, approx, scale, grid, samples, seed):
+    """The bracket as written before blocking: one call per factor and
+    per line on the whole grid, and one (samples, d) draw."""
+    d = t.d
+    ts = np.linspace(0.0, 1.0, grid)
+    F = [np.asarray(f(ts), dtype=float) for f in t.factors]
+    G = [np.asarray(g(ts), dtype=float) for g in approx]
+    log_target = -(d - 1) * math.log(abs(scale))
+    mu = np.empty(d)
+    for i in range(d):
+        gg = float(G[i] @ G[i])
+        mu[i] = (G[i] @ F[i]) / gg if gg > 1e-300 else 0.0
+    mu[mu == 0.0] = math.exp(log_target / d)
+    mu *= math.exp((log_target - float(np.sum(np.log(np.abs(mu))))) / d)
+    if np.sign(scale) ** (d - 1) * np.prod(np.sign(mu)) < 0:
+        mu[0] = -mu[0]
+    B = [mu[i] * G[i] for i in range(d)]
+    err = np.array([np.max(np.abs(F[i] - B[i])) for i in range(d)])
+    bmax = np.array([np.max(np.abs(b)) for b in B])
+    fmax = np.array([np.max(np.abs(f)) for f in F])
+    before = np.concatenate(([1.0], np.cumprod(bmax[:-1])))
+    after = np.concatenate((np.cumprod(fmax[:0:-1])[::-1], [1.0]))
+    upper = float(np.sum(err * before * after))
+    X = rng.spawn(seed, 0x5D).random((samples, d))
+    av = np.ones(samples)
+    for i in range(d):
+        av *= approx[i](X[:, i]) / scale
+    lower = float(np.max(np.abs(per_factor_product(t, X) - scale * av)))
+    return upper, lower
 
 
 class TestBox:
@@ -50,6 +123,35 @@ class TestRankOneTensor:
             vb = t.value_batch(X)
             for row, v in zip(X, vb):
                 assert t.value(row) == v, (family, d)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("r", [1, 3, 6])
+    def test_grouped_value_batch_is_the_per_factor_product(self, family, r):
+        for d in (1, 4, 10, 37):
+            t = ExperimentConfig(r=r, M=10.0, d=d, eps=0.1, family=family).make_tensor(d)
+            X = np.random.default_rng(d).random((700, d))
+            X[:3] = [[0.0] * d, [1.0] * d, [0.5] * d]
+            assert np.array_equal(bits(t.value_batch(X)), bits(per_factor_product(t, X)))
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    def test_grouped_value_batch_on_mixed_kinds(self, r):
+        t = mixed_tensor(r)
+        X = np.random.default_rng(r).random((500, t.d))
+        X[:4] = [[0.0] * t.d, [1.0] * t.d, [0.5] * t.d, [-0.0] * t.d]
+        want = per_factor_product(t, X)
+        assert np.array_equal(bits(t.value_batch(X)), bits(want))
+        assert t.value(X[5]) == want[5]
+
+    @pytest.mark.parametrize("sign", [1, -1, 0])
+    def test_value_batch_on_bumps_is_the_per_factor_product(self, sign):
+        # the fooling family's members, and its zero member
+        for r in (1, 2, 4):
+            fs = [make_bump(r, "right" if i % 3 else "left") for i in range(10)]
+            fs[0] = fs[0].scaled(float(sign))
+            t = RankOneTensor(factors=tuple(fs), r=r, M=1.0)
+            X = np.random.default_rng(r).random((257, 10))
+            X[:2] = [[0.5] * 10, [1.0] * 10]
+            assert np.array_equal(bits(t.value_batch(X)), bits(per_factor_product(t, X)))
 
     def test_mismatched_r_rejected(self):
         with pytest.raises(DomainError):
@@ -218,6 +320,34 @@ class TestSupDistanceBound:
                                     grid=1001, samples=1000)
         assert lo <= 2 * sup_norm(t) <= up * (1 + 1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 5, 10, 37])
+    def test_matches_reference_bitwise(self, d):
+        # grid and samples are not multiples of any block's row count
+        for k, family in enumerate(sorted(FAMILIES)):
+            r = 1 + (d + k) % 4
+            t = ExperimentConfig(r=r, M=10.0, d=d, eps=0.1, family=family).make_tensor(k)
+            z = np.random.default_rng(d).random(d)
+            if t.value(z) == 0.0:  # support families: start from a nonzero
+                z = np.array([0.5 * sum(f.support or (0.5, 0.5)) for f in t.factors])
+            ap = recover(QueryOracle(t), z, RecoveryConfig(r=r, budget_n2=1 + 7 * r * d))
+            args = (t, ap.line_interpolants, ap.center_value, 1003, 2501, d + k)
+            assert sup_distance_bound(*args) == reference_sup_distance_bound(*args)
+
+    def test_mixed_kinds_match_reference_bitwise(self):
+        t = mixed_tensor(3)
+        z = np.array([0.37 if f.support is None else 0.5 * sum(f.support)
+                      for f in t.factors])
+        ap = recover(QueryOracle(t), z, RecoveryConfig(r=3, budget_n2=1 + 9 * t.d))
+        args = (t, ap.line_interpolants, ap.center_value, 777, 1500, 5)
+        assert sup_distance_bound(*args) == reference_sup_distance_bound(*args)
+
+    def test_lines_of_different_layouts_rejected(self):
+        t = product_tensor()
+        lines = list(self._recover(t, 30).line_interpolants)
+        other = interpolate_line(block_chebyshev_nodes(6, 2), np.ones(6), 2)
+        with pytest.raises(DomainError):
+            sup_distance_bound(t, lines[:2] + [other], 1.0)
+
     def test_dimension_mismatch(self):
         t = product_tensor()
         ap = self._recover(t, 30)
@@ -225,3 +355,39 @@ class TestSupDistanceBound:
             sup_distance_bound(t, ap.line_interpolants[:2], 1.0)
         with pytest.raises(DomainError):
             sup_distance_bound(t, ap.line_interpolants, 0.0)
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes allocated while fn runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Blocks of rows keep the temporaries small: the peak does not grow
+    with the number of sample points or rows."""
+
+    def test_bracket_memory_does_not_grow_with_samples(self):
+        d, r = 1000, 5
+        t = family_shifted_smooth(d, r, 10.0, np.random.default_rng(0))
+        nodes = block_chebyshev_nodes(5, r)
+        lines = interpolate_line(nodes, np.array([f(nodes) for f in t.factors]), r)
+        views = [replace(lines, values=v) for v in lines.values]
+        peaks = [traced_peak(sup_distance_bound, t, views, 1.0, grid=801,
+                             samples=n, seed=1) for n in (2_000, 20_000)]
+        # (samples, d) is 16 MB and 160 MB; the grid's (d, grid) arrays
+        # are 6.4 MB each
+        assert peaks[1] <= peaks[0] + 1_000_000
+        assert peaks[0] < 30_000_000
+
+    def test_value_batch_memory_grows_only_with_its_output(self):
+        d = 100
+        t = family_shifted_smooth(d, 3, 10.0, np.random.default_rng(1))
+        X = np.random.default_rng(2).random((10_000, d))
+        peaks = [traced_peak(t.value_batch, X[:n]) for n in (1_000, 10_000)]
+        # the output grows by 72 kB; (rows, d) temporaries would add 7.2 MB each
+        assert peaks[1] <= peaks[0] + 2 * 8 * 9_000

@@ -152,6 +152,30 @@ class TestFactors:
         ts = np.linspace(0, 1, 7)
         np.testing.assert_allclose(f(ts), 0.3 * np.sin(4 * np.pi * ts + 0.1) + 0.5)
 
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_closed_forms_match_their_formulas_bitwise(self, r):
+        # each kind's kernel against the expression it is written for
+        gen = np.random.default_rng(r)
+        t = np.concatenate([gen.random(400), [0.0, -0.0, 1.0, 0.5, 0.25, 0.75, 0.1, 0.35]])
+
+        def same(a, b):
+            return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+        c = gen.uniform(-1.0, 1.0, r + 1)
+        assert same(polynomial_factor(c, r)(t), np.polynomial.Polynomial(c)(t))
+        a, k, phi, off = 0.3 * gen.random(), 1.0 + r, 6.0 * gen.random(), 0.6
+        assert same(trig_factor(a, k, phi, off, r)(t),
+                    a * np.sin(2 * np.pi * k * t + phi) + off)
+        assert same(trig_factor(a, k, phi, off, r).scaled(-0.5)(t),
+                    -0.5 * (a * np.sin(2 * np.pi * k * t + phi) + off))
+        assert same(polynomial_factor(c, r)(t[7]), np.polynomial.Polynomial(c)(t[7]))
+
+    def test_scaled_twice_scales_in_turn(self):
+        f = polynomial_factor([0.3, 0.7], 1)
+        t = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_array_equal(f.scaled(3.0).scaled(0.1)(t), 0.1 * (3.0 * f(t)))
+        assert f.scaled(3.0).scaled(0.1).deriv_bound == pytest.approx(0.3 * 0.7)
+
     def test_table(self):
         f = table_factor([0, 0.5, 1], [0, 1, 0], 1.0, 2.0, 1)
         assert float(f(0.25)) == pytest.approx(0.5)
