@@ -22,7 +22,8 @@ from .tensor import Box
 
 EXHAUSTIVE_GUARD = 10 ** 9
 # cells per block array of the planar sweep (rows = cells // (n+1), at
-# least one), so memory stays O(n) while numpy does the O(n^2) work.
+# least one), so memory stays O(n) while numpy does the O(n^2) work;
+# dispersion_lower_estimate's (boxes, n, d) blocks are as large.
 # 64 KiB arrays measured fastest at n = 301 and n = 1000; fixed 64-row
 # blocks (155 KiB arrays at n = 301) were about 40 % slower there
 _BLOCK_CELLS = 8192
@@ -183,9 +184,12 @@ def _dispersion_2d(pts: np.ndarray) -> DispersionResult:
     by_y = np.argsort(ys, kind="stable")
     levels = np.append(ys[by_y], 1.0)
     best = _Best()
+    start = 0
+    while start < len(xs):  # an anchor block spans the columns start:
+        stop = start + max(1, _BLOCK_CELLS // (len(rights) - start))
+        _anchor_block(best, xs, ys, rights, start, stop)
+        start = stop
     rows = max(1, _BLOCK_CELLS // len(rights))
-    for start in range(0, len(xs), rows):
-        _anchor_block(best, xs, ys, rights, start, start + rows)
     for start in range(0, len(rights), rows):
         _left_wall_block(best, by_y, levels, rights, start, start + rows)
     return best.result()
@@ -203,21 +207,23 @@ def _offer_max(best: _Best, vols: np.ndarray, lower, upper):
 def _anchor_block(best: _Best, xs, ys, rights, start: int, stop: int):
     """Rectangles whose left edge passes through an anchor point, bounded
     above and below by the points between it and the right edge; the
-    points not right of the anchor take the neutral values 1.0 and 0.0."""
-    n = len(xs)
+    points not right of the anchor take the neutral values 1.0 and 0.0.
+    Only the columns start: are built: xs is sorted, so no point before
+    the first anchor lies right of any anchor of the block."""
     px, py = xs[start:stop, None], ys[start:stop, None]
-    right_of = xs > px
-    hi = np.ones((len(px), n + 1))
-    lo = np.zeros((len(px), n + 1))
-    np.copyto(hi[:, 1:], ys, where=right_of & (ys >= py))
-    np.copyto(lo[:, 1:], ys, where=right_of & (ys <= py))
+    xr, yr, rr = xs[start:], ys[start:], rights[start:]
+    right_of = xr > px
+    hi = np.ones((len(px), len(rr)))
+    lo = np.zeros((len(px), len(rr)))
+    np.copyto(hi[:, 1:], yr, where=right_of & (yr >= py))
+    np.copyto(lo[:, 1:], yr, where=right_of & (yr <= py))
     np.minimum.accumulate(hi, axis=1, out=hi)
     np.maximum.accumulate(lo, axis=1, out=lo)
     vols = hi - lo
-    vols *= rights - px
-    vols[:, :n][~right_of] = -np.inf
+    vols *= rr - px
+    vols[:, :-1][~right_of] = -np.inf
     _offer_max(best, vols, lambda b, j: (px[b, 0], lo[b, j]),
-               lambda b, j: (rights[j], hi[b, j]))
+               lambda b, j: (rr[j], hi[b, j]))
 
 
 def _left_wall_block(best: _Best, by_y, levels, rights, start: int, stop: int):
@@ -282,18 +288,25 @@ def _dispersion_exhaustive(pts: np.ndarray) -> DispersionResult:
 
 def dispersion_lower_estimate(ps: PointSet, boxes: int = 10_000,
                               seed: int = 0) -> float:
-    """Monte-Carlo lower estimate: best empty box among random candidates."""
+    """Monte-Carlo lower estimate: best empty box among random candidates.
+
+    Box k has lower corner lo and upper corner lo + u (1 - lo), with
+    (lo, u) the k-th (2, d) draw of one stream; the boxes come a block
+    at a time, so memory does not grow with ``boxes``."""
     g = rng.spawn(seed, 0xD15)
     pts = ps.points
+    step = max(1, _BLOCK_CELLS // max(1, pts.size))
     best = 0.0
-    for _ in range(boxes):
-        lo = g.random(ps.d)
-        hi = lo + g.random(ps.d) * (1.0 - lo)
-        vol = float(np.prod(hi - lo))
-        if vol > best:
-            inside = np.all((pts > lo) & (pts < hi), axis=1)
-            if not inside.any():
-                best = vol
+    for start in range(0, boxes, step):
+        lo, u = g.random((min(step, boxes - start), 2, ps.d)).transpose(1, 0, 2)
+        hi = lo + u * (1.0 - lo)
+        vol = np.prod(hi - lo, axis=1)
+        # only a box larger than the best so far can change it
+        big = vol > best
+        lo, hi, vol = lo[big, None], hi[big, None], vol[big]
+        empty = ~np.any(np.all((pts > lo) & (pts < hi), axis=2), axis=1)
+        if empty.any():
+            best = float(vol[empty].max())
     return best
 
 

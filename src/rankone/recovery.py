@@ -21,6 +21,9 @@ from .errors import BudgetTooSmallError, NonzeroCenterError, ParameterError
 from .tensor import QueryOracle
 from .univariate import PiecewisePolynomial, block_chebyshev_nodes, interpolate_line
 
+# cells (lines x m x d) of one query slab in recover: 2 MiB of points
+_BLOCK_CELLS = 1 << 18
+
 # Empirical constants for the error contract
 #   sup error <= C * M * d^(r+1) * n2^(-r),
 # fitted per smoothness order over the reference smooth-factor family by
@@ -115,14 +118,19 @@ def recover(oracle: QueryOracle, z_star, cfg: RecoveryConfig) -> RankOneApproxim
             f"|f(z*)| = {abs(center)} below guard {cfg.min_center_value}; "
             "amplification risk")
 
-    # all d axis lines as one (d, m, d) block, queried in axis-major order;
-    # a node equal to z*_i reuses f(z*) instead of a query
+    # the d axis lines, queried in axis-major order as (lines, m, d) slabs
+    # of at most _BLOCK_CELLS cells once the budget is known to cover
+    # them all; a node equal to z*_i reuses f(z*) instead of a query
     nodes = block_chebyshev_nodes(m, cfg.r)
-    axes = np.arange(d)
-    points = np.tile(z, (d, len(nodes), 1))
-    points[axes, :, axes] = nodes
-    reuse = nodes == z[:, None]
-    vals = np.full(reuse.shape, center)
-    vals[~reuse] = oracle.evaluate_batch(points[~reuse])
+    query = nodes != z[:, None]
+    oracle.require(int(query.sum()))
+    vals = np.full(query.shape, center)
+    step = max(1, _BLOCK_CELLS // (len(nodes) * d))
+    for start in range(0, d, step):
+        lines = slice(start, min(start + step, d))
+        axes = np.arange(lines.stop - start)
+        points = np.tile(z, (len(axes), len(nodes), 1))
+        points[axes, :, start + axes] = nodes
+        vals[lines][query[lines]] = oracle.evaluate_batch(points[query[lines]])
     return RankOneApproximant(lines=interpolate_line(nodes, vals, cfg.r),
                               center_value=center)

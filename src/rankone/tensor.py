@@ -158,10 +158,14 @@ class QueryOracle:
     def d(self) -> int:
         return self.target.d
 
-    def _charge(self, k: int):
+    def require(self, k: int):
+        """Raise BudgetExhaustedError unless k more queries fit the budget."""
         if self.budget is not None and self.query_count + k > self.budget:
             raise BudgetExhaustedError(
                 f"budget {self.budget} exhausted ({self.query_count} used, {k} requested)")
+
+    def _charge(self, k: int):
+        self.require(k)
         self.query_count += k
 
     def evaluate(self, x) -> float:
@@ -301,11 +305,22 @@ def sup_distance_bound(t: RankOneTensor,
         F[:, rows] = t.factor_values(T).T
         G[:, rows] = lines(T).T
 
+    # per-line maxima of |f_i| and |g_i|, block by block
+    fmax = gmax = np.zeros(d)
+    for rows in _row_blocks(grid, d):
+        fmax = np.maximum(fmax, np.max(np.abs(F[:, rows]), axis=1))
+        gmax = np.maximum(gmax, np.max(np.abs(G[:, rows]), axis=1))
+
+    # fit mu_i on line i scaled by 2^-e, e the exponent of max |g_i|:
+    # the same bits as on the raw line, but no squared norm underflows.
+    # A zero line, or a fit past the float range, falls back below.
     log_target = -(d - 1) * math.log(abs(scale))
     mu = np.empty(d)
-    for i in range(d):
-        gg = float(G[i] @ G[i])
-        mu[i] = (G[i] @ F[i]) / gg if gg > 1e-300 else 0.0
+    for i, e in enumerate(np.frexp(gmax)[1].tolist()):
+        g = np.ldexp(G[i], -e)
+        gg = float(g @ g)
+        q = (g @ F[i]) / gg if gg > 0.0 else 0.0
+        mu[i] = math.ldexp(q, -e) if math.frexp(q)[1] - e <= 1024 else 0.0
     mu[mu == 0.0] = math.exp(log_target / d)
     # make prod(mu) = scale^-(d-1): the magnitude spread evenly over the
     # factors, a sign mismatch folded into the first factor
@@ -313,13 +328,10 @@ def sup_distance_bound(t: RankOneTensor,
     if np.sign(scale) ** (d - 1) * np.prod(np.sign(mu)) < 0:
         mu[0] = -mu[0]
 
-    # per-line maxima of |f_i - mu_i g_i|, |f_i| and |g_i|, block by block
-    err = fmax = gmax = np.zeros(d)
+    # per-line maxima of |f_i - mu_i g_i|, block by block
+    err = np.zeros(d)
     for rows in _row_blocks(grid, d):
-        Fb, Gb = F[:, rows], G[:, rows]
-        err = np.maximum(err, np.max(np.abs(Fb - mu[:, None] * Gb), axis=1))
-        fmax = np.maximum(fmax, np.max(np.abs(Fb), axis=1))
-        gmax = np.maximum(gmax, np.max(np.abs(Gb), axis=1))
+        err = np.maximum(err, np.max(np.abs(F[:, rows] - mu[:, None] * G[:, rows]), axis=1))
     # max_j |mu g_j| = |mu| max_j |g_j|, as rounding is monotone
     bmax = np.abs(mu) * gmax
     before = np.concatenate(([1.0], np.cumprod(bmax[:-1])))

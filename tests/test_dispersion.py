@@ -1,12 +1,17 @@
 import bisect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankone import rng
+import rankone
+from rankone import dispersion, rng
 from rankone.dispersion import (PointSet, disp_probability_bound,
                                 dispersion_lower_estimate, exact_dispersion,
                                 halton, n_disp_upper, radical_inverse,
@@ -79,6 +84,20 @@ def reference_dispersion_2d(pts: np.ndarray):
     return best[0], np.array(best[1]), np.array(best[2])
 
 
+def reference_lower_estimate(ps: PointSet, boxes: int, seed: int) -> float:
+    """The one-box-at-a-time loop that dispersion_lower_estimate replaced."""
+    g = rng.spawn(seed, 0xD15)
+    best = 0.0
+    for _ in range(boxes):
+        lo = g.random(ps.d)
+        hi = lo + g.random(ps.d) * (1.0 - lo)
+        vol = float(np.prod(hi - lo))
+        if vol > best:
+            if not np.all((ps.points > lo) & (ps.points < hi), axis=1).any():
+                best = vol
+    return best
+
+
 def assert_matches_reference(pts):
     res = exact_dispersion(PointSet(points=pts, provenance="x"))
     value, lower, upper = reference_dispersion_2d(np.asarray(pts, dtype=float))
@@ -132,12 +151,39 @@ class TestPointSet:
         with pytest.raises(ParameterError):
             PointSet.from_csv(path)
 
-    @pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    # d = 5, 9 and 13 take the Philox blocks after the first
+    @pytest.mark.parametrize("seed", [0, 12345, 2 ** 63 - 1, 2 ** 64 - 1, -1])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 13])
     def test_uniform_rows_are_per_index_streams(self, seed, d):
         ps = uniform_pointset(7, d, seed)
         for i in range(7):
             np.testing.assert_array_equal(ps.points[i], rng.spawn(seed, i).random(d))
+
+    @pytest.mark.parametrize("d", [1, 13])
+    def test_uniform_rows_across_stream_passes(self, d):
+        # two full passes of streams and a ragged third one
+        n = 2 * (rng._PASS_BLOCKS // -(-d // 4)) + 3
+        ps = uniform_pointset(n, d, 2 ** 64 - 1)
+        for i in range(n):
+            np.testing.assert_array_equal(ps.points[i], rng.spawn(2 ** 64 - 1, i).random(d))
+
+    def test_uniform_sets_leave_numpy_random_unimported(self):
+        code = ("import sys\n"
+                "import numpy\n"
+                "print('numpy.random' in sys.modules)\n"
+                "from rankone import cli\n"
+                "from rankone.dispersion import exact_dispersion, uniform_pointset\n"
+                "exact_dispersion(uniform_pointset(301, 2, 5))\n"
+                "cli.main(['dispersion', '--generator', 'uniform', '--n', '20', '--d', '3'])\n"
+                "print('numpy.random' in sys.modules)\n")
+        src = str(Path(rankone.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        lines = out.stdout.splitlines()
+        if lines[0] == "True":
+            pytest.skip("this numpy imports numpy.random itself")
+        assert lines[-1] == "False"
 
     def test_uniform_is_pure_in_seed_and_index(self):
         a = uniform_pointset(10, 4, seed=3)
@@ -194,6 +240,18 @@ class TestExactDispersion:
         sub = exact_dispersion(PointSet(points=pts[:-1], provenance="x")).value
         assert sub >= full - 1e-12
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_lower_estimate_matches_per_box_loop(self, d):
+        for n in (1, 4, 40, 301):
+            ps = uniform_pointset(n, d, seed=n)
+            for boxes, seed in ((1, 0), (2500, 3), (9000, d)):
+                assert (dispersion_lower_estimate(ps, boxes=boxes, seed=seed)
+                        == reference_lower_estimate(ps, boxes, seed))
+
+    def test_lower_estimate_of_empty_set_is_largest_box(self):
+        ps = PointSet(points=np.empty((0, 3)), provenance="x")
+        assert dispersion_lower_estimate(ps, boxes=500) == reference_lower_estimate(ps, 500, 0)
+
     def test_lower_estimate_never_exceeds_exact(self):
         ps = uniform_pointset(12, 3, seed=2)
         exact = exact_dispersion(ps).value
@@ -247,6 +305,23 @@ class TestPlanarSweepPinned:
 
     def test_grid_301(self):
         pts = np.round(np.random.default_rng(5).random((301, 2)) * 16) / 16
+        assert_matches_reference(pts)
+
+    @pytest.mark.parametrize("run", [2, 5, 28])
+    def test_shared_x_runs_across_anchor_blocks(self, run):
+        # anchor blocks at n = 301 start at 0, 27, 56, ...: runs of equal
+        # x cross those boundaries, with tied y and points on the walls
+        g = np.random.default_rng(run)
+        xs = np.repeat(np.linspace(0.0, 1.0, -(-301 // run)), run)[:301]
+        ys = np.round(g.random(301) * 12) / 12
+        assert_matches_reference(np.column_stack((g.permutation(xs), ys)))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_small_anchor_blocks(self, seed, monkeypatch):
+        # a few rows per block, so that each run of equal x spans blocks
+        monkeypatch.setattr(dispersion, "_BLOCK_CELLS", 40)
+        g = np.random.default_rng(seed)
+        pts = np.round(g.random((int(g.integers(2, 41)), 2)) * 6) / 6
         assert_matches_reference(pts)
 
 

@@ -1,15 +1,19 @@
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rankone.errors import (BudgetTooSmallError, NonzeroCenterError,
-                            ParameterError)
+from rankone import recovery
+from rankone.errors import (BudgetExhaustedError, BudgetTooSmallError,
+                            NonzeroCenterError, ParameterError)
+from rankone.pipeline import family_shifted_smooth
 from rankone.recovery import (CALIBRATED_ERROR_CONSTANT, RecoveryConfig,
                               error_constant, min_budget, recover, required_n2)
 from rankone.tensor import QueryOracle, RankOneTensor, sup_distance_bound
-from rankone.univariate import make_bump, polynomial_factor, trig_factor
+from rankone.univariate import (block_chebyshev_nodes, interpolate_line, make_bump,
+                                polynomial_factor, trig_factor)
 
 
 def poly_tensor(d, r, coeffs):
@@ -197,6 +201,68 @@ class TestRecover:
                                            ap.center_value, grid=2001,
                                            samples=500)
                 assert up <= error_constant(r) * M * 3 ** (r + 1) * n2 ** (-r)
+
+
+def reference_recover(oracle, z, cfg):
+    """recover as it was before blocking: all d lines as one (d, m, d)
+    query array, charged in one batch."""
+    d = oracle.d
+    center = oracle.evaluate(z)
+    nodes = block_chebyshev_nodes((cfg.budget_n2 - 1) // d, cfg.r)
+    axes = np.arange(d)
+    points = np.tile(z, (d, len(nodes), 1))
+    points[axes, :, axes] = nodes
+    reuse = nodes == z[:, None]
+    vals = np.full(reuse.shape, center)
+    vals[~reuse] = oracle.evaluate_batch(points[~reuse])
+    return interpolate_line(nodes, vals, cfg.r)
+
+
+class TestBlockedLines:
+    """recover queries its lines a slab at a time: same queries, in the
+    same order, and the same values as the one-piece construction."""
+
+    @pytest.mark.parametrize("block_cells", [None, 1, 500])
+    @pytest.mark.parametrize("d", [1, 3, 37])
+    def test_matches_unblocked_construction(self, d, block_cells, monkeypatch):
+        if block_cells is not None:  # one line per slab, or a few
+            monkeypatch.setattr(recovery, "_BLOCK_CELLS", block_cells)
+        for r in (1, 3, 5):
+            t = family_shifted_smooth(d, r, 10.0, np.random.default_rng(d + r))
+            z = np.random.default_rng(r).random(d)
+            z[::2] = 0.5  # a middle node: those lines reuse f(z*)
+            cfg = RecoveryConfig(r=r, budget_n2=1 + d * 3 * r + d - 1)
+            got, want = QueryOracle(t, log=True), QueryOracle(t, log=True)
+            ap = recover(got, z, cfg)
+            ref = reference_recover(want, z, cfg)
+            assert got.query_count == want.query_count < 1 + d * 3 * r
+            assert np.array_equal(ap.lines.values, ref.values)
+            assert len(got.query_log) == len(want.query_log)
+            for (x, v), (y, w) in zip(got.query_log, want.query_log):
+                assert np.array_equal(x, y) and v == w
+
+    def test_budget_checked_before_any_line_query(self, monkeypatch):
+        monkeypatch.setattr(recovery, "_BLOCK_CELLS", 1)
+        t = poly_tensor(4, 2, [0.5, 0.2])
+        o = QueryOracle(t, budget=20)  # the center and 19 of 24 line queries
+        with pytest.raises(BudgetExhaustedError):
+            recover(o, np.full(4, 0.3), RecoveryConfig(r=2, budget_n2=25))
+        assert o.query_count == 1
+
+    def test_memory_at_d_1000(self):
+        # n2 = 10,001 is plan's budget at d = 1000 for r=5, M=10, eps=0.1;
+        # the one-piece (d, m, d) array and its masked copy were 170 MB
+        d, r = 1000, 5
+        t = family_shifted_smooth(d, r, 10.0, np.random.default_rng(0))
+        o = QueryOracle(t)
+        tracemalloc.start()
+        try:
+            recover(o, np.full(d, 0.3), RecoveryConfig(r=r, budget_n2=10_001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert o.query_count == 10_001
+        assert peak <= 40_000_000
 
 
 class TestSmallCenterStability:

@@ -341,6 +341,26 @@ class TestSupDistanceBound:
         args = (t, ap.line_interpolants, ap.center_value, 777, 1500, 5)
         assert sup_distance_bound(*args) == reference_sup_distance_bound(*args)
 
+    def test_fit_survives_a_tiny_factor(self):
+        # with its first factor scaled by 2^-560, every line and f(z*)
+        # scale by 2^-560, so the raw squared line norms (~1e-337)
+        # underflow; the fit on lines scaled by a power of two must still
+        # give the unscaled bracket, scaled
+        t = family_shifted_smooth(3, 3, 10.0, np.random.default_rng(7))
+        tiny = RankOneTensor(factors=(t.factors[0].scaled(2.0 ** -560),) + t.factors[1:],
+                             r=t.r, M=t.M)
+        z = np.array([0.3, 0.6, 0.8])
+        brackets = []
+        for u in (t, tiny):
+            ap = recover(QueryOracle(u), z, RecoveryConfig(r=3, budget_n2=1 + 3 * 30))
+            brackets.append(sup_distance_bound(u, ap.line_interpolants, ap.center_value,
+                                               grid=2001, samples=5000, seed=1))
+        (up, lo), (tiny_up, tiny_lo) = brackets
+        assert tiny_lo == lo * 2.0 ** -560
+        # the log-form normalization of mu rounds differently at this
+        # scale; sup|f| = 1, so 1e-12 is relative to the function
+        assert math.ldexp(tiny_up, 560) == pytest.approx(up, rel=0, abs=1e-12)
+
     def test_lines_of_different_layouts_rejected(self):
         t = product_tensor()
         lines = list(self._recover(t, 30).line_interpolants)
