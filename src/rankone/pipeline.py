@@ -89,14 +89,17 @@ def family_shifted_smooth(d: int, r: int, M: float, gen: np.random.Generator,
 
     Each factor is monotone on [0, 1], so these bounds are declared
     rather than found from roots: sup 1 = p(0), and the r-th derivative
-    is the constant polyder(c, r)[0]."""
+    is the constant c_r r!, multiplied up as r, r-1, ..., 1 in that
+    order, which gives the bits of polyder(c, r)[0]."""
     bmax = min(M / math.factorial(r), 0.1)
     ab = gen.random((d, 2))  # (a, b) per factor, drawn in factor order
     C = np.zeros((r + 1, d))  # column i: ascending coefficients of factor i
     C[0] = 1.0
     C[1] = -(0.1 * ab[:, 0])
     C[r] += -(bmax * ab[:, 1])
-    deriv = np.abs(np.polynomial.polynomial.polyder(C, r)[0])
+    deriv = np.abs(C[r])
+    for k in range(r, 0, -1):
+        deriv = deriv * k
     factors = tuple(
         UnivariateFactor(fn=None, sup_bound=1.0, deriv_bound=float(deriv[i]), r=r,
                          kind="polynomial-piecewise", params=tuple(C[:, i].tolist()))
@@ -198,6 +201,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.trials < 0:
             raise ParameterError("trials must be nonnegative")
+        # the bracket measures nothing on fewer points
+        for name, least in (("grid", 2), ("samples", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
     def to_dict(self) -> Dict[str, Any]:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}  # type: ignore[attr-defined]

@@ -20,10 +20,14 @@ from .univariate import KERNELS, PiecewisePolynomial, UnivariateFactor
 
 DEFAULT_GRID = 10_001
 DEFAULT_SAMPLES = 100_000
-# cells (rows x d) of one block: value_batch, sup_norm and the bracket
+# cells (rows x d) of one block: value_batch and the bracket's samples
 # work through their rows a block at a time, so no (rows, d) temporary
 # grows past this whatever the number of rows
 _BLOCK_CELLS = 2048
+# cells (columns x d x r) of one block of the 1-D grid in sup_norm and
+# the bracket: at most 2 MiB per (d, columns, r) temporary of the lines'
+# evaluation, so a grid of 801 points at r = 5 is one block up to d = 65
+_GRID_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -52,9 +56,9 @@ class Box:
         return bool(np.all(x > self.lower) and np.all(x < self.upper))
 
 
-def _row_blocks(n: int, d: int) -> Iterator[slice]:
-    """Slices of at most _BLOCK_CELLS // d rows that cover range(n)."""
-    step = max(1, _BLOCK_CELLS // d)
+def _row_blocks(n: int, d: int, cells: int = _BLOCK_CELLS) -> Iterator[slice]:
+    """Slices of at most cells // d rows (at least one) that cover range(n)."""
+    step = max(1, cells // d)
     return (slice(s, min(s + step, n)) for s in range(0, n, step))
 
 
@@ -194,11 +198,12 @@ class QueryOracle:
         return vals
 
 
-def _grid_blocks(ts: np.ndarray, d: int):
-    """(rows, T) per row block of the grid ts, T[:, i] = ts[rows] for
-    every axis i: a read-only (len(rows), d) view."""
-    for rows in _row_blocks(len(ts), d):
-        yield rows, np.broadcast_to(ts[rows, None], (rows.stop - rows.start, d))
+def _grid_blocks(ts: np.ndarray, d: int, r: int = 1):
+    """(cols, T) per block of columns of the 1-D grid ts, T[:, i] =
+    ts[cols] for every axis i: a read-only (len(cols), d) view, with
+    len(cols) d r at most _GRID_CELLS."""
+    for cols in _row_blocks(len(ts), d * r, _GRID_CELLS):
+        yield cols, np.broadcast_to(ts[cols, None], (cols.stop - cols.start, d))
 
 
 def sup_norm(t: RankOneTensor, grid: int = DEFAULT_GRID) -> float:
@@ -285,8 +290,9 @@ def sup_distance_bound(t: RankOneTensor,
 
     ``approx`` holds one-line interpolants on one piece layout (as
     ``RankOneApproximant.line_interpolants`` gives them); they are
-    evaluated together.  Besides two (d, grid) arrays, the work runs in
-    row blocks of at most _BLOCK_CELLS cells, so memory does not grow
+    evaluated together, once per grid point for all lines.  Besides two
+    (d, grid) arrays, the work runs in blocks of at most _GRID_CELLS
+    grid cells and _BLOCK_CELLS sample cells, so memory does not grow
     with ``samples``.
     """
     d = t.d
@@ -297,19 +303,19 @@ def sup_distance_bound(t: RankOneTensor,
     lines = _stacked(approx)
 
     # f_i and g_i on the grid as row i of (d, grid) arrays, so that each
-    # line's dot products see one contiguous vector, as a lone line would
+    # line's dot products see one contiguous vector, as a lone line would;
+    # filled a block of grid columns at a time, with the per-line maxima
+    # of |f_i| and |g_i|
     ts = np.linspace(0.0, 1.0, grid)
     F = np.empty((d, grid))
     G = np.empty((d, grid))
-    for rows, T in _grid_blocks(ts, d):
-        F[:, rows] = t.factor_values(T).T
-        G[:, rows] = lines(T).T
-
-    # per-line maxima of |f_i| and |g_i|, block by block
     fmax = gmax = np.zeros(d)
-    for rows in _row_blocks(grid, d):
-        fmax = np.maximum(fmax, np.max(np.abs(F[:, rows]), axis=1))
-        gmax = np.maximum(gmax, np.max(np.abs(G[:, rows]), axis=1))
+    blocks = list(_grid_blocks(ts, d, lines.nodes.shape[1]))
+    for cols, T in blocks:
+        F[:, cols] = t.factor_values(T).T
+        G[:, cols] = lines(T).T
+        fmax = np.maximum(fmax, np.max(np.abs(F[:, cols]), axis=1))
+        gmax = np.maximum(gmax, np.max(np.abs(G[:, cols]), axis=1))
 
     # fit mu_i on line i scaled by 2^-e, e the exponent of max |g_i|:
     # the same bits as on the raw line, but no squared norm underflows.
@@ -330,8 +336,8 @@ def sup_distance_bound(t: RankOneTensor,
 
     # per-line maxima of |f_i - mu_i g_i|, block by block
     err = np.zeros(d)
-    for rows in _row_blocks(grid, d):
-        err = np.maximum(err, np.max(np.abs(F[:, rows] - mu[:, None] * G[:, rows]), axis=1))
+    for cols, _ in blocks:
+        err = np.maximum(err, np.max(np.abs(F[:, cols] - mu[:, None] * G[:, cols]), axis=1))
     # max_j |mu g_j| = |mu| max_j |g_j|, as rounding is monotone
     bmax = np.abs(mu) * gmax
     before = np.concatenate(([1.0], np.cumprod(bmax[:-1])))

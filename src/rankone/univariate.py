@@ -253,23 +253,34 @@ class PiecewisePolynomial:
         """Values at t, of t's shape.  With d lines, t[..., i] is a
         point on line i, so t has d as its last axis; when that axis has
         stride 0 (one point for all lines, as from ``np.broadcast_to``),
-        the piece lookup and the barycentric terms are done once."""
+        the piece lookup and the barycentric terms are made once per
+        point and serve every line."""
         t = np.asarray(t, dtype=float)
         tf = np.atleast_1d(t)
-        if self.values.ndim == 3 and tf.strides[-1] == 0:
-            tf = tf[..., :1]
+        shared = self.values.ndim == 3 and tf.strides[-1] == 0
+        if shared:
+            tf = tf[..., 0]
         j = np.clip(np.searchsorted(self.breakpoints, tf, side="right") - 1,
                     0, self.pieces - 1)
-        values = (self.values[j] if self.values.ndim == 2
-                  else self.values[np.arange(len(self.values)), j])
-        diff = tf[..., None] - self.nodes[j]
+        diff = tf[..., None] - self.nodes.take(j, axis=0)
         exact = np.abs(diff) <= 1e-300
         # guard exact node hits before dividing
-        terms = self.weights[j] / np.where(exact, 1.0, diff)
-        out = _node_sum(terms * values) / _node_sum(terms)
+        terms = self.weights.take(j, axis=0) / np.where(exact, 1.0, diff)
+        # each point's row in the (lines x pieces, r) table of values
+        k, r = self.nodes.shape
+        table = self.values.reshape(-1, r)
+        if self.values.ndim == 2:
+            rows = j
+        elif shared:  # shape (d,) + j.shape
+            rows = j + k * np.arange(len(self.values)).reshape((-1,) + (1,) * j.ndim)
+        else:
+            rows = j + k * np.arange(len(self.values))
+        out = _node_dot(terms, table, rows) / _node_sum(terms)
         if exact.any():
-            exact = np.broadcast_to(exact, values.shape)
-            out[exact.any(axis=-1)] = values[exact]
+            *at, q = np.nonzero(np.broadcast_to(exact, rows.shape + (r,)))
+            out[tuple(at)] = table[rows[tuple(at)], q]
+        if shared:
+            out = np.moveaxis(out, 0, -1)
         return float(out[0]) if t.ndim == 0 else out
 
 
@@ -282,6 +293,18 @@ def _node_sum(a: np.ndarray) -> np.ndarray:
     out = 0.0 + a[..., 0]
     for q in range(1, a.shape[-1]):
         out += a[..., q]
+    return out
+
+
+def _node_dot(terms: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """_node_sum(terms * table[rows]) bit for bit, terms broadcast
+    against the gathered rows; below 8 nodes one column of table at a
+    time, which spares numpy's slow loops over a short last axis."""
+    if table.shape[1] >= 8:
+        return _node_sum(terms * table.take(rows, axis=0))
+    out = 0.0 + terms[..., 0] * table[:, 0].take(rows)
+    for q in range(1, table.shape[1]):
+        out += terms[..., q] * table[:, q].take(rows)
     return out
 
 

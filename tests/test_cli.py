@@ -44,6 +44,21 @@ class TestExitCodes:
         assert run(["approx", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [
+        {"grid": 0, "samples": 0}, {"grid": 1}, {"samples": 0}, {"grid": 801.0},
+        {"samples": True}], ids=["grid-and-samples-0", "grid-1", "samples-0",
+                                 "grid-float", "samples-bool"])
+    def test_bracket_sizes_that_measure_nothing(self, tmp_path, capsys, extra):
+        # grid 0 and samples 0 once gave error_upper 0.0 and every trial
+        # within eps, with nothing measured
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 5, "M": 10.0, "d": 10, "eps": 0.1,
+                                   "family": "shifted_smooth", "trials": 3, **extra}))
+        out = tmp_path / "out"
+        assert run(["approx", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "trials.csv").exists()
+
     @pytest.mark.parametrize("row", ["0.5,nan", "inf,0.5"])
     def test_non_finite_points_file(self, tmp_path, capsys, row):
         pts = tmp_path / "pts.csv"

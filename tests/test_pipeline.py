@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from rankone import pipeline
 from rankone.dispersion import n_disp_upper, uniform_pointset
-from rankone.errors import ParameterError
+from rankone.errors import ConfigError, ParameterError
 from rankone.pipeline import (ExperimentConfig, convergence_sweep,
                               family_box_support, family_offcenter_triangle,
                               family_shifted_smooth, family_trig_smooth,
@@ -83,6 +84,16 @@ class TestFamilies:
                 assert f.sup_bound == exact.sup_bound == 1.0
                 assert f.deriv_bound == exact.deriv_bound
 
+    @pytest.mark.parametrize("r", range(1, 8))
+    def test_shifted_smooth_derivative_bound_is_polyders(self, r):
+        # c_r multiplied by r, r-1, ..., 1 is polyder's constant, bit for bit
+        for d, seed in itertools.product((1, 10, 100), range(20)):
+            t = family_shifted_smooth(d, r, 10.0, rng.spawn(seed, d))
+            C = np.array([f.params for f in t.factors]).T
+            polyder = np.abs(np.polynomial.polynomial.polyder(C, r)[0])
+            declared = np.array([f.deriv_bound for f in t.factors])
+            np.testing.assert_array_equal(declared.view(np.int64), polyder.view(np.int64))
+
     def test_trig_smooth_admissible(self):
         M = 0.2 * (2 * np.pi) ** 2
         t = family_trig_smooth(3, 2, M, rng.spawn(1))
@@ -122,6 +133,13 @@ class TestExperimentConfig:
         with pytest.raises(ParameterError):
             ExperimentConfig.from_dict({"r": 1, "M": 1.0, "d": 2, "eps": 0.1,
                                         "family": "nope"})
+
+    @pytest.mark.parametrize("extra", [{"grid": 1}, {"grid": 0}, {"samples": 0},
+                                       {"grid": 801.0}, {"samples": "200"}])
+    def test_bracket_sizes_validated(self, extra):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"r": 1, "M": 1.0, "d": 2, "eps": 0.1,
+                                        "family": "trig_smooth", **extra})
 
     def test_roundtrip_serialization(self):
         cfg = ExperimentConfig.from_dict({"r": 2, "M": 1.0, "d": 3,
@@ -175,7 +193,7 @@ class TestRunPipeline:
         assert r1 == r2
         assert s1 == s2
 
-    @pytest.mark.parametrize("d", [150, 1000])
+    @pytest.mark.parametrize("d", [150, 1000, 2000])
     def test_trivial_regime_at_large_d(self, d):
         # criterion 3's setting past the point where f(z*)^-(d-1) leaves
         # the float range (d = 150 raised OverflowError before)
@@ -185,7 +203,7 @@ class TestRunPipeline:
         rows, summary = run_pipeline(cfg)
         assert all(r["found"] and r["error_upper"] <= cfg.eps for r in rows)
         json.dumps(summary, allow_nan=False)
-        if d == 1000:  # whole blocks of r nodes per line: all of n2 is spent
+        if d >= 1000:  # whole blocks of r nodes per line: all of n2 is spent
             assert all(r["queries_phase2"] == summary["plan"]["n2"] for r in rows)
 
 

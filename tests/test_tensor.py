@@ -322,16 +322,29 @@ class TestSupDistanceBound:
 
     @pytest.mark.parametrize("d", [1, 2, 5, 10, 37])
     def test_matches_reference_bitwise(self, d):
-        # grid and samples are not multiples of any block's row count
+        # grid and samples are not multiples of any block's row count; the
+        # grids of 2 and 3 points hold only 0, 1/2 and 1; a z* on the node
+        # grid (on each axis whose factor is nonzero at the nearest node)
+        # makes that node's value the reused f(z*)
+        hits = 0
         for k, family in enumerate(sorted(FAMILIES)):
             r = 1 + (d + k) % 4
             t = ExperimentConfig(r=r, M=10.0, d=d, eps=0.1, family=family).make_tensor(k)
             z = np.random.default_rng(d).random(d)
             if t.value(z) == 0.0:  # support families: start from a nonzero
                 z = np.array([0.5 * sum(f.support or (0.5, 0.5)) for f in t.factors])
-            ap = recover(QueryOracle(t), z, RecoveryConfig(r=r, budget_n2=1 + 7 * r * d))
-            args = (t, ap.line_interpolants, ap.center_value, 1003, 2501, d + k)
-            assert sup_distance_bound(*args) == reference_sup_distance_bound(*args)
+            nodes = block_chebyshev_nodes(7 * r, r)
+            near = nodes[np.argmin(np.abs(nodes - z[:, None]), axis=1)]
+            on_nodes = np.array([x if f(x) != 0.0 else zi
+                                 for f, x, zi in zip(t.factors, near, z)])
+            hits += int(np.sum(on_nodes == near))
+            for center in (z, on_nodes):
+                ap = recover(QueryOracle(t), center,
+                             RecoveryConfig(r=r, budget_n2=1 + 7 * r * d))
+                for grid in (1003, 2, 3):
+                    args = (t, ap.line_interpolants, ap.center_value, grid, 2501, d + k)
+                    assert sup_distance_bound(*args) == reference_sup_distance_bound(*args)
+        assert hits >= 2 * d
 
     def test_mixed_kinds_match_reference_bitwise(self):
         t = mixed_tensor(3)
@@ -403,6 +416,17 @@ class TestBoundedMemory:
         # are 6.4 MB each
         assert peaks[1] <= peaks[0] + 1_000_000
         assert peaks[0] < 30_000_000
+
+    def test_bracket_grid_memory_is_bounded_at_high_r(self):
+        # from r = 8 the lines' (d, columns, r) temporaries hold r values
+        # per grid cell; in blocks of 2^18 grid cells they would be 19 MB each
+        d, r = 1000, 9
+        t = family_shifted_smooth(d, r, 10.0, np.random.default_rng(0))
+        nodes = block_chebyshev_nodes(r, r)
+        lines = interpolate_line(nodes, np.array([f(nodes) for f in t.factors]), r)
+        views = [replace(lines, values=v) for v in lines.values]
+        assert traced_peak(sup_distance_bound, t, views, 1.0, grid=801,
+                           samples=2_000, seed=1) < 30_000_000
 
     def test_value_batch_memory_grows_only_with_its_output(self):
         d = 100

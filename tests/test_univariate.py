@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,11 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankone.errors import ParameterError
-from rankone.univariate import (block_chebyshev_nodes, interp_error_bound,
+from rankone.univariate import (_node_sum, block_chebyshev_nodes, interp_error_bound,
                                 interpolate_line, make_bump, polynomial_factor,
                                 support_lower_bound, table_factor, trig_factor)
 
 EPS = np.finfo(float).eps
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
 
 
 def reference_eval(g, t):
@@ -36,6 +41,30 @@ def reference_eval(g, t):
         piece[hit_rows] = values[hit_cols]
         out[sel] = piece
     return out
+
+
+def reference_call(g, t):
+    """``PiecewisePolynomial.__call__`` as it was before it read the
+    values as rows of one table: gathered with two index arrays as a
+    (points, d, r) array, also when a last axis of stride 0 (one point
+    for all lines, as from ``np.broadcast_to``) makes the piece lookup
+    and the barycentric terms once per point."""
+    t = np.asarray(t, dtype=float)
+    tf = np.atleast_1d(t)
+    if g.values.ndim == 3 and tf.strides[-1] == 0:
+        tf = tf[..., :1]
+    j = np.clip(np.searchsorted(g.breakpoints, tf, side="right") - 1,
+                0, g.pieces - 1)
+    values = (g.values[j] if g.values.ndim == 2
+              else g.values[np.arange(len(g.values)), j])
+    diff = tf[..., None] - g.nodes[j]
+    exact = np.abs(diff) <= 1e-300
+    terms = g.weights[j] / np.where(exact, 1.0, diff)
+    out = _node_sum(terms * values) / _node_sum(terms)
+    if exact.any():
+        exact = np.broadcast_to(exact, values.shape)
+        out[exact.any(axis=-1)] = values[exact]
+    return float(out[0]) if t.ndim == 0 else out
 
 
 class TestInterpErrorBound:
@@ -271,6 +300,27 @@ class TestInterpolateLine:
             np.testing.assert_array_equal(lines.values[i], single.values)
             np.testing.assert_array_equal(out[:, i], single(T[:, i]))
         np.testing.assert_array_equal(lines(T[0]), out[0])
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 9])
+    def test_shared_points_match_reference_call_bitwise(self, r):
+        # a broadcast (T, d) grid, one point for all lines, gives the bits
+        # of the reference and of the same grid with a real last axis,
+        # exact node hits included
+        gen = np.random.default_rng(20 + r)
+        for d, k in itertools.product((1, 3, 37), (1, 2, 9)):
+            nodes = block_chebyshev_nodes(k * r, r)
+            lines = interpolate_line(nodes, gen.standard_normal((d, nodes.size)), r)
+            for ts in (np.linspace(0.0, 1.0, 801), np.linspace(0.0, 1.0, 2),
+                       np.linspace(0.0, 1.0, 3), np.concatenate([gen.random(50), nodes]),
+                       nodes[::-1]):
+                T = np.broadcast_to(ts[:, None], (len(ts), d))
+                out = lines(T)
+                assert out.shape == (len(ts), d)
+                np.testing.assert_array_equal(bits(out), bits(reference_call(lines, T)))
+                np.testing.assert_array_equal(bits(out), bits(lines(np.ascontiguousarray(T))))
+            T = np.broadcast_to(nodes[:, None], (nodes.size, d))
+            np.testing.assert_array_equal(lines(T).T, lines.values.reshape(d, -1))
+            np.testing.assert_array_equal(lines(np.broadcast_to(0.3, (d,))), lines(np.full(d, 0.3)))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 1000))
