@@ -139,9 +139,10 @@ def exact_dispersion(ps: PointSet) -> DispersionResult:
     """Largest empty open box with faces on point coordinates or cube faces.
 
     d=1 scans gaps; d=2 runs an exact planar maximal-empty-rectangle
-    sweep as blocked numpy array work, O(n^2) time and O(n) memory, so
-    large n is fine; d>=3 uses pruned exhaustive enumeration guarded by
-    the candidate count (n+2)^(2d) <= 1e9; beyond the guard an error
+    sweep in O(n) memory, so large n is fine: O(n^2) blocked numpy work
+    for anchored rectangles, one O(n) pass for those at the left wall;
+    d>=3 uses pruned exhaustive enumeration guarded by the candidate
+    count (n+2)^(2d) <= 1e9; beyond the guard an error
     directs to dispersion_lower_estimate.
     """
     if ps.n == 0:
@@ -170,38 +171,25 @@ def _dispersion_1d(xs: np.ndarray) -> DispersionResult:
 def _dispersion_2d(pts: np.ndarray) -> DispersionResult:
     """Exact planar sweep: anchor-at-point rectangles plus left-wall gaps.
 
-    Each family is evaluated one block of rows (anchors, or right edges)
-    at a time as a (rows, n+1) array of volumes, where column j is the
-    rectangle with right edge rights[j]; entries that are not rectangles
-    of the family are -inf.  Only the entries equal to a block's maximum
-    reach _Best, in row-major order, so every box that ties the overall
-    maximum goes through its tie-break.  A block's arrays are freed
-    before the next block is built.
+    The anchors are evaluated a block at a time as a (rows, n+1) array
+    of volumes, where column j is the rectangle with right edge
+    rights[j]; entries that are not rectangles of the family are -inf.
+    Only the entries equal to a block's maximum reach _Best, in
+    row-major order, so every box that ties the overall maximum goes
+    through its tie-break.  A block's arrays are freed before the next
+    block is built.  The left-wall family takes one O(n) pass.
     """
     order = np.argsort(pts[:, 0], kind="stable")
     xs, ys = pts[order, 0], pts[order, 1]
     rights = np.append(xs, 1.0)
-    by_y = np.argsort(ys, kind="stable")
-    levels = np.append(ys[by_y], 1.0)
     best = _Best()
     start = 0
     while start < len(xs):  # an anchor block spans the columns start:
         stop = start + max(1, _BLOCK_CELLS // (len(rights) - start))
         _anchor_block(best, xs, ys, rights, start, stop)
         start = stop
-    rows = max(1, _BLOCK_CELLS // len(rights))
-    for start in range(0, len(rights), rows):
-        _left_wall_block(best, by_y, levels, rights, start, start + rows)
+    _left_wall(best, xs, ys, rights)
     return best.result()
-
-
-def _offer_max(best: _Best, vols: np.ndarray, lower, upper):
-    """Offer the entries equal to the block maximum, if it can still win;
-    lower(b, j) and upper(b, j) give the witness corners of entry (b, j)."""
-    vmax = vols.max()
-    if vmax >= best.volume:
-        for b, j in zip(*np.nonzero(vols == vmax)):
-            best.offer(float(vols[b, j]), lower(b, j), upper(b, j))
 
 
 def _anchor_block(best: _Best, xs, ys, rights, start: int, stop: int):
@@ -222,30 +210,54 @@ def _anchor_block(best: _Best, xs, ys, rights, start: int, stop: int):
     vols = hi - lo
     vols *= rr - px
     vols[:, :-1][~right_of] = -np.inf
-    _offer_max(best, vols, lambda b, j: (px[b, 0], lo[b, j]),
-               lambda b, j: (rr[j], hi[b, j]))
+    vmax = vols.max()
+    if vmax >= best.volume:  # offer the entries equal to it, if it can win
+        for b, j in zip(*np.nonzero(vols == vmax)):
+            best.offer(float(vols[b, j]), (px[b, 0], lo[b, j]), (rr[j], hi[b, j]))
 
 
-def _left_wall_block(best: _Best, by_y, levels, rights, start: int, stop: int):
-    """Rectangles touching the left wall: for right edge rights[j], the
-    y-gaps between consecutive kept levels (the points before j in y
-    order, then the top wall), each running down from the last kept level
-    below it or from the floor.  That level is gathered by index, which
-    keeps its sign of zero."""
-    n = len(by_y)
-    right = rights[start:stop, None]
-    kept = np.ones((len(right), n + 1), dtype=bool)
-    kept[:, :n] = by_y < np.arange(start, start + len(right))[:, None]
-    last = np.zeros((len(right), n + 1), dtype=np.intp)
-    np.copyto(last[:, 1:], np.arange(1, n + 1), where=kept[:, :n])
-    np.maximum.accumulate(last, axis=1, out=last)
-    below = np.append(0.0, levels)[last]
-    vols = levels - below  # the gaps, then scaled in place to volumes
-    kept &= (vols > 0.0) & (right > 0.0)
-    vols *= right
-    vols[~kept] = -np.inf
-    _offer_max(best, vols, lambda b, j: (0.0, below[b, j]),
-               lambda b, j: (right[b, 0], levels[j]))
+def _left_wall(best: _Best, xs, ys, rights):
+    """Rectangles touching the left wall, in O(n) after the sorts.
+
+    Row j of the family keeps the points before j in x order; its boxes
+    run from the left wall to rights[j] over the gaps between kept
+    levels.  The largest is a maximal rectangle (Naamad, Lee and Hsu,
+    1984): a strip at the right wall, or the gap at x_q around a point q
+    between the nearest points with a smaller x, found by a monotone
+    stack over the y order (its other gaps lie inside these).  Rounding
+    can let a box inside the largest tie its volume and win the
+    tie-break, so the witness is picked from every row's gap above the
+    winners' floor lo, as the row-by-row loop offered them."""
+    n = len(xs)
+    by_y = np.argsort(ys, kind="stable")
+    levels = np.append(ys[by_y], 1.0)
+    xq = xs[by_y]
+    key = xq.tolist()
+    below, above, stack = [-1] * n, [n] * n, []
+    for p, x in enumerate(key):
+        while stack and key[stack[-1]] >= x:
+            above[stack.pop()] = p
+        if stack:
+            below[p] = stack[-1]
+        stack.append(p)
+    floors = np.append(0.0, levels)
+    lo = np.append(floors[np.array(below, dtype=np.intp) + 1], floors[:-1])
+    right = np.append(xq, np.ones(n + 1))
+    # the strips' heights sum to 1, so vmax > 0, which no candidate of
+    # zero height or width reaches
+    vols = (np.append(levels[above], levels) - lo) * right
+    vmax = vols.max()
+    lo = lo[vols == vmax].min()
+    # row j's gap from the topmost kept level lo (or the floor) upward,
+    # in the rows from the one that first keeps a point at lo
+    top = np.minimum.accumulate(np.append(1.0, np.where(ys > lo, ys, 1.0)))
+    first = 0 if lo == 0.0 else int(np.argmax(ys == lo)) + 1
+    rows = first + np.flatnonzero((top[first:] - lo) * rights[first:] == vmax)
+    rows = rows[rights[rows] == rights[rows].min()]
+    j = rows[top[rows] == top[rows].min()][0]
+    kept = np.flatnonzero((levels[:-1] == lo) & (by_y < j))
+    best.offer(float(vmax), (0.0, levels[kept[-1]] if len(kept) else 0.0),
+               (rights[j], top[j]))
 
 
 def _dispersion_exhaustive(pts: np.ndarray) -> DispersionResult:

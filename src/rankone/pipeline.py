@@ -10,18 +10,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, InstanceTooLargeError, ParameterError
 from .recovery import RecoveryConfig, recover
 from .search import (REGIME_STRATEGY, STRATEGIES, BudgetPlan, SubsetSearchParams,
                      plan, run_search)
 from .specs import tensor_from_spec
 from .tensor import RankOneTensor, QueryOracle, sup_distance_bound, sup_norm
 from .univariate import UnivariateFactor, table_factor, trig_factor
+
+
+# The largest planned n1 that run_pipeline runs with n1 unset: 10^10
+# subset-search iterations of about 100 us (d = 10, 2-core host) are some
+# 10^6 s when f vanishes where the search looks.
+MAX_PLANNED_N1 = 10 ** 10
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96,
@@ -258,9 +265,15 @@ def run_trial(cfg: ExperimentConfig, bp: BudgetPlan, trial: int) -> Dict[str, An
 
 
 def run_pipeline(cfg: ExperimentConfig) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
-    """Execute all trials; returns (raw rows, aggregate summary)."""
+    """Execute all trials; returns (raw rows, aggregate summary).  A plan
+    past MAX_PLANNED_N1 that the run would use raises InstanceTooLargeError."""
     bp = plan(cfg.r, cfg.M, cfg.d, cfg.eps, V=cfg.V, p=cfg.p,
               prefer_deterministic=(cfg.strategy == "det"))
+    if cfg.n1 is None and cfg.strategy != "single" and bp.n1 > MAX_PLANNED_N1:
+        raise InstanceTooLargeError(
+            f"the {bp.regime} plan needs n1 = {Decimal(bp.n1):.3g} phase-1 "
+            f"iterations, past MAX_PLANNED_N1 = {MAX_PLANNED_N1:.0e}; set n1 "
+            "explicitly in the config to bound the search")
     rows = [run_trial(cfg, bp, t) for t in range(cfg.trials)]
 
     n_ok = sum(1 for r in rows if r["error_upper"] <= cfg.eps)

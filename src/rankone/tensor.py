@@ -20,13 +20,15 @@ from .univariate import KERNELS, PiecewisePolynomial, UnivariateFactor
 
 DEFAULT_GRID = 10_001
 DEFAULT_SAMPLES = 100_000
-# cells (rows x d) of one block: value_batch and the bracket's samples
-# work through their rows a block at a time, so no (rows, d) temporary
-# grows past this whatever the number of rows
+# cells (rows x d) of one block: value_batch works through its rows a
+# block at a time, so no (rows, d) temporary grows past this whatever
+# the number of rows
 _BLOCK_CELLS = 2048
-# cells (columns x d x r) of one block of the 1-D grid in sup_norm and
-# the bracket: at most 2 MiB per (d, columns, r) temporary of the lines'
-# evaluation, so a grid of 801 points at r = 5 is one block up to d = 65
+# cells (points x d x r) of one block of the 1-D grid in sup_norm and
+# the bracket, and of the bracket's samples: at most 2 MiB per (points,
+# d, r) temporary of the lines' evaluation, so a grid of 801 points at
+# r = 5 is one block up to d = 65, and a sample block holds 26 rows at
+# d = 2000
 _GRID_CELLS = 1 << 18
 
 
@@ -292,8 +294,7 @@ def sup_distance_bound(t: RankOneTensor,
     ``RankOneApproximant.line_interpolants`` gives them); they are
     evaluated together, once per grid point for all lines.  Besides two
     (d, grid) arrays, the work runs in blocks of at most _GRID_CELLS
-    grid cells and _BLOCK_CELLS sample cells, so memory does not grow
-    with ``samples``.
+    grid or sample cells, so memory does not grow with ``samples``.
     """
     d = t.d
     if len(approx) != d:
@@ -348,7 +349,7 @@ def sup_distance_bound(t: RankOneTensor,
     # one (samples, d) draw
     gen = rng.spawn(seed, 0x5D)
     lower = 0.0
-    for rows in _row_blocks(samples, d):
+    for rows in _row_blocks(samples, d * lines.nodes.shape[1], _GRID_CELLS):
         X = gen.random((rows.stop - rows.start, d))
         av = np.multiply.reduce(lines(X) / scale, axis=1)
         lower = np.maximum(lower, np.max(np.abs(t.value_batch(X) - scale * av)))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -58,6 +59,24 @@ class TestExitCodes:
         assert run(["approx", "--config", str(cfg), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (out / "trials.csv").exists()
+
+    @pytest.mark.parametrize("extra, code", [({}, 3), ({"n1": 50}, 0),
+                                             ({"strategy": "single"}, 0)],
+                             ids=["planned", "n1-set", "single-draw"])
+    def test_plan_out_of_reach(self, tmp_path, capsys, extra, code):
+        # this setting plans n1 = 4.86e12 subset-search iterations, and f
+        # vanishes where they look: the run once went on for minutes
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 3, "M": 10.0, "d": 10, "eps": 0.1,
+                                   "family": "offcenter_triangle", "trials": 2,
+                                   "grid": 801, "samples": 200, **extra}))
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert run(["approx", "--config", str(cfg), "--out", str(out)]) == code
+        if code == 3:  # refused before trial 0
+            assert time.perf_counter() - start < 1.0
+            assert "set n1 explicitly" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("row", ["0.5,nan", "inf,0.5"])
     def test_non_finite_points_file(self, tmp_path, capsys, row):

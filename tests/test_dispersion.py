@@ -325,6 +325,57 @@ class TestPlanarSweepPinned:
         assert_matches_reference(pts)
 
 
+class TestLeftWallPass:
+    """Sets whose largest empty box touches the left wall, against the
+    row-by-row loop, bit for bit."""
+
+    @staticmethod
+    def assert_left_wall_winner(pts):
+        assert_matches_reference(pts)
+        res = exact_dispersion(PointSet(points=pts, provenance="x"))
+        assert res.witness_box.lower[0] == 0.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_points_clustered_right(self, seed):
+        g = np.random.default_rng(seed)
+        pts = g.random((int(g.integers(1, 61)), 2))
+        pts[:, 0] = 0.5 + 0.5 * pts[:, 0]
+        if seed % 2:  # shared x and y
+            pts = np.round(pts * 16) / 16
+        self.assert_left_wall_winner(pts)
+
+    @pytest.mark.parametrize("pts", [
+        [[0.7, 0.2], [0.7, 0.5], [0.7, 0.8], [0.9, 0.1], [0.9, 0.9], [0.95, 0.5]],
+        [[0.6, y] for y in (0.1, 0.3, 0.5, 0.7, 0.9)] + [[0.8, 0.5], [1.0, 0.2]],
+        [[0.0, 0.1], [0.0, 0.25], [1.0, 0.5], [1.0, 0.7], [0.8, 0.4], [0.8, 0.95]],
+        [[1.0, 0.5], [0.5, -0.0], [0.0, -0.0], [1.0, 1.0]],
+        [[0.3, -0.0], [0.9, 0.5]],
+        [[0.2, 0.0], [0.3, -0.0], [0.9, 0.5]],
+        [[0.2, -0.0], [0.3, 0.0], [0.9, 0.5]],
+        # a box inside the largest one ties its volume only by rounding,
+        # and the tie-break takes it: a right edge and a top one ulp lower
+        [[0.3000000000000001, 0.6000000000000001], [0.9000000000000001, 0.2999999999999999],
+         [0.9, 0.9], [0.6, 0.65]],
+        [[0.85, 0.6], [0.85, 0.4499999999999999], [0.29999999999999993, 0.6000000000000001],
+         [0.5, 0.65]],
+    ], ids=["equal-x-right-edge", "equal-x-column", "walls", "right-wall-point",
+            "negative-zero-below", "zeros-below", "zeros-below-flipped",
+            "rounding-tie-right", "rounding-tie-top"])
+    def test_hand_made_sets(self, pts):
+        self.assert_left_wall_winner(np.array(pts, dtype=float))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([4, 6, 8]),
+           st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                    min_size=1, max_size=40),
+           st.booleans())
+    def test_grid_sets(self, steps, cells, negative_zero):
+        pts = np.array(cells) % (steps + 1) / steps
+        if negative_zero:
+            pts[pts == 0] = -0.0
+        assert_matches_reference(pts)
+
+
 class TestCostBounds:
     def test_probability_bound_clamps_small_n(self):
         assert disp_probability_bound(5, 2, 0.3) == 0.0
