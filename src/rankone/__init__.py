@@ -12,8 +12,8 @@ from .errors import (BudgetExhaustedError, BudgetTooSmallError, ConfigError,
                      ParameterError)
 from .pipeline import (ExperimentConfig, convergence_sweep, fit_order,
                        run_pipeline, wilson_interval)
-from .recovery import (RankOneApproximant, RecoveryConfig, error_constant,
-                       min_budget, recover, required_n2)
+from .recovery import (RankOneApproximant, RecoveryConfig, min_budget, recover,
+                       required_n2)
 from .search import (BudgetPlan, SearchOutcome, SubsetSearchParams, plan,
                      run_search, search_deterministic, search_subset,
                      search_uniform_multi, search_uniform_single,

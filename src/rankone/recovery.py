@@ -5,8 +5,9 @@ g_i(t) = f(z*_1, ..., t, ..., z*_d) satisfy
 f(x) = f(z*) * prod_i (g_i(x_i) / f(z*)), so interpolating each line
 and taking that normalized product reconstructs f.  Each normalized
 line is f_i(x_i) / f_i(z*_i), so no power of f(z*) is ever formed and
-the product stays in the float range at any d.  With block-Chebyshev
-nodes the sup error decays like n^(-r) in the total budget n.
+the product stays in the float range at any d.  With k blocks of r
+Chebyshev nodes per line the sup error decays like k^(-r);
+``required_n2`` plans the least k the remainder bound allows.
 """
 
 from __future__ import annotations
@@ -17,31 +18,14 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import BudgetTooSmallError, NonzeroCenterError, ParameterError
+from .errors import (BudgetTooSmallError, InstanceTooLargeError, NonzeroCenterError,
+                     ParameterError)
 from .tensor import QueryOracle
 from .univariate import PiecewisePolynomial, block_chebyshev_nodes, interpolate_line
 
 # cells (lines x m x d) of one query slab in recover: 2 MiB of points
 _BLOCK_CELLS = 1 << 18
-
-# Empirical constants for the error contract
-#   sup error <= C * M * d^(r+1) * n2^(-r),
-# fitted per smoothness order over the reference smooth-factor family by
-# scripts/calibrate_error_constant.py (largest observed ratio, doubled).
-CALIBRATED_ERROR_CONSTANT = {
-    1: 0.93,
-    2: 0.57,
-    3: 1.04,
-    4: 0.49,
-    5: 0.19,
-}
-
-
-def error_constant(r: int) -> float:
-    """Calibrated constant for the reconstruction error contract."""
-    if r in CALIBRATED_ERROR_CONSTANT:
-        return CALIBRATED_ERROR_CONSTANT[r]
-    return CALIBRATED_ERROR_CONSTANT[max(CALIBRATED_ERROR_CONSTANT)]
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -80,12 +64,26 @@ class RankOneApproximant:
         return float(out) if x.ndim == 1 else out
 
 
-def required_n2(d: int, r: int, M: float, eps: float, C_r: float) -> int:
-    """Budget ceil(d * max(eps^(-1/r) (d C_r M)^(1/r), 2)) guaranteeing
-    reconstruction error <= eps under the error contract."""
-    if d < 1 or r < 1 or M <= 0 or eps <= 0 or C_r <= 0:
+def required_n2(d: int, r: int, M: float, eps: float) -> int:
+    """Least budget 1 + d r k, k blocks of r Chebyshev nodes per line
+    (k >= ceil(2/r): two nodes), with (1 + e_k)^d - 1 <= eps.
+
+    e_k = 2 M (1/(4k))^r / r! is the interpolation remainder of a line
+    with r-th derivative <= M, and (1 + e_k)^d - 1 bounds sup|f - A| for
+    factors of sup <= 1, wherever z* lies.  Computed in logs; a budget
+    past the float range raises InstanceTooLargeError.
+    """
+    if d < 1 or r < 1 or M <= 0 or eps <= 0:
         raise ParameterError("all planner inputs must be positive")
-    return math.ceil(d * max(eps ** (-1.0 / r) * (d * C_r * M) ** (1.0 / r), 2.0))
+    # log of the line allowance expm1(log1p(eps) / d), even if it underflows
+    log_u = math.log(math.log1p(eps)) - math.log(d)
+    u = math.exp(log_u)
+    log_e = log_u + (math.log(math.expm1(u) / u) if u else 0.0)
+    log_k = (math.log(M) + math.log(2.0) - math.lgamma(r + 1) - log_e) / r - math.log(4.0)
+    if math.log(d * r) + max(log_k, 0.0) >= _LOG_FLOAT_MAX:
+        raise InstanceTooLargeError("phase-2 budget n2 past the float range")
+    # the slack keeps a tie (a whole k in exact arithmetic) from rounding up
+    return 1 + d * r * max(math.ceil(math.exp(log_k) * (1 - 1e-12)), -(-2 // r))
 
 
 def min_budget(d: int, r: int) -> int:

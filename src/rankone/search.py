@@ -20,7 +20,7 @@ import numpy as np
 from . import rng
 from .dispersion import PointSet, halton, n_disp_upper, uniform_pointset
 from .errors import ParameterError
-from .recovery import error_constant, min_budget, required_n2
+from .recovery import required_n2
 from .tensor import QueryOracle
 
 _CHUNK_CAP = 4096
@@ -56,6 +56,8 @@ class SubsetSearchParams:
             raise ParameterError("eps must lie in (0, 1)")
         if not 0 < M < 2 ** r * rf:
             raise ParameterError(f"subset search requires 0 < M < 2^r r! = {2 ** r * rf}")
+        if 2 ** (r + 1) * rf > _FLOAT_MAX:  # the constants below need it as a float
+            raise ParameterError(f"subset search needs r <= 150, got r = {r}")
         delta = (1.0 / 2 ** (r + 1) + rf / (2.0 * M)) ** (1.0 / r) - 0.5
         d_star = max(1, math.ceil(
             math.log(1.0 / eps) / math.log(1.0 / (M / (2 ** (r + 1) * rf) + 0.5))))
@@ -221,10 +223,9 @@ def plan(r: int, M: float, d: int, eps: float, V: Optional[float] = None,
     surely), subset_search (r! eps < M < 2^r r!), support_class_random /
     support_class_deterministic (M >= 2^r r! but a support volume V is
     declared), intractable (M >= 2^r r!, no V: any algorithm needs 2^d
-    queries).  n2 always comes from the reconstruction cost formula,
-    raised to the smallest budget the reconstruction accepts and then to
-    whole blocks of r nodes per line, n2 = 1 + d r ceil(m / r) with
-    m = (n2 - 1) // d, since ``recover`` uses only whole blocks.
+    queries).  n2 always comes from ``required_n2``: whole blocks of r
+    nodes per line, as few as the interpolation remainder proves keep
+    the error <= eps, so ``recover`` spends all of it.
 
     Near M = 2^r r! the subset-search c_prob and n1 can pass the float
     range; they then saturate at the largest finite float, and with a
@@ -239,10 +240,9 @@ def plan(r: int, M: float, d: int, eps: float, V: Optional[float] = None,
     if V is not None and not 0 < V < 1:
         raise ParameterError("V must lie in (0, 1)")
     rf = math.factorial(r)
-    n2 = max(required_n2(d, r, M, eps, error_constant(r)), min_budget(d, r))
-    n2 = max(n2, 1 + d * r * -(-((n2 - 1) // d) // r))
+    n2 = required_n2(d, r, M, eps)
 
-    if M <= rf * eps:
+    if M / eps <= rf:  # not M <= rf * eps: rf may pass the float range
         return BudgetPlan(n1=1, n2=n2, success_prob_lower=1.0,
                           regime="trivial_M_small", r=r, M=M, d=d, eps=eps,
                           V=V, p=p)

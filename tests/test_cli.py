@@ -23,6 +23,17 @@ class TestExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert out["regime"] == "trivial_M_small"
 
+    @pytest.mark.parametrize("argv,code", [
+        (["--r", "1", "--M", "1e308", "--d", "10", "--eps", "1e-300"], 3),
+        (["--r", "171", "--M", "10", "--d", "3", "--eps", "0.1"], 0),
+        (["--r", "151", "--M", "1e300", "--d", "3", "--eps", "0.1"], 3),
+    ], ids=["n2-past-float-range", "factorial-past-float-range", "subset-past-float-range"])
+    def test_plan_at_the_float_range(self, capsys, argv, code):
+        # each ends in a plan or a documented exit code, never a traceback
+        assert run(["plan"] + argv) == code
+        if code == 0:
+            assert json.loads(capsys.readouterr().out)["n2"] == 1 + 3 * 171
+
     def test_missing_config_file(self, capsys):
         assert run(["search", "--config", "/nonexistent.json",
                     "--strategy", "single"]) == 2

@@ -1,17 +1,18 @@
-import importlib.util
+import itertools
+import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rankone import recovery
+from rankone import recovery, rng
 from rankone.errors import (BudgetExhaustedError, BudgetTooSmallError,
-                            NonzeroCenterError, ParameterError)
-from rankone.pipeline import family_shifted_smooth
-from rankone.recovery import (CALIBRATED_ERROR_CONSTANT, RecoveryConfig,
-                              error_constant, min_budget, recover, required_n2)
-from rankone.tensor import QueryOracle, RankOneTensor, sup_distance_bound
+                            InstanceTooLargeError, NonzeroCenterError, ParameterError)
+from rankone.pipeline import family_shifted_smooth, family_trig_smooth
+from rankone.recovery import RecoveryConfig, min_budget, recover, required_n2
+from rankone.search import plan
+from rankone.tensor import (QueryOracle, RankOneTensor, check_membership,
+                            sup_distance_bound)
 from rankone.univariate import (block_chebyshev_nodes, interpolate_line, make_bump,
                                 polynomial_factor, trig_factor)
 
@@ -22,39 +23,67 @@ def poly_tensor(d, r, coeffs):
         r=r, M=10.0)
 
 
+def line_error(k, r, M):
+    """Remainder bound e_k of one line interpolated on k blocks of r
+    Chebyshev nodes, for an r-th derivative bounded by M."""
+    return 2.0 * M * (1.0 / (4 * k)) ** r / math.factorial(r)
+
+
+def product_error(k, r, M, d):
+    """(1 + e_k)^d - 1: the telescoped error of d such lines."""
+    return math.expm1(d * math.log1p(line_error(k, r, M)))
+
+
 class TestBudgetFormulas:
     def test_required_n2_value(self):
-        # d=3, r=2, M=1, eps=0.01, C=1: 3 * max(10 * sqrt(3), 2) = 52
-        assert required_n2(3, 2, 1.0, 0.01, 1.0) == 52
+        # d=3, r=2, M=1, eps=0.01: each line may err by 1.01^(1/3) - 1 =
+        # 3.322e-3, so 4k >= sqrt(2 / (2! 3.322e-3)) = 17.35 and k = 5
+        assert required_n2(3, 2, 1.0, 0.01) == 1 + 3 * 2 * 5
 
     def test_required_n2_floor_at_two_nodes(self):
-        # tiny M: the max clamps at 2 nodes per line
-        assert required_n2(4, 1, 1e-9, 0.5, 1.0) == 8
+        # tiny M: one block per line, but at least 2 nodes, so r=1 gets 2
+        assert required_n2(4, 1, 1e-9, 0.5) == 1 + 4 * 2
+        assert required_n2(4, 3, 1e-9, 0.5) == 1 + 4 * 3
 
     def test_required_n2_invalid(self):
         with pytest.raises(ParameterError):
-            required_n2(0, 1, 1.0, 0.1, 1.0)
+            required_n2(0, 1, 1.0, 0.1)
         with pytest.raises(ParameterError):
-            required_n2(2, 1, 1.0, 0.0, 1.0)
+            required_n2(2, 1, 1.0, 0.0)
 
     def test_min_budget(self):
         assert min_budget(3, 1) == 7   # 1 + 3 * 2
         assert min_budget(3, 5) == 16  # 1 + 3 * 5
 
-    @pytest.mark.parametrize("r", sorted(CALIBRATED_ERROR_CONSTANT))
-    def test_frozen_constants_cover_calibration(self, r):
-        # rerun the calibration sweep: the frozen constant must still
-        # bound the worst observed ratio, or the error contract is broken
-        path = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_error_constant.py"
-        spec = importlib.util.spec_from_file_location("calibrate_error_constant", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        assert script.calibrate(r) <= CALIBRATED_ERROR_CONSTANT[r]
+    def test_k_is_minimal(self):
+        # n2 = 1 + d r k with the least k (at least ceil(2/r)) whose bound
+        # (1 + e_k)^d - 1 is <= eps; k may sit a relative 1e-12 short of
+        # its real value, so that ties such as r=1, M=10, eps=0.5, d=1
+        # (k = 10 exactly) do not round up
+        for r, M, eps, d in itertools.product(
+                range(1, 8), [0.01, 0.5, 1.5, 2.0, 10.0, 1e4], [0.5, 0.2, 0.1, 1e-3],
+                [1, 2, 3, 10, 100, 1000]):
+            n2 = required_n2(d, r, M, eps)
+            k, rest = divmod(n2 - 1, d * r)
+            assert rest == 0
+            assert product_error(k, r, M, d) <= eps * (1 + 1e-11)
+            assert k == -(-2 // r) or product_error(k - 1, r, M, d) > eps
+        assert required_n2(1, 1, 10.0, 0.5) == 1 + 10
 
-    def test_error_constant_known_orders(self):
-        for r in range(1, 6):
-            assert error_constant(r) > 0
-        assert error_constant(9) == error_constant(5)
+    def test_budget_past_float_range(self):
+        # M / eps = 1e608: n2 near e^1404 is refused, not an OverflowError
+        with pytest.raises(InstanceTooLargeError):
+            required_n2(10, 1, 1e308, 1e-300)
+        # 2 M passes the float range, but k = 1.6e42 does not
+        assert required_n2(1, 7, 1e308, 0.5) < 1e44
+
+    def test_budget_when_the_line_allowance_underflows(self):
+        # log1p(eps) / d = 1e-330 underflows; the logs still give
+        # k = ceil((2 M d / (r! eps))^(1/r) / 4), far inside the float range
+        d, r, eps = 10 ** 30, 7, 1e-300
+        k = (required_n2(d, r, 1.0, eps) - 1) // (d * r)
+        log_k = (math.log(2 * d / math.factorial(r)) - math.log(eps)) / r - math.log(4)
+        assert k == pytest.approx(math.exp(log_k), rel=1e-12)
 
 
 class TestRecoveryConfig:
@@ -186,21 +215,50 @@ class TestRecover:
         assert 0.0 <= lo <= up <= 1e-12
 
     def test_error_contract_on_smooth_family(self):
-        # calibrated contract: error <= C_r M d^(r+1) n2^(-r)
-        for r in (1, 2, 3):
-            M = 0.2 * (2 * np.pi) ** r
-            t = RankOneTensor(
-                factors=tuple(trig_factor(0.2, 1.0, 0.7 * i, 0.75, r)
-                              for i in range(3)),
-                r=r, M=M)
-            for n2 in (24, 48, 96):
-                o = QueryOracle(t)
-                ap = recover(o, np.full(3, 0.41),
-                             RecoveryConfig(r=r, budget_n2=n2))
-                up, _ = sup_distance_bound(t, ap.line_interpolants,
-                                           ap.center_value, grid=2001,
-                                           samples=500)
-                assert up <= error_constant(r) * M * 3 ** (r + 1) * n2 ** (-r)
+        # the remainder bound the planner uses: one line on k blocks of r
+        # Chebyshev nodes errs by at most e_k, for every k and r
+        ts = np.linspace(0.0, 1.0, 4001)
+        for r, k in itertools.product(range(1, 8), (1, 2, 5, 20)):
+            f = trig_factor(0.2, 1.0, 0.7 * r, 0.75, r)
+            nodes = block_chebyshev_nodes(r * k, r)
+            g = interpolate_line(nodes, f(nodes), r)
+            err = np.max(np.abs(g(ts) - f(ts)))
+            assert err <= line_error(k, r, f.deriv_bound)
+
+    @pytest.mark.parametrize("family", ["shifted_smooth", "trig_smooth"])
+    @pytest.mark.parametrize("r", range(1, 8))
+    def test_planned_budget_meets_eps(self, family, r):
+        # at plan's n2 the measured bracket sits below eps, for factors at
+        # the class bound M (shifted_smooth needs M >= 0.2 at r = 1, where
+        # its linear term adds to the first derivative)
+        if family == "shifted_smooth":
+            make, M = family_shifted_smooth, max(0.1 * math.factorial(r), 0.2)
+        else:
+            make, M = family_trig_smooth, 0.2 * (2 * np.pi) ** r
+        for (d, eps), seed in itertools.product(((3, 0.01), (10, 0.1), (100, 0.1)),
+                                                range(3)):
+            gen = rng.spawn(seed, r, d)
+            t = make(d, r, M, gen)
+            assert check_membership(t)
+            n2 = plan(r, M, d, eps).n2
+            ap = recover(QueryOracle(t, budget=n2), gen.random(d),
+                         RecoveryConfig(r=r, budget_n2=n2))
+            up, lo = sup_distance_bound(t, ap.line_interpolants, ap.center_value,
+                                        grid=801, samples=500, seed=seed)
+            assert 0.0 <= lo <= up <= eps
+
+    def test_planned_budget_is_spent(self):
+        # plan's n2 is whole blocks: recover queries all of it when no
+        # node equals a coordinate of z*
+        for r, M, eps, d in itertools.product(range(1, 8), (0.5, 10.0), (0.1, 0.01),
+                                              (1, 3, 20)):
+            n2 = plan(r, M, d, eps).n2
+            t = poly_tensor(d, r, [0.9, -0.1])
+            o = QueryOracle(t, budget=n2)
+            z = np.random.default_rng(r * d).random(d)
+            assert not np.any(block_chebyshev_nodes((n2 - 1) // d, r) == z[:, None])
+            recover(o, z, RecoveryConfig(r=r, budget_n2=n2))
+            assert o.query_count == n2
 
 
 def reference_recover(oracle, z, cfg):

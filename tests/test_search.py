@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rankone.cli import main
 from rankone.dispersion import halton, uniform_pointset
 from rankone.errors import ParameterError
-from rankone.recovery import error_constant, min_budget, required_n2
+from rankone.recovery import required_n2
 from rankone.search import (SubsetSearchParams, plan, search_deterministic,
                             search_subset, search_uniform_multi,
                             search_uniform_single, subset_success_bound)
@@ -234,22 +234,35 @@ class TestPlanner:
         bp = plan(5, 10.0, 2, 0.5)
         assert bp.n2 >= 1 + 2 * 5
 
-    @pytest.mark.parametrize("d,n2", [(1000, 10_001), (2000, 20_001), (5000, 50_001)])
+    @pytest.mark.parametrize("d,n2", [(5, 26), (10, 51), (150, 751), (551, 2_756),
+                                      (1000, 10_001), (2000, 20_001), (5000, 50_001)])
     def test_n2_whole_blocks_per_line(self, d, n2):
         # recover spends 1 + d r floor(m / r) queries with m = (n2 - 1) // d;
-        # the plan rounds m up to whole blocks of r, so all of n2 is spent
+        # the plan holds whole blocks of r, so all of n2 is spent: one
+        # block per line up to d = 165, two from d = 586 to past 5000
         bp = plan(5, 10.0, d, 0.1)
         assert (bp.n2 - 1) % (d * 5) == 0
         assert bp.n2 == n2
 
     def test_n2_unchanged_when_lines_hold_whole_blocks(self):
-        # where the cost formula already gives m a multiple of r, the
-        # plan is the formula itself (every d <= 100 at this setting)
+        # plan's n2 is required_n2 itself, already whole blocks per line
         for d in range(1, 101):
-            raw = max(required_n2(d, 5, 10.0, 0.1, error_constant(5)), min_budget(d, 5))
-            assert ((raw - 1) // d) % 5 == 0
-            assert plan(5, 10.0, d, 0.1).n2 == raw
-        assert plan(5, 10.0, 10, 0.1).n2 == 51
+            n2 = required_n2(d, 5, 10.0, 0.1)
+            assert (n2 - 1) % (d * 5) == 0
+            assert plan(5, 10.0, d, 0.1).n2 == n2
+
+    def test_factorial_past_float_range(self):
+        # r! = 1.2e309: M <= r! eps is decided without forming r! eps
+        bp = plan(171, 10.0, 3, 0.1)
+        assert bp.regime == "trivial_M_small"
+        assert bp.n2 == 1 + 3 * 171
+
+    def test_subset_search_past_float_range(self):
+        # r! eps < M < 2^r r! selects the subset search, whose constants
+        # need 2^(r+1) r! as a float
+        with pytest.raises(ParameterError):
+            plan(151, 1e300, 3, 0.1)
+        assert plan(150, 1e300, 3, 0.1).regime == "subset_search"
 
     def test_invalid_inputs(self):
         with pytest.raises(ParameterError):
