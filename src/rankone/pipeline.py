@@ -92,17 +92,19 @@ def triangle_factor(support_lo: float, support_hi: float, peak: float,
 def family_shifted_smooth(d: int, r: int, M: float, gen: np.random.Generator,
                           ) -> RankOneTensor:
     """Factors 1 - a t - b t^r with small random a, b: sup-norm exactly 1
-    at the origin, r-th derivative bound b r! <= M.
+    at the origin, r-th derivative bound b r! <= M (a + b <= M at r = 1,
+    where the two terms share the first derivative).
 
     Each factor is monotone on [0, 1], so these bounds are declared
     rather than found from roots: sup 1 = p(0), and the r-th derivative
     is the constant c_r r!, multiplied up as r, r-1, ..., 1 in that
     order, which gives the bits of polyder(c, r)[0]."""
-    bmax = min(M / math.factorial(r), 0.1)
+    amax = min(0.1, 0.5 * M) if r == 1 else 0.1
+    bmax = amax if r == 1 else min(M / math.factorial(r), 0.1)
     ab = gen.random((d, 2))  # (a, b) per factor, drawn in factor order
     C = np.zeros((r + 1, d))  # column i: ascending coefficients of factor i
     C[0] = 1.0
-    C[1] = -(0.1 * ab[:, 0])
+    C[1] = -(amax * ab[:, 0])
     C[r] += -(bmax * ab[:, 1])
     deriv = np.abs(C[r])
     for k in range(r, 0, -1):

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import (BudgetTooSmallError, InstanceTooLargeError, NonzeroCenterError,
                      ParameterError)
 from .tensor import QueryOracle
-from .univariate import PiecewisePolynomial, block_chebyshev_nodes, interpolate_line
+from .univariate import (PiecewisePolynomial, block_chebyshev_nodes, interpolate_line,
+                         log_block_remainder)
 
 # cells (lines x m x d) of one query slab in recover: 2 MiB of points
 _BLOCK_CELLS = 1 << 18
@@ -68,10 +69,10 @@ def required_n2(d: int, r: int, M: float, eps: float) -> int:
     """Least budget 1 + d r k, k blocks of r Chebyshev nodes per line
     (k >= ceil(2/r): two nodes), with (1 + e_k)^d - 1 <= eps.
 
-    e_k = 2 M (1/(4k))^r / r! is the interpolation remainder of a line
-    with r-th derivative <= M, and (1 + e_k)^d - 1 bounds sup|f - A| for
-    factors of sup <= 1, wherever z* lies.  Computed in logs; a budget
-    past the float range raises InstanceTooLargeError.
+    e_k = M exp(log_block_remainder(k, r)) is the interpolation remainder
+    of a line with r-th derivative <= M, and (1 + e_k)^d - 1 bounds
+    sup|f - A| for factors of sup <= 1, wherever z* lies.  Computed in
+    logs; a budget past the float range raises InstanceTooLargeError.
     """
     if d < 1 or r < 1 or M <= 0 or eps <= 0:
         raise ParameterError("all planner inputs must be positive")
@@ -79,7 +80,7 @@ def required_n2(d: int, r: int, M: float, eps: float) -> int:
     log_u = math.log(math.log1p(eps)) - math.log(d)
     u = math.exp(log_u)
     log_e = log_u + (math.log(math.expm1(u) / u) if u else 0.0)
-    log_k = (math.log(M) + math.log(2.0) - math.lgamma(r + 1) - log_e) / r - math.log(4.0)
+    log_k = (math.log(M) + log_block_remainder(1, r) - log_e) / r
     if math.log(d * r) + max(log_k, 0.0) >= _LOG_FLOAT_MAX:
         raise InstanceTooLargeError("phase-2 budget n2 past the float range")
     # the slack keeps a tie (a whole k in exact arithmetic) from rounding up

@@ -15,8 +15,9 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import rng
-from .errors import BudgetExhaustedError, DomainError
-from .univariate import KERNELS, PiecewisePolynomial, UnivariateFactor
+from .errors import BudgetExhaustedError, DomainError, InstanceTooLargeError
+from .univariate import (KERNELS, PiecewisePolynomial, UnivariateFactor,
+                         block_chebyshev_nodes, log_block_remainder)
 
 DEFAULT_GRID = 10_001
 DEFAULT_SAMPLES = 100_000
@@ -233,9 +234,9 @@ def check_membership(t: RankOneTensor, cls: str = "F", grid: int = DEFAULT_GRID,
     """Verify class membership; returns the failing conditions, never raises.
 
     cls="F" checks the plain class (factor sup-norms <= 1, r-th derivative
-    bounds <= M); cls="FV" additionally checks the declared witness box:
-    volume strictly above V and every factor nonzero on its interval of
-    the box (1-D grid check).
+    bounds <= M, no table factor at r >= 2); cls="FV" additionally checks
+    the declared witness box: volume strictly above V and every factor
+    nonzero on its interval of the box (1-D grid check).
     """
     if cls not in ("F", "FV"):
         return MembershipResult(False, (f"unknown class tag {cls!r}",))
@@ -245,6 +246,7 @@ def check_membership(t: RankOneTensor, cls: str = "F", grid: int = DEFAULT_GRID,
             failures.append(f"factor {i}: sup bound {f.sup_bound} exceeds 1")
         if f.deriv_bound > t.M + 1e-12:
             failures.append(f"factor {i}: derivative bound {f.deriv_bound} exceeds M={t.M}")
+    failures += _table_failures(t)
     if cls == "FV":
         if t.support_volume is None or t.witness_box is None:
             failures.append("support class requires a declared V and witness box")
@@ -273,93 +275,110 @@ def sup_distance_bound(t: RankOneTensor,
                        seed: int = 0) -> Tuple[float, float]:
     """Bracket the sup distance between f and A = scale * prod_i (approx_i / scale).
 
-    upper: telescoping bound.  A is written as a product of rescaled
-    factors B_i = mu_i * approx_i with prod(mu_i) = scale^-(d-1); each
-    mu_i is fitted on the grid so the per-factor differences f_i - B_i
-    are measured in matching normalizations, then the telescoping sum
-    sum_i ||f_i - B_i|| * prod_{j<i} max|B_j| * prod_{j>i} max|f_j|
-    bounds the product difference.  scale^-(d-1) enters only as a log
-    and a sign, so no power of scale is formed.
+    ``approx`` must be ``recover``'s lines for t (``line_interpolants``):
+    on k blocks of r = t.r Chebyshev nodes, line i times f_i(z*_i) / scale
+    interpolates f_i, so it errs by at most e_i = deriv_bound_i 2
+    (1/(4k))^r / r! (``log_block_remainder``).  With s_i = sup_bound_i,
+    upper is sum_i e_i prod_{j<i} (s_j + e_j) prod_{j>i} s_j plus the
+    rounding allowance 8 d (r + 1) 2^-53 prod_i (s_i + e_i).  Why 8: f(x)
+    and A(x) are products of d factors of about r + 1 roundings each, so
+    together they err by about 2 d (r + 1) 2^-53 prod_i (s_i + e_i) to
+    first order; the factor 4 is headroom for the barycentric
+    amplification (the Lebesgue constant of r Chebyshev nodes is below 4
+    for r <= 100) and the rounding of the node values.  On
+    ``shifted_smooth`` the lower end equals the upper in exact
+    arithmetic; in 720 brackets of it and ``trig_smooth`` (r = 1..9,
+    d <= 400) it passed the upper without allowance 139 times, by at
+    most 1.8 of the 8 units.
 
-    lower: max of |f - A| over a seeded random sample of points, a
-    certified lower estimate.
+    lower: the largest computed |f(x) - A(x)| at real points x, the best
+    point on the d axis lines through y (y_i the argmax of |f_i| on
+    ``grid`` points; all lines scanned at once with prefix and suffix
+    products) and ``samples`` seeded random points, in blocks.
 
-    Guarantee: lower <= true sup distance <= upper + grid slack.  The
-    norms and maxima in upper are taken over ``grid`` equispaced points
-    of [0, 1], so upper certifies the telescoping bound on that 1-D grid;
-    the slack is how far the true per-factor maxima exceed their grid
-    values, which shrinks as ``grid`` grows but is not bounded here.
-
-    ``approx`` holds one-line interpolants on one piece layout (as
-    ``RankOneApproximant.line_interpolants`` gives them); they are
-    evaluated together, once per grid point for all lines.  Besides two
-    (d, grid) arrays, the work runs in blocks of at most _GRID_CELLS
-    grid or sample cells, so memory does not grow with ``samples``.
+    Raises DomainError for lines on another layout, a table factor at
+    r >= 2 (it has no bounded r-th derivative) and lower > upper (the
+    lines are not recover's interpolants of t, or t's bounds are false);
+    InstanceTooLargeError for a bound past the float range.
     """
-    d = t.d
+    d, r = t.d, t.r
     if len(approx) != d:
         raise DomainError(f"need {d} approximant factors, got {len(approx)}")
     if scale == 0:
         raise DomainError("scale must be nonzero")
-    lines = _stacked(approx)
+    if tables := _table_failures(t):
+        raise DomainError("; ".join(tables))
+    lines = _stacked(approx, r)
 
-    # f_i and g_i on the grid as row i of (d, grid) arrays, so that each
-    # line's dot products see one contiguous vector, as a lone line would;
-    # filled a block of grid columns at a time, with the per-line maxima
-    # of |f_i| and |g_i|
+    e = (np.array([f.deriv_bound for f in t.factors])
+         * math.exp(log_block_remainder(lines.pieces, r)))
+    s = np.array([f.sup_bound for f in t.factors])
+    with np.errstate(over="ignore"):  # an infinite bound is refused below
+        before, after = _prefix_suffix(np.stack((s + e, s)))
+        upper = (float(np.sum(e * before[0] * after[1]))
+                 + 8 * d * (r + 1) * 2.0 ** -53 * float(np.prod(s + e)))
+    if not math.isfinite(upper):
+        raise InstanceTooLargeError("the error bound is past the float range")
+
+    # f_i and g_i / scale as rows of (d, grid) arrays, filled by blocks of
+    # grid columns; then, in place, row i becomes |f - A| on the line i of y
     ts = np.linspace(0.0, 1.0, grid)
     F = np.empty((d, grid))
     G = np.empty((d, grid))
-    fmax = gmax = np.zeros(d)
-    blocks = list(_grid_blocks(ts, d, lines.nodes.shape[1]))
-    for cols, T in blocks:
+    for cols, T in _grid_blocks(ts, d, r):
         F[:, cols] = t.factor_values(T).T
-        G[:, cols] = lines(T).T
-        fmax = np.maximum(fmax, np.max(np.abs(F[:, cols]), axis=1))
-        gmax = np.maximum(gmax, np.max(np.abs(G[:, cols]), axis=1))
+        G[:, cols] = lines(T).T / scale
+    y = np.argmax(np.abs(F), axis=1)
+    before, after = _prefix_suffix(np.stack((F[range(d), y], G[range(d), y])))
+    F *= (before[0] * after[0])[:, None]
+    G *= (before[1] * after[1] * scale)[:, None]
+    F -= G
+    i, j = np.unravel_index(np.argmax(np.abs(F, out=F)), F.shape)
+    x = ts[y]
+    x[i] = ts[j]
 
-    # fit mu_i on line i scaled by 2^-e, e the exponent of max |g_i|:
-    # the same bits as on the raw line, but no squared norm underflows.
-    # A zero line, or a fit past the float range, falls back below.
-    log_target = -(d - 1) * math.log(abs(scale))
-    mu = np.empty(d)
-    for i, e in enumerate(np.frexp(gmax)[1].tolist()):
-        g = np.ldexp(G[i], -e)
-        gg = float(g @ g)
-        q = (g @ F[i]) / gg if gg > 0.0 else 0.0
-        mu[i] = math.ldexp(q, -e) if math.frexp(q)[1] - e <= 1024 else 0.0
-    mu[mu == 0.0] = math.exp(log_target / d)
-    # make prod(mu) = scale^-(d-1): the magnitude spread evenly over the
-    # factors, a sign mismatch folded into the first factor
-    mu *= math.exp((log_target - float(np.sum(np.log(np.abs(mu))))) / d)
-    if np.sign(scale) ** (d - 1) * np.prod(np.sign(mu)) < 0:
-        mu[0] = -mu[0]
-
-    # per-line maxima of |f_i - mu_i g_i|, block by block
-    err = np.zeros(d)
-    for cols, _ in blocks:
-        err = np.maximum(err, np.max(np.abs(F[:, cols] - mu[:, None] * G[:, cols]), axis=1))
-    # max_j |mu g_j| = |mu| max_j |g_j|, as rounding is monotone
-    bmax = np.abs(mu) * gmax
-    before = np.concatenate(([1.0], np.cumprod(bmax[:-1])))
-    after = np.concatenate((np.cumprod(fmax[:0:-1])[::-1], [1.0]))
-    upper = float(np.sum(err * before * after))
-
-    # the samples come in row blocks of one stream, the same points as
+    # x, then the samples: row blocks of one stream, the same points as
     # one (samples, d) draw
     gen = rng.spawn(seed, 0x5D)
     lower = 0.0
-    for rows in _row_blocks(samples, d * lines.nodes.shape[1], _GRID_CELLS):
-        X = gen.random((rows.stop - rows.start, d))
+    for rows in _row_blocks(1 + samples, d * r, _GRID_CELLS):
+        X = gen.random((rows.stop - max(rows.start, 1), d))
+        if rows.start == 0:
+            X = np.vstack((x, X))
         av = np.multiply.reduce(lines(X) / scale, axis=1)
         lower = np.maximum(lower, np.max(np.abs(t.value_batch(X) - scale * av)))
+    lower = float(lower)
+    if not lower <= upper:
+        raise DomainError(f"error bracket inverted ({lower!r} > {upper!r}): the lines are "
+                          "not recover's interpolants of t, or its bounds are false")
+    return upper, lower
 
-    return upper, float(lower)
+
+def _prefix_suffix(V: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """prod_{j<i} V[..., j] from the left and prod_{j>i} V[..., j] from
+    the right, for each i."""
+    before, after = np.ones_like(V), np.ones_like(V)
+    np.cumprod(V[..., :-1], axis=-1, out=before[..., 1:])
+    np.cumprod(V[..., :0:-1], axis=-1, out=after[..., -2::-1])
+    return before, after
 
 
-def _stacked(approx: Sequence[PiecewisePolynomial]) -> PiecewisePolynomial:
-    """The one-line interpolants ``approx`` as one interpolant of d lines."""
+def _table_failures(t: RankOneTensor) -> List[str]:
+    """One message per table factor if r >= 2: a piecewise-linear table
+    has no bounded r-th derivative there, whatever it declares."""
+    return [f"factor {i}: a piecewise-linear table has no bounded r-th derivative "
+            f"at r = {t.r}" for i, f in enumerate(t.factors)
+            if f.kind == "explicit-table" and t.r > 1]
+
+
+def _stacked(approx: Sequence[PiecewisePolynomial], r: int) -> PiecewisePolynomial:
+    """The one-line interpolants ``approx`` as one interpolant of d lines,
+    on recover's layout: k blocks of r Chebyshev nodes."""
     g = approx[0]
+    k = g.pieces
+    if not np.array_equal(g.nodes, block_chebyshev_nodes(k * r, r).reshape(k, r)):
+        raise DomainError(f"the approximant lines must lie on k blocks of r = {r} "
+                          "Chebyshev nodes, as recover builds them")
     for h in approx[1:]:
         for a, b in ((h.breakpoints, g.breakpoints), (h.nodes, g.nodes),
                      (h.weights, g.weights)):

@@ -367,3 +367,11 @@ def block_chebyshev_nodes(m: int, r: int) -> np.ndarray:
         lo, hi = j / k, (j + 1) / k
         out.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * ref)
     return np.concatenate(out)
+
+
+def log_block_remainder(k: float, r: int) -> float:
+    """log of 2 (1/(4k))^r / r!: on k blocks of ``block_chebyshev_nodes``
+    a function whose r-th derivative is bounded by M is interpolated to
+    within M times this (Suli and Mayers, *An Introduction to Numerical
+    Analysis*, 2003, ch. 6).  In logs, so that r! may pass the float range."""
+    return math.log(2.0) - r * math.log(4.0 * k) - math.lgamma(r + 1)

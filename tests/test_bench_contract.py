@@ -70,8 +70,9 @@ def test_workload_units_pass_their_checks(load, monkeypatch, tmp_path, name, uni
 
 def test_traced_approx_trivial_counters(load, monkeypatch, tmp_path):
     # the per-layer counts a unit of approx_trivial reports: one phase-1
-    # query and 51 in phase 2, all of phase 2 in one batch, and 10,010
-    # line points in the bracket (10 lines on 801 grid points and 200 samples)
+    # query and 51 in phase 2, all of phase 2 in one batch, and 10,020
+    # line points in the bracket (10 lines on 801 grid points, the best
+    # point of the line scan and 200 samples)
     tracing = load("tracing")
     workloads = load("workloads")
     monkeypatch.setattr(workloads, "OUT", tmp_path)
@@ -82,7 +83,7 @@ def test_traced_approx_trivial_counters(load, monkeypatch, tmp_path):
     m = tracer.metrics(units, 0.0, [1.0] * units)
     assert m["tensor.queries_per_unit"] == 52
     assert m["tensor.evaluate_batch_calls"] == 1
-    assert m["univariate.piecewise_eval_points"] == 10_010
+    assert m["univariate.piecewise_eval_points"] == 10_020
     assert m["univariate.pieces_built"] == 1
     assert m["search.found_per_call"] == 1.0
     assert all(math.isfinite(v) for v in m.values())

@@ -116,6 +116,21 @@ class TestExitCodes:
                                     "factor": {"kind": "nope"}}))
         assert run(["search", "--config", str(spec), "--strategy", "single"]) == 2
 
+    def test_table_past_r1_refused(self, tmp_path, capsys):
+        # a piecewise-linear table has no bounded second derivative, so no
+        # error bracket holds for it at r = 2
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({
+            "d": 2, "r": 2, "M": 8.0, "replicate": True,
+            "factor": {"kind": "explicit-table", "ts": [0, 0.5, 1],
+                       "values": [0.2, 1.0, 0.2], "sup_bound": 1.0,
+                       "deriv_bound": 1.6}}))
+        out = tmp_path / "out"
+        assert run(["recover", "--config", str(spec), "--z", "0.5,0.5",
+                    "--budget", "41", "--out", str(out)]) == 2
+        assert "piecewise-linear" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_error(self, tmp_path, capsys):
         spec = tmp_path / "t.json"
         spec.write_text(json.dumps({

@@ -94,6 +94,23 @@ class TestFamilies:
             declared = np.array([f.deriv_bound for f in t.factors])
             np.testing.assert_array_equal(declared.view(np.int64), polyder.view(np.int64))
 
+    @pytest.mark.parametrize("r", range(1, 8))
+    def test_shifted_smooth_in_class_for_every_M(self, r):
+        # at r = 1 the linear term a t adds to the first derivative, which
+        # once reached 0.152 at M = 0.1 (r = 1, seed 3 below); where the
+        # factors were already in the class (r >= 2 or M >= 0.2) their
+        # coefficients are still 1, -0.1 a and -min(M / r!, 0.1) b
+        for M, seed in itertools.product((0.01, 0.05, 0.1, 0.19, 0.2, 10.0), range(5)):
+            t = family_shifted_smooth(3, r, M, rng.spawn(7, r, seed))
+            assert check_membership(t).ok, check_membership(t).failures
+            if r >= 2 or M >= 0.2:
+                ab = rng.spawn(7, r, seed).random((3, 2))
+                C = np.zeros((r + 1, 3))
+                C[0] = 1.0
+                C[1] = -(0.1 * ab[:, 0])
+                C[r] += -(min(M / math.factorial(r), 0.1) * ab[:, 1])
+                assert [f.params for f in t.factors] == [tuple(c) for c in C.T.tolist()]
+
     def test_trig_smooth_admissible(self):
         M = 0.2 * (2 * np.pi) ** 2
         t = family_trig_smooth(3, 2, M, rng.spawn(1))

@@ -228,11 +228,11 @@ class TestRecover:
     @pytest.mark.parametrize("family", ["shifted_smooth", "trig_smooth"])
     @pytest.mark.parametrize("r", range(1, 8))
     def test_planned_budget_meets_eps(self, family, r):
-        # at plan's n2 the measured bracket sits below eps, for factors at
-        # the class bound M (shifted_smooth needs M >= 0.2 at r = 1, where
-        # its linear term adds to the first derivative)
+        # at plan's n2 the certified upper, the remainder bound the planner
+        # solves for plus the rounding allowance, is at most eps, for
+        # factors at or near the class bound M
         if family == "shifted_smooth":
-            make, M = family_shifted_smooth, max(0.1 * math.factorial(r), 0.2)
+            make, M = family_shifted_smooth, 0.1 * math.factorial(r)
         else:
             make, M = family_trig_smooth, 0.2 * (2 * np.pi) ** r
         for (d, eps), seed in itertools.product(((3, 0.01), (10, 0.1), (100, 0.1)),

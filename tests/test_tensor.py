@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from rankone import rng
-from rankone.errors import BudgetExhaustedError, DomainError
+from rankone.errors import BudgetExhaustedError, DomainError, InstanceTooLargeError
 from rankone.pipeline import FAMILIES, ExperimentConfig, family_shifted_smooth
 from rankone.recovery import RecoveryConfig, recover
+from rankone.search import plan
 from rankone.tensor import (Box, QueryOracle, RankOneTensor, check_membership,
                             sup_distance_bound, sup_norm)
 from rankone.univariate import (block_chebyshev_nodes, constant_factor,
@@ -61,35 +62,58 @@ def mixed_tensor(r=3):
     return RankOneTensor(factors=tuple(fs), r=r, M=1e6)
 
 
-def reference_sup_distance_bound(t, approx, scale, grid, samples, seed):
-    """The bracket as written before blocking: one call per factor and
-    per line on the whole grid, and one (samples, d) draw."""
+def reference_upper(t, k):
+    """The upper end written out term by term: sum_i e_i prod_{j<i}
+    (s_j + e_j) prod_{j>i} s_j with e_i = deriv_bound_i 2 (1/(4k))^r / r!,
+    plus the rounding allowance 8 d (r + 1) 2^-53 prod_j (s_j + e_j)."""
+    d, r = t.d, t.r
+    e = [f.deriv_bound * 2.0 * (1.0 / (4 * k)) ** r / math.factorial(r) for f in t.factors]
+    s = [f.sup_bound for f in t.factors]
+    upper = sum(e[i] * math.prod(s[j] + e[j] for j in range(i)) * math.prod(s[i + 1:])
+                for i in range(d))
+    return upper + 8 * d * (r + 1) * 2.0 ** -53 * math.prod(a + b for a, b in zip(s, e))
+
+
+def reference_sampled_lower(t, approx, scale, samples, seed):
+    """The sampled lower end as the bracket first had it: one (samples, d)
+    draw, one call per factor and per line."""
     d = t.d
-    ts = np.linspace(0.0, 1.0, grid)
-    F = [np.asarray(f(ts), dtype=float) for f in t.factors]
-    G = [np.asarray(g(ts), dtype=float) for g in approx]
-    log_target = -(d - 1) * math.log(abs(scale))
-    mu = np.empty(d)
-    for i in range(d):
-        gg = float(G[i] @ G[i])
-        mu[i] = (G[i] @ F[i]) / gg if gg > 1e-300 else 0.0
-    mu[mu == 0.0] = math.exp(log_target / d)
-    mu *= math.exp((log_target - float(np.sum(np.log(np.abs(mu))))) / d)
-    if np.sign(scale) ** (d - 1) * np.prod(np.sign(mu)) < 0:
-        mu[0] = -mu[0]
-    B = [mu[i] * G[i] for i in range(d)]
-    err = np.array([np.max(np.abs(F[i] - B[i])) for i in range(d)])
-    bmax = np.array([np.max(np.abs(b)) for b in B])
-    fmax = np.array([np.max(np.abs(f)) for f in F])
-    before = np.concatenate(([1.0], np.cumprod(bmax[:-1])))
-    after = np.concatenate((np.cumprod(fmax[:0:-1])[::-1], [1.0]))
-    upper = float(np.sum(err * before * after))
     X = rng.spawn(seed, 0x5D).random((samples, d))
     av = np.ones(samples)
     for i in range(d):
         av *= approx[i](X[:, i]) / scale
-    lower = float(np.max(np.abs(per_factor_product(t, X) - scale * av)))
-    return upper, lower
+    return float(np.max(np.abs(per_factor_product(t, X) - scale * av)))
+
+
+def reference_lower(t, approx, scale, grid, samples, seed):
+    """The lower end one factor and one line at a time: the scan of the d
+    axis lines through the grid argmax y of the |f_i| with the products
+    over the other axes formed in a loop, then the best scan point and
+    the samples evaluated as real points."""
+    d = t.d
+    ts = np.linspace(0.0, 1.0, grid)
+    F = [np.asarray(f(ts), dtype=float) for f in t.factors]
+    G = [np.asarray(g(ts), dtype=float) / scale for g in approx]
+    y = [int(np.argmax(np.abs(row))) for row in F]
+
+    def others(rows, i):  # prod_{j<i} from the left times prod_{j>i} from the right
+        before = after = 1.0
+        for j in range(i):
+            before *= rows[j][y[j]]
+        for j in range(d - 1, i, -1):
+            after *= rows[j][y[j]]
+        return before * after
+
+    best, x = -1.0, None
+    for i in range(d):
+        gap = np.abs(F[i] * others(F, i) - G[i] * (others(G, i) * scale))
+        j = int(np.argmax(gap))
+        if gap[j] > best:
+            best, x = gap[j], ts[y]
+            x[i] = ts[j]
+    av = scale * np.prod([g(x[i]) / scale for i, g in enumerate(approx)])
+    at_x = abs(float(per_factor_product(t, x[None])[0]) - av)
+    return max(at_x, reference_sampled_lower(t, approx, scale, samples, seed))
 
 
 class TestBox:
@@ -274,58 +298,49 @@ class TestSupDistanceBound:
         assert up < 1e-10 and lo < 1e-10
 
     def test_lower_bound_is_certified(self):
-        # against the zero-ish approximant the lower estimate must not
-        # exceed the true sup distance, which is sup|f|
+        # A with its scale doubled is not recover's approximant: its lower
+        # end (sup|f| at x = (1, 1, 1)) exceeds the certified upper, and the
+        # bracket is refused rather than returned inverted
         t = product_tensor()
         ap = self._recover(t, 30)
-        scaled = tuple(g for g in ap.line_interpolants)
-        up, lo = sup_distance_bound(t, scaled, ap.center_value * 2,
-                                    grid=1001, samples=1000)
-        assert lo <= up + 1e-12
+        with pytest.raises(DomainError, match="inverted"):
+            sup_distance_bound(t, ap.line_interpolants, ap.center_value * 2,
+                               grid=1001, samples=1000)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 8])
     def test_upper_matches_power_form_telescoping_sum(self, d):
-        # the upper bound written with scale^-(d-1) formed directly, one
-        # product per term, as before the log form; factors with
-        # max|f_i| < 1 so that the order of the products matters
+        # the upper end against the telescoping sum written out term by
+        # term, each product formed on its own; factors with max|f_i| < 1
+        # and a remainder that is not negligible, so that the order of the
+        # products matters
         gen = np.random.default_rng(d)
         t = RankOneTensor(
             factors=tuple(trig_factor(0.2, 1.0, 6.0 * gen.random(), 0.7, 1)
                           for _ in range(d)), r=1, M=0.2 * 2 * np.pi)
         ap = self._recover(t, 1 + 6 * d)
-        ts = np.linspace(0.0, 1.0, 501)
-        F = [f(ts) for f in t.factors]
-        G = [g(ts) for g in ap.line_interpolants]
-        mu = np.array([(g @ f) / (g @ g) for f, g in zip(F, G)])
-        mu *= (ap.center_value ** -(d - 1) / np.prod(mu)) ** (1.0 / d)
-        B = [m * g for m, g in zip(mu, G)]
-        err = [np.max(np.abs(f - b)) for f, b in zip(F, B)]
-        bmax = [np.max(np.abs(b)) for b in B]
-        fmax = [np.max(np.abs(f)) for f in F]
-        ref = sum(err[i] * np.prod(bmax[:i]) * np.prod(fmax[i + 1:])
-                  for i in range(d))
         up, _ = sup_distance_bound(t, ap.line_interpolants, ap.center_value,
                                    grid=501, samples=10)
-        assert up == pytest.approx(ref, rel=1e-10)
+        assert ap.lines.pieces == 6
+        assert up == pytest.approx(reference_upper(t, 6), rel=1e-14)
 
     def test_sign_flipped_line_keeps_bracket(self):
-        # A with one line negated is -A: the fitted factors' signs then
-        # disagree with scale^-(d-1); the true sup distance is 2 sup|f|,
-        # reached at x = (1, 1, 1), a grid point
+        # A with one line negated is -A: the true sup distance 2 sup|f|,
+        # reached at x = (1, 1, 1), is far above the certified upper, so
+        # the bracket is refused rather than returned inverted
         t = product_tensor()
         ap = self._recover(t, 30)
         lines = ap.line_interpolants
         flipped = (replace(lines[0], values=-lines[0].values),) + lines[1:]
-        up, lo = sup_distance_bound(t, flipped, ap.center_value,
-                                    grid=1001, samples=1000)
-        assert lo <= 2 * sup_norm(t) <= up * (1 + 1e-12)
+        with pytest.raises(DomainError, match="inverted"):
+            sup_distance_bound(t, flipped, ap.center_value, grid=1001, samples=1000)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 10, 37])
     def test_matches_reference_bitwise(self, d):
         # grid and samples are not multiples of any block's row count; the
         # grids of 2 and 3 points hold only 0, 1/2 and 1; a z* on the node
         # grid (on each axis whose factor is nonzero at the nearest node)
-        # makes that node's value the reused f(z*)
+        # makes that node's value the reused f(z*).  The table families
+        # are refused from r = 2.
         hits = 0
         for k, family in enumerate(sorted(FAMILIES)):
             r = 1 + (d + k) % 4
@@ -343,36 +358,86 @@ class TestSupDistanceBound:
                              RecoveryConfig(r=r, budget_n2=1 + 7 * r * d))
                 for grid in (1003, 2, 3):
                     args = (t, ap.line_interpolants, ap.center_value, grid, 2501, d + k)
-                    assert sup_distance_bound(*args) == reference_sup_distance_bound(*args)
+                    if r >= 2 and family in ("box_support", "offcenter_triangle"):
+                        with pytest.raises(DomainError, match="piecewise-linear table"):
+                            sup_distance_bound(*args)
+                        continue
+                    up, lo = sup_distance_bound(*args)
+                    assert up == pytest.approx(reference_upper(t, 7), rel=1e-14)
+                    assert lo == reference_lower(*args)
+                    assert reference_sampled_lower(t, *args[1:3], 2501, d + k) <= lo <= up
         assert hits >= 2 * d
 
     def test_mixed_kinds_match_reference_bitwise(self):
+        t = mixed_tensor(1)
+        z = np.array([0.37 if f.support is None else 0.5 * sum(f.support)
+                      for f in t.factors])
+        ap = recover(QueryOracle(t), z, RecoveryConfig(r=1, budget_n2=1 + 9 * t.d))
+        args = (t, ap.line_interpolants, ap.center_value, 777, 1500, 5)
+        up, lo = sup_distance_bound(*args)
+        assert up == pytest.approx(reference_upper(t, 9), rel=1e-14)
+        assert lo == reference_lower(*args)
+
+    def test_tables_refused_from_r_2(self):
+        # a piecewise-linear table has no bounded r-th derivative at r >= 2,
+        # whatever bound it declares; its lower end once reached 388 times
+        # the upper (box_support, r = 3)
         t = mixed_tensor(3)
         z = np.array([0.37 if f.support is None else 0.5 * sum(f.support)
                       for f in t.factors])
         ap = recover(QueryOracle(t), z, RecoveryConfig(r=3, budget_n2=1 + 9 * t.d))
-        args = (t, ap.line_interpolants, ap.center_value, 777, 1500, 5)
-        assert sup_distance_bound(*args) == reference_sup_distance_bound(*args)
+        with pytest.raises(DomainError, match="factor 3: a piecewise-linear table.*factor 9"):
+            sup_distance_bound(t, ap.line_interpolants, ap.center_value, 777, 1500, 5)
+        assert [m.split(":")[0] for m in check_membership(t).failures
+                if "table" in m] == ["factor 3", "factor 9"]
 
-    def test_fit_survives_a_tiny_factor(self):
-        # with its first factor scaled by 2^-560, every line and f(z*)
-        # scale by 2^-560, so the raw squared line norms (~1e-337)
-        # underflow; the fit on lines scaled by a power of two must still
-        # give the unscaled bracket, scaled
-        t = family_shifted_smooth(3, 3, 10.0, np.random.default_rng(7))
-        tiny = RankOneTensor(factors=(t.factors[0].scaled(2.0 ** -560),) + t.factors[1:],
-                             r=t.r, M=t.M)
-        z = np.array([0.3, 0.6, 0.8])
-        brackets = []
-        for u in (t, tiny):
-            ap = recover(QueryOracle(u), z, RecoveryConfig(r=3, budget_n2=1 + 3 * 30))
-            brackets.append(sup_distance_bound(u, ap.line_interpolants, ap.center_value,
-                                               grid=2001, samples=5000, seed=1))
-        (up, lo), (tiny_up, tiny_lo) = brackets
-        assert tiny_lo == lo * 2.0 ** -560
-        # the log-form normalization of mu rounds differently at this
-        # scale; sup|f| = 1, so 1e-12 is relative to the function
-        assert math.ldexp(tiny_up, 560) == pytest.approx(up, rel=0, abs=1e-12)
+    def test_tiny_factor_scales_the_bracket_exactly(self):
+        # with its first factor scaled by 2^-560, f, every line and f(z*)
+        # scale by 2^-560 exactly, and so do both ends of the bracket
+        for r, seed in itertools.product((1, 3, 5), range(3)):
+            t = family_shifted_smooth(3, r, 10.0, np.random.default_rng(seed))
+            tiny = RankOneTensor(factors=(t.factors[0].scaled(2.0 ** -560),) + t.factors[1:],
+                                 r=t.r, M=t.M)
+            z = np.array([0.3, 0.6, 0.8])
+            brackets = []
+            for u in (t, tiny):
+                ap = recover(QueryOracle(u), z, RecoveryConfig(r=r, budget_n2=1 + 90 * r))
+                brackets.append(sup_distance_bound(u, ap.line_interpolants,
+                                                   ap.center_value, grid=2001,
+                                                   samples=5000, seed=1))
+            (up, lo), (tiny_up, tiny_lo) = brackets
+            assert (math.ldexp(tiny_up, 560), math.ldexp(tiny_lo, 560)) == (up, lo)
+
+    @pytest.mark.parametrize("family", ["shifted_smooth", "trig_smooth"])
+    def test_lower_never_exceeds_upper(self, family):
+        # at the planned n2 for eps = 0.1, with at most 16 blocks per line
+        # (trig_smooth plans 1,054,801 queries at r = 1, d = 400); on
+        # shifted_smooth the lower end attains the upper in exact
+        # arithmetic, at the origin, so only the rounding allowance keeps
+        # it below
+        for r, d in itertools.product(range(1, 10), (1, 3, 10, 100, 400)):
+            if family == "shifted_smooth":
+                make, M = family_shifted_smooth, max(0.1 * math.factorial(r), 0.2)
+            else:
+                make, M = FAMILIES[family], 0.2 * (2 * np.pi) ** r
+            gen = rng.spawn(r, d)
+            t = make(d, r, M, gen)
+            k = min((plan(r, M, d, 0.1).n2 - 1) // (d * r), 16)
+            ap = recover(QueryOracle(t), gen.random(d),
+                         RecoveryConfig(r=r, budget_n2=1 + d * r * k))
+            up, lo = sup_distance_bound(t, ap.line_interpolants, ap.center_value,
+                                        grid=201, samples=20, seed=d)
+            assert 0.0 <= lo <= up
+
+    def test_bound_past_the_float_range(self):
+        # two nodes per line at r = 1 and a steep factor: (s + e)^300 =
+        # 12.2^300 is past the float range, and no finite bound holds
+        t = RankOneTensor(factors=tuple(trig_factor(0.9, 8.0, 0.0, 0.0, 1)
+                                        for _ in range(300)), r=1, M=50.0)
+        ap = recover(QueryOracle(t), np.full(300, 0.03),
+                     RecoveryConfig(r=1, budget_n2=1 + 300 * 2))
+        with pytest.raises(InstanceTooLargeError):
+            sup_distance_bound(t, ap.line_interpolants, ap.center_value, 101, 10)
 
     def test_lines_of_different_layouts_rejected(self):
         t = product_tensor()
