@@ -89,8 +89,7 @@ def cmd_plan(args) -> int:
               prefer_deterministic=args.deterministic)
     out = {"regime": bp.regime, "n1": bp.n1, "n2": bp.n2,
            "success_prob_lower": bp.success_prob_lower,
-           "inputs": {"r": bp.r, "M": bp.M, "d": bp.d, "eps": bp.eps,
-                      "V": bp.V, "p": bp.p}}
+           "inputs": {k: getattr(args, k) for k in ("r", "M", "d", "eps", "V", "p")}}
     if bp.subset_params is not None:
         sp = bp.subset_params
         out["subset_params"] = {"delta_star": sp.delta_star, "d_star": sp.d_star,

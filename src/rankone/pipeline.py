@@ -9,14 +9,15 @@ configuration, so runs are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 from decimal import Decimal
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, InstanceTooLargeError, ParameterError
+from .errors import ConfigError, DomainError, InstanceTooLargeError, ParameterError
 from .recovery import RecoveryConfig, recover
 from .search import (REGIME_STRATEGY, STRATEGIES, BudgetPlan, SubsetSearchParams,
                      plan, run_search)
@@ -166,6 +167,14 @@ FAMILIES: Dict[str, Callable[..., RankOneTensor]] = {
 # Experiment configuration and execution
 
 
+# the type of each ExperimentConfig field; None is allowed where it is the default
+_INT, _REAL = (numbers.Integral, "an integer"), (numbers.Real, "a real number")
+_FIELD_TYPES = {"r": _INT, "M": _REAL, "d": _INT, "eps": _REAL, "V": _REAL, "p": _REAL,
+                "tensor_spec": (dict, "an object"), "family": (str, "a string"),
+                "strategy": (str, "a string"), "n1": _INT, "n2": _INT, "trials": _INT,
+                "seed": _INT, "grid": _INT, "samples": _INT}
+
+
 @dataclass
 class ExperimentConfig:
     """Fully deterministic description of a pipeline experiment."""
@@ -178,7 +187,6 @@ class ExperimentConfig:
     p: float = 0.5
     tensor_spec: Optional[Dict[str, Any]] = None
     family: Optional[str] = None
-    family_params: Dict[str, Any] = field(default_factory=dict)
     strategy: str = "plan"  # "plan" (by regime) or one of search.STRATEGIES
     n1: Optional[int] = None
     n2: Optional[int] = None
@@ -189,9 +197,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "ExperimentConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(raw) - known
-        if unknown:
+        if unknown := set(raw) - {f.name for f in fields(cls)}:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
             cfg = cls(**raw)
@@ -201,6 +207,12 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
+        for f in fields(self):
+            value, (kind, what) = getattr(self, f.name), _FIELD_TYPES[f.name]
+            if value is None and f.default is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         if self.tensor_spec is None and self.family is None:
             raise ConfigError("config needs either 'tensor_spec' or 'family'")
         if self.family is not None and self.family not in FAMILIES:
@@ -212,25 +224,22 @@ class ExperimentConfig:
             raise ParameterError("trials must be nonnegative")
         # the bracket measures nothing on fewer points
         for name, least in (("grid", 2), ("samples", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
     def to_dict(self) -> Dict[str, Any]:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}  # type: ignore[attr-defined]
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def make_tensor(self, trial: int) -> RankOneTensor:
         if self.tensor_spec is not None:
             return tensor_from_spec(self.tensor_spec)
         gen = rng.spawn(self.seed, trial, 0xFA)
-        kwargs = dict(self.family_params)
         fam = FAMILIES[self.family]
         if self.family == "box_support":
-            kwargs.setdefault("V", self.V if self.V is not None else 0.3)
-            return fam(self.d, self.r, gen=gen, **kwargs)
+            return fam(self.d, self.r, self.V if self.V is not None else 0.3, gen)
         if self.family == "offcenter_triangle":
-            return fam(self.d, self.r, M=self.M, eps=self.eps, gen=gen, **kwargs)
-        return fam(self.d, self.r, M=self.M, gen=gen, **kwargs)
+            return fam(self.d, self.r, self.M, self.eps, gen)
+        return fam(self.d, self.r, self.M, gen)
 
 
 def _run_phase1(cfg: ExperimentConfig, bp: BudgetPlan, oracle: QueryOracle,
@@ -259,10 +268,15 @@ def run_trial(cfg: ExperimentConfig, bp: BudgetPlan, trial: int) -> Dict[str, An
             tensor, rec.line_interpolants, rec.center_value,
             grid=cfg.grid, samples=cfg.samples, seed=rng._mix(cfg.seed, trial, 2))
         row["error_upper"], row["error_lower"] = upper, lower
-    else:
-        # zero output: the incurred error is the sup-norm of f itself
-        nrm = sup_norm(tensor, grid=cfg.grid)
-        row["error_upper"] = row["error_lower"] = nrm
+    else:  # zero output: the error is sup|f|, between its grid max and prod_i s_i
+        upper = math.prod(f.sup_bound for f in tensor.factors)
+        lower = sup_norm(tensor, grid=cfg.grid)
+        if not math.isfinite(upper):
+            raise InstanceTooLargeError("the bound prod_i sup_bound_i is past the float range")
+        if not lower <= upper:
+            raise DomainError(f"error bracket inverted ({lower!r} > {upper!r}): "
+                              "the declared sup bounds are false")
+        row["error_upper"], row["error_lower"] = upper, lower
     return row
 
 
@@ -298,14 +312,10 @@ def run_pipeline(cfg: ExperimentConfig) -> Tuple[List[Dict[str, Any]], Dict[str,
 
 
 def convergence_sweep(d: int, r: int, budgets: Sequence[int], seed: int = 0,
-                      M: Optional[float] = None, grid: int = 10_001,
-                      samples: int = 20_000) -> List[Tuple[int, float]]:
+                      grid: int = 10_001, samples: int = 20_000) -> List[Tuple[int, float]]:
     """Reconstruction error (telescoping upper bound) as a function of the
-    phase-2 budget, over the smooth trigonometric family."""
-    if M is None:
-        M = 0.2 * (2 * np.pi) ** r
-    gen = rng.spawn(seed, 0xC0)
-    tensor = family_trig_smooth(d, r, M, gen)
+    phase-2 budget, over the smooth trigonometric family at M = 0.2 (2 pi)^r."""
+    tensor = family_trig_smooth(d, r, 0.2 * (2 * np.pi) ** r, rng.spawn(seed, 0xC0))
     z = np.full(d, 0.41)  # fixed interior point; factors are nonzero everywhere
     pairs = []
     for n2 in budgets:

@@ -33,7 +33,6 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 class RecoveryConfig:
     r: int
     budget_n2: int
-    min_center_value: float = 0.0
 
     def __post_init__(self):
         if self.r < 1:
@@ -112,10 +111,6 @@ def recover(oracle: QueryOracle, z_star, cfg: RecoveryConfig) -> RankOneApproxim
     center = oracle.evaluate(z)
     if center == 0.0:
         raise NonzeroCenterError("f(z*) = 0: recovery requires a nonzero center")
-    if abs(center) < cfg.min_center_value:
-        raise NonzeroCenterError(
-            f"|f(z*)| = {abs(center)} below guard {cfg.min_center_value}; "
-            "amplification risk")
 
     # the d axis lines, queried in axis-major order as (lines, m, d) slabs
     # of at most _BLOCK_CELLS cells once the budget is known to cover

@@ -39,9 +39,6 @@ REGIME_STRATEGY = {"trivial_M_small": "single", "subset_search": "subset",
 class SubsetSearchParams:
     """Derived constants of the coordinate-subset search."""
 
-    r: int
-    M: float
-    eps: float
     delta_star: float
     d_star: int
     alpha: float
@@ -65,8 +62,7 @@ class SubsetSearchParams:
         base = 3 ** r * M / (rf * eps)
         c_prob = (base ** (alpha / r) if alpha / r * math.log(base) < _LOG_FLOAT_MAX
                   else _FLOAT_MAX)
-        return cls(r=r, M=M, eps=eps, delta_star=delta, d_star=d_star,
-                   alpha=alpha, c_prob=c_prob)
+        return cls(delta_star=delta, d_star=d_star, alpha=alpha, c_prob=c_prob)
 
 
 @dataclass(frozen=True)
@@ -87,12 +83,6 @@ class BudgetPlan:
     n2: int
     success_prob_lower: float
     regime: str
-    r: int
-    M: float
-    d: int
-    eps: float
-    V: Optional[float] = None
-    p: Optional[float] = None
     subset_params: Optional[SubsetSearchParams] = None
 
 
@@ -147,7 +137,7 @@ def search_subset(oracle: QueryOracle, params: SubsetSearchParams, n1: int,
 
     The theory assumes d >= d*; for d < d* the subset is clamped to all
     coordinates, which degenerates to plain uniform search (the printed
-    probability bound remains valid, it is just far from sharp).
+    probability bound remains valid, it is just far from tight).
     """
     if n1 < 1:
         raise ParameterError("n1 must be positive")
@@ -194,20 +184,11 @@ def run_search(strategy: str, oracle: QueryOracle, n1: int, seed: int,
     raise ParameterError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
 
-def subset_success_bound(params: SubsetSearchParams, d: int, n1: int,
-                         sharp: bool = False) -> float:
-    """Success probability lower bound for the subset search.
-
-    sharp=False gives the printed closed form 1 - (1 - d^-alpha / C)^n1;
-    sharp=True uses the tighter intermediate per-iteration bound
-    theta >= ((r! eps / M)^(1/r) * d* / (3d))^(d*).
-    """
-    if sharp:  # base >= 1 clamps q to 1; its d*-th power could overflow
-        base = ((math.factorial(params.r) * params.eps / params.M) ** (1.0 / params.r)
-                * params.d_star / (3.0 * d))
-        q = base ** params.d_star if base < 1.0 else 1.0
-    else:  # a saturated c_prob stands for a C past the float range
-        q = d ** (-params.alpha) / params.c_prob if params.c_prob < _FLOAT_MAX else 0.0
+def subset_success_bound(params: SubsetSearchParams, d: int, n1: int) -> float:
+    """Success probability lower bound 1 - (1 - d^-alpha / C)^n1 of the
+    subset search."""
+    # a saturated c_prob stands for a C past the float range
+    q = d ** (-params.alpha) / params.c_prob if params.c_prob < _FLOAT_MAX else 0.0
     q = min(max(q, 0.0), 1.0)
     if q == 1.0:
         return 1.0
@@ -243,9 +224,7 @@ def plan(r: int, M: float, d: int, eps: float, V: Optional[float] = None,
     n2 = required_n2(d, r, M, eps)
 
     if M / eps <= rf:  # not M <= rf * eps: rf may pass the float range
-        return BudgetPlan(n1=1, n2=n2, success_prob_lower=1.0,
-                          regime="trivial_M_small", r=r, M=M, d=d, eps=eps,
-                          V=V, p=p)
+        return BudgetPlan(n1=1, n2=n2, success_prob_lower=1.0, regime="trivial_M_small")
     if M < 2 ** r * rf:
         params = SubsetSearchParams.from_problem(r, M, eps)
         n1 = _FLOAT_MAX  # unless each factor and the product are in range
@@ -254,14 +233,11 @@ def plan(r: int, M: float, d: int, eps: float, V: Optional[float] = None,
         n1 = math.ceil(n1)
         return BudgetPlan(n1=n1, n2=n2,
                           success_prob_lower=subset_success_bound(params, d, n1),
-                          regime="subset_search", r=r, M=M, d=d, eps=eps,
-                          V=V, p=p, subset_params=params)
+                          regime="subset_search", subset_params=params)
     if V is not None:
         if prefer_deterministic:
-            n1 = n_disp_upper(V, d, "behw")
-            return BudgetPlan(n1=n1, n2=n2, success_prob_lower=1.0,
-                              regime="support_class_deterministic", r=r, M=M,
-                              d=d, eps=eps, V=V, p=p)
+            return BudgetPlan(n1=n_disp_upper(V, d, "behw"), n2=n2, success_prob_lower=1.0,
+                              regime="support_class_deterministic")
         if 1.0 - V < 1.0:
             n1 = max(1, math.ceil(math.log(p) / math.log(1.0 - V)))
             success = 1.0 - (1.0 - V) ** n1
@@ -269,8 +245,6 @@ def plan(r: int, M: float, d: int, eps: float, V: Optional[float] = None,
             n1 = math.ceil(min(math.log(p) / math.log1p(-V), _FLOAT_MAX))
             success = -math.expm1(n1 * math.log1p(-V))
         return BudgetPlan(n1=n1, n2=n2, success_prob_lower=success,
-                          regime="support_class_random", r=r, M=M, d=d,
-                          eps=eps, V=V, p=p)
+                          regime="support_class_random")
     # curse of dimensionality: 2^d sentinel
-    return BudgetPlan(n1=2 ** d, n2=n2, success_prob_lower=0.0,
-                      regime="intractable", r=r, M=M, d=d, eps=eps, V=V, p=p)
+    return BudgetPlan(n1=2 ** d, n2=n2, success_prob_lower=0.0, regime="intractable")

@@ -54,10 +54,6 @@ class Box:
     def volume(self) -> float:
         return float(np.prod(self.upper - self.lower))
 
-    def contains_open(self, x: np.ndarray) -> bool:
-        """Whether x lies in the open interior of the box."""
-        return bool(np.all(x > self.lower) and np.all(x < self.upper))
-
 
 def _row_blocks(n: int, d: int, cells: int = _BLOCK_CELLS) -> Iterator[slice]:
     """Slices of at most cells // d rows (at least one) that cover range(n)."""
@@ -171,30 +167,26 @@ class QueryOracle:
             raise BudgetExhaustedError(
                 f"budget {self.budget} exhausted ({self.query_count} used, {k} requested)")
 
-    def _charge(self, k: int):
-        self.require(k)
-        self.query_count += k
-
     def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             raise DomainError(f"expected a {self.d}-vector, got shape {x.shape}")
-        if np.any(x < 0) or np.any(x > 1):
-            raise DomainError("query point outside the unit cube")
-        self._charge(1)
-        v = self.target.value(x)
-        if self.query_log is not None:
-            self.query_log.append((x.copy(), v))
-        return v
+        return float(self._query(x[None])[0])
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         """Evaluate all rows of X, charging one query per row."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.d:
             raise DomainError(f"expected shape (k, {self.d}), got {X.shape}")
+        return self._query(X)
+
+    def _query(self, X: np.ndarray) -> np.ndarray:
+        """The values at the rows of the (k, d) array X, k queries charged
+        and logged; points outside the cube are refused."""
         if np.any(X < 0) or np.any(X > 1):
             raise DomainError("query point outside the unit cube")
-        self._charge(X.shape[0])
+        self.require(len(X))
+        self.query_count += len(X)
         vals = self.target.value_batch(X)
         if self.query_log is not None:
             self.query_log.extend((row.copy(), float(v)) for row, v in zip(X, vals))

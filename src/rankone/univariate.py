@@ -177,7 +177,9 @@ def make_bump(r: int, orientation: str, interval: Tuple[float, float] = (0.0, 1.
     f(t) = 2^r max{0, 1/2 - t}^r: f(0) = 1, f vanishes identically on
     [1/2, 1], and the sup of the r-th derivative is exactly 2^r r!.
     General intervals rescale affinely; the factor is defined as 0
-    outside ``interval``.
+    outside ``interval``.  The peak end must be the cube's (a = 0 for
+    "left", b = 1 for "right"): inside (0, 1) the bump would jump from 0
+    to 1 there, and no r-th derivative bound would hold.
     """
     if r < 1:
         raise ParameterError("smoothness order r must be a positive integer")
@@ -186,6 +188,9 @@ def make_bump(r: int, orientation: str, interval: Tuple[float, float] = (0.0, 1.
         raise ParameterError(f"degenerate interval [{a}, {b}]")
     if orientation not in ("left", "right"):
         raise ParameterError(f"orientation must be 'left' or 'right', got {orientation!r}")
+    if (orientation == "left" and a != 0.0) or (orientation == "right" and b != 1.0):
+        raise ParameterError(f"a {orientation} bump on [{a}, {b}] jumps at its peak end; "
+                             "it must lie at the cube's end, 0 or 1")
     m = 0.5 * (a + b)
     h = m - a  # half-width; support has measure h
 

@@ -131,6 +131,42 @@ class TestExitCodes:
         assert "piecewise-linear" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [
+        {"r": "5"}, {"r": 2.5}, {"d": 3.0}, {"eps": "0.1"}, {"trials": "1"},
+        {"tensor_spec": 5}, {"n1": 2.5}, {"seed": True}, {"M": None},
+        {"strategy": None}, {"family": ["shifted_smooth"]}],
+        ids=["r-str", "r-float", "d-float", "eps-str", "trials-str", "tensor_spec-int",
+             "n1-float", "seed-bool", "M-null", "strategy-null", "family-list"])
+    def test_mistyped_experiment_config(self, tmp_path, capsys, extra):
+        # each of these once ended in a TypeError traceback (exit 1) or,
+        # for n1 = 2.5, ran
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 5, "M": 10.0, "d": 3, "eps": 0.1,
+                                   "family": "shifted_smooth", "trials": 2,
+                                   "grid": 801, "samples": 200, **extra}))
+        out = tmp_path / "out"
+        assert run(["approx", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: {next(iter(extra))} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integers_accepted_as_reals(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 5, "M": 10, "d": 3, "eps": 0.1, "p": 0.5,
+                                   "family": "shifted_smooth", "trials": 1, "n1": None,
+                                   "grid": 801, "samples": 200}))
+        assert run(["approx", "--config", str(cfg)]) == 0
+
+    def test_bump_peak_inside_the_cube_refused(self, tmp_path, capsys):
+        # a left bump on [0.33, 0.93] jumps from 0 to 1 at 0.33, so it is
+        # outside the class whatever derivative bound it declares
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({"d": 2, "r": 1, "M": 4.0, "replicate": True,
+                                    "factor": {"kind": "bump", "orientation": "left",
+                                               "interval": [0.33, 0.93]}}))
+        assert run(["recover", "--config", str(spec), "--z", "0.4,0.4",
+                    "--budget", "81"]) == 3
+        assert "peak end" in capsys.readouterr().err
+
     def test_budget_error(self, tmp_path, capsys):
         spec = tmp_path / "t.json"
         spec.write_text(json.dumps({
@@ -182,6 +218,32 @@ class TestOutputs:
         assert summary["found"] == 3
         X = np.vstack(queries)
         assert X.shape[1] == 10 and np.all((X >= 0.0) & (X <= 1.0))
+
+    @pytest.mark.parametrize("argv, expected", [
+        ("--r 5 --M 10 --d 5 --eps 0.1",
+         {"regime": "trivial_M_small", "n1": 1, "n2": 26, "success_prob_lower": 1.0,
+          "inputs": {"r": 5, "M": 10.0, "d": 5, "eps": 0.1, "V": None, "p": 0.5}}),
+        ("--r 2 --M 5 --d 3 --eps 0.5",
+         {"regime": "subset_search", "n1": 920775, "n2": 13,
+          "success_prob_lower": 0.5000003585530866,
+          "inputs": {"r": 2, "M": 5.0, "d": 3, "eps": 0.5, "V": None, "p": 0.5},
+          "subset_params": {"delta_star": 0.07008771254956903, "d_star": 4,
+                            "alpha": 4.696784962986374, "c_prob": 7627.668981262186}}),
+        ("--r 1 --M 2 --d 5 --eps 0.1 --V 0.3",
+         {"regime": "support_class_random", "n1": 2, "n2": 261, "success_prob_lower": 0.51,
+          "inputs": {"r": 1, "M": 2.0, "d": 5, "eps": 0.1, "V": 0.3, "p": 0.5}}),
+        ("--r 1 --M 2 --d 5 --eps 0.1 --V 0.3 --deterministic",
+         {"regime": "support_class_deterministic", "n1": 1450, "n2": 261,
+          "success_prob_lower": 1.0,
+          "inputs": {"r": 1, "M": 2.0, "d": 5, "eps": 0.1, "V": 0.3, "p": 0.5}}),
+        ("--r 1 --M 2 --d 5 --eps 0.1 --p 0.25",
+         {"regime": "intractable", "n1": 32, "n2": 261, "success_prob_lower": 0.0,
+          "inputs": {"r": 1, "M": 2.0, "d": 5, "eps": 0.1, "V": None, "p": 0.25}}),
+    ], ids=["trivial", "subset", "support-random", "support-deterministic", "intractable"])
+    def test_plan_json_pinned(self, tmp_path, capsys, argv, expected):
+        out = tmp_path / "plan"
+        assert run(["plan", *argv.split(), "--out", str(out)]) == 0
+        assert (out / "plan.json").read_text() == json.dumps(expected, indent=2) + "\n"
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -7,7 +7,7 @@ import pytest
 
 from rankone import pipeline
 from rankone.dispersion import n_disp_upper, uniform_pointset
-from rankone.errors import ConfigError, ParameterError
+from rankone.errors import ConfigError, DomainError, InstanceTooLargeError, ParameterError
 from rankone.pipeline import (ExperimentConfig, convergence_sweep,
                               family_box_support, family_offcenter_triangle,
                               family_shifted_smooth, family_trig_smooth,
@@ -201,8 +201,33 @@ class TestRunPipeline:
         rows, _ = run_pipeline(cfg)
         misses = [r for r in rows if not r["found"]]
         assert misses, "expected at least one miss at n1=2, theta=2^-6"
-        for r in misses:
-            assert r["error_upper"] == pytest.approx(1.0)
+        for r in misses:  # the declared bounds and the grid max are both 1
+            assert r["error_upper"] == r["error_lower"] == 1.0
+
+    @staticmethod
+    def narrow_peak_config(sup_bound):
+        # peaks of 0.5 on (0.49, 0.51): one uniform draw misses them
+        spec = {"d": 2, "r": 1, "M": 50.0, "replicate": True,
+                "factor": {"kind": "explicit-table", "ts": [0, 0.49, 0.5, 0.51, 1],
+                           "values": [0, 0, 0.5, 0, 0], "sup_bound": sup_bound,
+                           "deriv_bound": 50.0}}
+        return ExperimentConfig.from_dict(dict(
+            r=1, M=50.0, d=2, eps=0.1, tensor_spec=spec, strategy="single",
+            trials=3, grid=5, samples=1))
+
+    def test_miss_brackets_the_sup_norm(self):
+        # a miss outputs zero, which errs by sup|f|: at most the declared
+        # prod_i sup_bound_i = 1, at least the grid max 0.5^2
+        rows, _ = run_pipeline(self.narrow_peak_config(1.0))
+        assert not any(r["found"] for r in rows)
+        assert all((r["error_lower"], r["error_upper"]) == (0.25, 1.0) for r in rows)
+
+    @pytest.mark.parametrize("sup_bound, error", [(0.4, DomainError),
+                                                  (1e200, InstanceTooLargeError)],
+                             ids=["false-bound", "past-float-range"])
+    def test_miss_bracket_refusals(self, sup_bound, error):
+        with pytest.raises(error):
+            run_pipeline(self.narrow_peak_config(sup_bound))
 
     def test_reproducible_and_thread_invariant(self):
         r1, s1 = run_pipeline(small_config(trials=6))

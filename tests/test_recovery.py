@@ -157,13 +157,6 @@ class TestRecover:
         with pytest.raises(NonzeroCenterError):
             recover(o, np.full(2, 0.9), RecoveryConfig(r=1, budget_n2=9))
 
-    def test_center_guard(self):
-        t = poly_tensor(2, 1, [0.01])
-        o = QueryOracle(t)
-        with pytest.raises(NonzeroCenterError):
-            recover(o, np.full(2, 0.5),
-                    RecoveryConfig(r=1, budget_n2=9, min_center_value=0.1))
-
     def test_bad_z_shape(self):
         t = poly_tensor(3, 1, [0.5])
         o = QueryOracle(t)

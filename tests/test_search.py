@@ -165,20 +165,14 @@ class TestSuccessBound:
         bs = [subset_success_bound(params, 8, n) for n in (10, 100, 1000)]
         assert bs == sorted(bs)
 
-    def test_sharp_at_least_printed_for_large_d(self):
-        params = SubsetSearchParams.from_problem(2, 3.0, 0.3)
-        d = 4 * params.d_star
-        n1 = 1000
-        assert (subset_success_bound(params, d, n1, sharp=True)
-                >= subset_success_bound(params, d, n1) - 1e-12)
-
-    def test_sharp_base_above_one_gives_one(self):
-        # d* / (3d) is large at d=1: the per-iteration base exceeds 1 and
-        # its d*-th power used to overflow
+    def test_saturated_c_prob_gives_zero_at_every_d(self):
+        # near M = 2^r r!, d* is large and C passes the float range: the
+        # bound is the valid 0.0 at d = 1 as at d = 10^6
         params = SubsetSearchParams.from_problem(3, 47.9, 0.01)
         assert params.d_star == 4419
-        assert subset_success_bound(params, 1, 10, sharp=True) == 1.0
-        assert subset_success_bound(params, 10 ** 6, 10, sharp=True) == 0.0
+        assert params.c_prob == sys.float_info.max
+        assert subset_success_bound(params, 1, 10) == 0.0
+        assert subset_success_bound(params, 10 ** 6, 10) == 0.0
 
     def test_no_underflow_for_huge_n1(self):
         params = SubsetSearchParams.from_problem(1, 1.9, 0.2)

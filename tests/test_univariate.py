@@ -143,11 +143,22 @@ class TestFactors:
         assert np.all(f(np.linspace(0.0, 0.5, 101)) == 0.0)
 
     def test_bump_general_interval(self):
-        f = make_bump(1, "left", (0.25, 0.75))
-        assert float(f(0.25)) == pytest.approx(1.0)
-        assert float(f(0.2)) == 0.0
-        assert float(f(0.6)) == 0.0
-        assert f.deriv_bound == pytest.approx(1.0 / 0.25)
+        for r in (1, 3):
+            f = make_bump(r, "left", (0.0, 0.5))
+            assert f.support == (0.0, 0.25)
+            assert float(f(0.0)) == 1.0
+            assert float(f(0.25)) == 0.0 and float(f(0.6)) == 0.0
+            assert f.deriv_bound == pytest.approx(math.factorial(r) / 0.25 ** r)
+            g = make_bump(r, "right", (0.5, 1.0))
+            assert g.support == (0.75, 1.0) and float(g(1.0)) == 1.0
+
+    @pytest.mark.parametrize("orientation, interval", [
+        ("left", (0.33, 0.93)), ("left", (0.25, 1.0)), ("right", (0.0, 0.9))])
+    def test_bump_peak_inside_the_cube_refused(self, orientation, interval):
+        # the bump would jump from 0 to 1 at its peak end, so no r-th
+        # derivative bound holds, yet it would declare r!/h^r
+        with pytest.raises(ParameterError, match="peak end"):
+            make_bump(2, orientation, interval)
 
     def test_bump_invalid(self):
         with pytest.raises(ParameterError):
