@@ -4,7 +4,10 @@ The dispersion of a point set is the volume of the largest axis-parallel
 box containing none of its points.  The supremum over closed empty boxes
 equals the maximum over open boxes whose faces lie on the coordinate
 hyperplanes through the points or on the cube faces; this module
-computes that maximum exactly, with an attained witness box.
+computes that maximum exactly, with an attained witness box: by gaps in
+d = 1, by a planar sweep in d = 2, and in d >= 3 by cutting the first
+axis into slabs whose points are solved in the other axes, down to the
+planar sweep.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from . import rng
 from .errors import InstanceTooLargeError, ParameterError
 from .tensor import Box
 
-EXHAUSTIVE_GUARD = 10 ** 9
+# d >= 3 sweeps up to (n+2)^(2(d-2)) slabs of O((n+2)^2) work each
+SLAB_GUARD = 10 ** 9
 # cells per block array of the planar sweep (rows = cells // (n+1), at
 # least one), so memory stays O(n) while numpy does the O(n^2) work;
 # dispersion_lower_estimate's (boxes, n, d) blocks are as large.
@@ -129,10 +133,8 @@ class _Best:
             self.lower, self.upper = lo, hi
 
     def result(self) -> DispersionResult:
-        return DispersionResult(
-            value=self.volume,
-            witness_box=Box(lower=np.array(self.lower), upper=np.array(self.upper)),
-        )
+        box = Box(lower=np.array(self.lower), upper=np.array(self.upper))
+        return DispersionResult(value=float(self.volume), witness_box=box)
 
 
 def exact_dispersion(ps: PointSet) -> DispersionResult:
@@ -141,23 +143,41 @@ def exact_dispersion(ps: PointSet) -> DispersionResult:
     d=1 scans gaps; d=2 runs an exact planar maximal-empty-rectangle
     sweep in O(n) memory, so large n is fine: O(n^2) blocked numpy work
     for anchored rectangles, one O(n) pass for those at the left wall;
-    d>=3 uses pruned exhaustive enumeration guarded by the candidate
-    count (n+2)^(2d) <= 1e9; beyond the guard an error
-    directs to dispersion_lower_estimate.
+    d>=3 cuts axis 0 into slabs between pairs of walls, widest first,
+    and solves each slab's points in the other axes down to the planar
+    sweep, for at most (n+2)^(2d-2) <= 1e9 work; beyond that guard an
+    error directs to dispersion_lower_estimate.
     """
-    if ps.n == 0:
-        d = ps.d
+    n, d = ps.points.shape
+    if n == 0:
         return DispersionResult(value=1.0,
                                 witness_box=Box(lower=np.zeros(d), upper=np.ones(d)))
-    if ps.d == 1:
+    if d == 1:
         return _dispersion_1d(ps.points[:, 0])
-    if ps.d == 2:
-        return _dispersion_2d(ps.points)
-    if (ps.n + 2) ** (2 * ps.d) > EXHAUSTIVE_GUARD:
+    if d > 2 and (n + 2) ** (2 * d - 2) > SLAB_GUARD:
         raise InstanceTooLargeError(
-            f"(n+2)^(2d) = {(ps.n + 2) ** (2 * ps.d)} exceeds {EXHAUSTIVE_GUARD}; "
+            f"(n+2)^(2d-2) = {(n + 2) ** (2 * d - 2)} exceeds {SLAB_GUARD}; "
             "use dispersion_lower_estimate for a sampled lower estimate")
-    return _dispersion_exhaustive(ps.points)
+    best = _Best()
+    _slabs(best, ps.points, 1.0, (), ())
+    if d > 2:
+        _wall_zeros(best, ps.points)
+    return best.result()
+
+
+def _wall_zeros(best: _Best, pts: np.ndarray):
+    """Write each zero wall of the witness in d >= 3 as the search over
+    all candidate boxes (the tests' reference) writes it: as np.unique's
+    zero of 0, 1 and the axis's coordinates, whose sign -0.0 inputs
+    decide, while the slab of the earlier axes holds a point, and as 0.0
+    once it holds none."""
+    lower, inside = list(best.lower), np.ones(len(pts), dtype=bool)
+    for i, col in enumerate(pts.T):
+        if lower[i] == 0:  # np.unique keeps one of 0.0 and -0.0
+            walls = np.unique(np.concatenate(([0.0, 1.0], col)))
+            lower[i] = walls[0] if inside.any() else 0.0
+        inside &= (col > lower[i]) & (col < best.upper[i])
+    best.lower = tuple(lower)
 
 
 def _dispersion_1d(xs: np.ndarray) -> DispersionResult:
@@ -168,31 +188,45 @@ def _dispersion_1d(xs: np.ndarray) -> DispersionResult:
     return best.result()
 
 
-def _dispersion_2d(pts: np.ndarray) -> DispersionResult:
-    """Exact planar sweep: anchor-at-point rectangles plus left-wall gaps.
+def _slabs(best: _Best, pts: np.ndarray, c: float, lower: tuple, upper: tuple):
+    """Offer the empty boxes of the points' slab in its last k >= 2 axes
+    as (*lower, ...), (*upper, ...), of volume c times their own.
 
-    The anchors are evaluated a block at a time as a (rows, n+1) array
-    of volumes, where column j is the rectangle with right edge
-    rights[j]; entries that are not rectangles of the family are -inf.
-    Only the entries equal to a block's maximum reach _Best, in
-    row-major order, so every box that ties the overall maximum goes
-    through its tie-break.  A block's arrays are freed before the next
-    block is built.  The left-wall family takes one O(n) pass.
-    """
+    k >= 3: each pair (a, b) of walls on the first axis (0, 1 and the
+    coordinates), widest first, cuts the slab a < x < b, solved in the
+    other axes with prefix c (b - a), until c (b - a) falls below the
+    best volume, which the later widths cannot raise.  k = 2: the planar
+    sweep scores the rectangles anchored at a point a block at a time as
+    a (rows, n+1) array of volumes, column j's right edge at rights[j],
+    -inf where no rectangle of the family is; only the entries equal to
+    a block's maximum reach _Best, in row-major order, so every box that
+    ties the overall maximum goes through its tie-break, and a block's
+    arrays are freed before the next is built.  The left-wall family
+    takes one O(n) pass."""
+    if pts.shape[1] > 2:
+        walls = np.unique(np.concatenate(([0.0, 1.0], pts[:, 0])))
+        lo, hi = np.triu_indices(len(walls), 1)
+        widths = walls[hi] - walls[lo]
+        for p in np.argsort(-widths, kind="stable"):
+            a, b = walls[lo[p]], walls[hi[p]]
+            if c * widths[p] < best.volume:
+                break
+            inside = (pts[:, 0] > a) & (pts[:, 0] < b)
+            _slabs(best, pts[inside, 1:], c * widths[p], lower + (a,), upper + (b,))
+        return
     order = np.argsort(pts[:, 0], kind="stable")
     xs, ys = pts[order, 0], pts[order, 1]
     rights = np.append(xs, 1.0)
-    best = _Best()
     start = 0
     while start < len(xs):  # an anchor block spans the columns start:
         stop = start + max(1, _BLOCK_CELLS // (len(rights) - start))
-        _anchor_block(best, xs, ys, rights, start, stop)
+        _anchor_block(best, xs, ys, rights, start, stop, c, lower, upper)
         start = stop
-    _left_wall(best, xs, ys, rights)
-    return best.result()
+    _left_wall(best, xs, ys, rights, c, lower, upper)
 
 
-def _anchor_block(best: _Best, xs, ys, rights, start: int, stop: int):
+def _anchor_block(best: _Best, xs, ys, rights, start: int, stop: int,
+                  c: float, lower: tuple, upper: tuple):
     """Rectangles whose left edge passes through an anchor point, bounded
     above and below by the points between it and the right edge; the
     points not right of the anchor take the neutral values 1.0 and 0.0.
@@ -207,16 +241,19 @@ def _anchor_block(best: _Best, xs, ys, rights, start: int, stop: int):
     np.copyto(lo[:, 1:], yr, where=right_of & (yr <= py))
     np.minimum.accumulate(hi, axis=1, out=hi)
     np.maximum.accumulate(lo, axis=1, out=lo)
-    vols = hi - lo
-    vols *= rr - px
+    vols = rr - px
+    vols *= c
+    vols *= hi - lo
     vols[:, :-1][~right_of] = -np.inf
     vmax = vols.max()
     if vmax >= best.volume:  # offer the entries equal to it, if it can win
         for b, j in zip(*np.nonzero(vols == vmax)):
-            best.offer(float(vols[b, j]), (px[b, 0], lo[b, j]), (rr[j], hi[b, j]))
+            best.offer(float(vols[b, j]), (*lower, px[b, 0], lo[b, j]),
+                       (*upper, rr[j], hi[b, j]))
 
 
-def _left_wall(best: _Best, xs, ys, rights):
+def _left_wall(best: _Best, xs, ys, rights, c: float, lower: tuple,
+               upper: tuple):
     """Rectangles touching the left wall, in O(n) after the sorts.
 
     Row j of the family keeps the points before j in x order; its boxes
@@ -243,59 +280,22 @@ def _left_wall(best: _Best, xs, ys, rights):
     floors = np.append(0.0, levels)
     lo = np.append(floors[np.array(below, dtype=np.intp) + 1], floors[:-1])
     right = np.append(xq, np.ones(n + 1))
-    # the strips' heights sum to 1, so vmax > 0, which no candidate of
-    # zero height or width reaches
-    vols = (np.append(levels[above], levels) - lo) * right
+    # the strips' heights sum to 1, so vmax > 0 (c > 0), which no
+    # candidate of zero height or width reaches
+    vols = (c * right) * (np.append(levels[above], levels) - lo)
     vmax = vols.max()
     lo = lo[vols == vmax].min()
     # row j's gap from the topmost kept level lo (or the floor) upward,
     # in the rows from the one that first keeps a point at lo
     top = np.minimum.accumulate(np.append(1.0, np.where(ys > lo, ys, 1.0)))
     first = 0 if lo == 0.0 else int(np.argmax(ys == lo)) + 1
-    rows = first + np.flatnonzero((top[first:] - lo) * rights[first:] == vmax)
+    rows = first + np.flatnonzero((c * rights[first:]) * (top[first:] - lo) == vmax)
     rows = rows[rights[rows] == rights[rows].min()]
     j = rows[top[rows] == top[rows].min()][0]
     kept = np.flatnonzero((levels[:-1] == lo) & (by_y < j))
-    best.offer(float(vmax), (0.0, levels[kept[-1]] if len(kept) else 0.0),
-               (rights[j], top[j]))
-
-
-def _dispersion_exhaustive(pts: np.ndarray) -> DispersionResult:
-    """Pruned DFS over candidate faces, exact for small instances."""
-    n, d = pts.shape
-    coords = [np.unique(np.concatenate(([0.0, 1.0], pts[:, i]))) for i in range(d)]
-    # candidate (a, b) pairs per axis, widest first for pruning
-    pairs = []
-    for i in range(d):
-        c = coords[i]
-        ax = [(c[a], c[b]) for a in range(len(c)) for b in range(a + 1, len(c))]
-        ax.sort(key=lambda p: p[0] - p[1])  # descending width
-        pairs.append(ax)
-    best = _Best()
-    lower = [0.0] * d
-    upper = [1.0] * d
-
-    def descend(axis: int, mask: np.ndarray, volume: float):
-        if axis == d:
-            if not mask.any():
-                best.offer(volume, lower, upper)
-            return
-        if not mask.any():
-            # already empty: extend remaining axes to the full cube
-            for i in range(axis, d):
-                lower[i], upper[i] = 0.0, 1.0
-            best.offer(volume, lower, upper)
-            return
-        col = pts[:, axis]
-        for a, b in pairs[axis]:
-            w = b - a
-            if volume * w < best.volume:
-                break  # widths descend; nothing better on this axis
-            lower[axis], upper[axis] = a, b
-            descend(axis + 1, mask & (col > a) & (col < b), volume * w)
-
-    descend(0, np.ones(n, dtype=bool), 1.0)
-    return best.result()
+    best.offer(float(vmax),
+               (*lower, 0.0, levels[kept[-1]] if len(kept) else 0.0),
+               (*upper, rights[j], top[j]))
 
 
 def dispersion_lower_estimate(ps: PointSet, boxes: int = 10_000,

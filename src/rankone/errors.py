@@ -22,7 +22,7 @@ class BudgetTooSmallError(ValueError):
 
 
 class InstanceTooLargeError(ValueError):
-    """The instance exceeds the guard for exhaustive computation."""
+    """The instance exceeds a guard on the work or range of a computation."""
 
 
 class NonzeroCenterError(ValueError):

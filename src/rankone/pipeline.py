@@ -215,6 +215,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         if self.tensor_spec is None and self.family is None:
             raise ConfigError("config needs either 'tensor_spec' or 'family'")
+        # the run is planned with the config's values, so a spec must agree
+        for name in ("d", "r", "M"):
+            spec_value = (self.tensor_spec or {}).get(name, getattr(self, name))
+            if spec_value != getattr(self, name):
+                raise ConfigError(f"tensor_spec {name} = {spec_value!r} differs from "
+                                  f"the config's {name} = {getattr(self, name)!r}")
         if self.family is not None and self.family not in FAMILIES:
             raise ConfigError(
                 f"unknown family {self.family!r}; choose from {sorted(FAMILIES)}")

@@ -37,11 +37,14 @@ def factor_from_spec(spec: Dict[str, Any], r: int) -> UnivariateFactor:
 def tensor_from_spec(spec: Dict[str, Any]) -> RankOneTensor:
     """Build a tensor from {"d", "r", "M", "V", "factors" | "factor"+replicate}."""
     try:
-        d = int(spec["d"])
-        r = int(spec["r"])
-        M = float(spec["M"])
+        d, r, M = spec["d"], spec["r"], float(spec["M"])
     except KeyError as exc:
         raise ConfigError(f"tensor spec missing field {exc}")
+    for key, value in (("d", d), ("r", r)):  # int() would truncate 2.5 to 2
+        whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        if isinstance(value, bool) or not whole:
+            raise ConfigError(f"tensor spec field {key!r} must be an integer, got {value!r}")
+    d, r = int(d), int(r)
     if spec.get("replicate"):
         fspec = spec.get("factor") or spec["factors"][0]
         factors = tuple(factor_from_spec(fspec, r) for _ in range(d))

@@ -116,6 +116,35 @@ class TestExitCodes:
                                     "factor": {"kind": "nope"}}))
         assert run(["search", "--config", str(spec), "--strategy", "single"]) == 2
 
+    @pytest.mark.parametrize("field, value", [("d", 2.5), ("r", 2.9), ("d", True),
+                                              ("r", "2")])
+    def test_fractional_spec_dimensions_refused(self, tmp_path, capsys, field, value):
+        # int() once truncated these, so "d": 2.5 ran a 2-D search and exited 0
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({"d": 2, "r": 2, "M": 3.0, "replicate": True,
+                                    "factor": {"kind": "trig", "amplitude": 0.05,
+                                               "frequency": 1, "offset": 0.5},
+                                    field: value}))
+        assert run(["search", "--config", str(spec), "--strategy", "single"]) == 2
+        assert f"tensor spec field '{field}' must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_d, spec_d", [(2, 6), (6, 2)])
+    def test_spec_and_config_dimensions_must_agree(self, tmp_path, capsys, config_d, spec_d):
+        # the run plans n2 with the config's d: at d = 2 against a 6-D spec
+        # it exited 3 naming neither field, at d = 6 against a 2-D spec it
+        # spent a 6-D budget on 2 lines and exited 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "r": 2, "M": 3.0, "d": config_d, "eps": 0.1, "n1": 5, "trials": 1,
+            "tensor_spec": {"d": spec_d, "r": 2, "M": 3.0, "replicate": True,
+                            "factor": {"kind": "trig", "amplitude": 0.05,
+                                       "frequency": 1, "offset": 0.5}}}))
+        out = tmp_path / "out"
+        assert run(["approx", "--config", str(cfg), "--out", str(out)]) == 2
+        assert (f"config error: tensor_spec d = {spec_d} differs from the config's "
+                f"d = {config_d}") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_table_past_r1_refused(self, tmp_path, capsys):
         # a piecewise-linear table has no bounded second derivative, so no
         # error bracket holds for it at r = 2

@@ -36,10 +36,14 @@ def brute_force_dispersion(pts: np.ndarray) -> float:
     elif d == 2:
         counts = np.einsum("an,bn->ab", axes_inside[0], axes_inside[1])
         vols = axes_pairs[0][:, None] * axes_pairs[1][None, :]
-    else:
-        counts = np.einsum("an,bn,cn->abc", *axes_inside)
-        vols = (axes_pairs[0][:, None, None] * axes_pairs[1][None, :, None]
-                * axes_pairs[2][None, None, :])
+    else:  # one axis-0 pair at a time, so n = 29 takes (465, 465) arrays
+        best = 0.0
+        yz = axes_inside[2].T.astype(float)
+        for w, x in zip(axes_pairs[0], axes_inside[0]):
+            counts = (axes_inside[1] * x).astype(float) @ yz
+            vols = (w * axes_pairs[1][:, None]) * axes_pairs[2][None, :]
+            best = max(best, float(np.where(counts == 0, vols, 0.0).max()))
+        return best
     vols = np.where(counts == 0, vols, 0.0)
     return float(vols.max())
 
@@ -84,6 +88,53 @@ def reference_dispersion_2d(pts: np.ndarray):
     return best[0], np.array(best[1]), np.array(best[2])
 
 
+def reference_dispersion_exhaustive(pts: np.ndarray):
+    """The pruned depth-first search over candidate faces that the slab
+    sweep replaced in d >= 3, kept as its bit-for-bit reference:
+    (value, witness lower, witness upper)."""
+    n, d = pts.shape
+    coords = [np.unique(np.concatenate(([0.0, 1.0], pts[:, i]))) for i in range(d)]
+    # candidate (a, b) pairs per axis, widest first for pruning
+    pairs = []
+    for i in range(d):
+        c = coords[i]
+        ax = [(c[a], c[b]) for a in range(len(c)) for b in range(a + 1, len(c))]
+        ax.sort(key=lambda p: p[0] - p[1])  # descending width
+        pairs.append(ax)
+    best = [-1.0, None, None]
+    lower = [0.0] * d
+    upper = [1.0] * d
+
+    def offer(volume, lower, upper):
+        lo, hi = tuple(lower), tuple(upper)
+        if volume > best[0]:
+            best[:] = [volume, lo, hi]
+        elif volume == best[0] and (lo, hi) < (best[1], best[2]):
+            best[1:] = [lo, hi]
+
+    def descend(axis: int, mask: np.ndarray, volume: float):
+        if axis == d:
+            if not mask.any():
+                offer(volume, lower, upper)
+            return
+        if not mask.any():
+            # already empty: extend remaining axes to the full cube
+            for i in range(axis, d):
+                lower[i], upper[i] = 0.0, 1.0
+            offer(volume, lower, upper)
+            return
+        col = pts[:, axis]
+        for a, b in pairs[axis]:
+            w = b - a
+            if volume * w < best[0]:
+                break  # widths descend; nothing better on this axis
+            lower[axis], upper[axis] = a, b
+            descend(axis + 1, mask & (col > a) & (col < b), volume * w)
+
+    descend(0, np.ones(n, dtype=bool), 1.0)
+    return best[0], np.array(best[1]), np.array(best[2])
+
+
 def reference_lower_estimate(ps: PointSet, boxes: int, seed: int) -> float:
     """The one-box-at-a-time loop that dispersion_lower_estimate replaced."""
     g = rng.spawn(seed, 0xD15)
@@ -100,7 +151,9 @@ def reference_lower_estimate(ps: PointSet, boxes: int, seed: int) -> float:
 
 def assert_matches_reference(pts):
     res = exact_dispersion(PointSet(points=pts, provenance="x"))
-    value, lower, upper = reference_dispersion_2d(np.asarray(pts, dtype=float))
+    pts = np.asarray(pts, dtype=float)
+    reference = reference_dispersion_2d if pts.shape[1] == 2 else reference_dispersion_exhaustive
+    value, lower, upper = reference(pts)
     assert res.value == value
     # compared through repr, so signs of zero must match as well
     assert repr(res.witness_box.lower.tolist()) == repr(lower.tolist())
@@ -232,6 +285,22 @@ class TestExactDispersion:
         with pytest.raises(InstanceTooLargeError):
             exact_dispersion(ps)
 
+    def test_slab_guard_in_3d(self):
+        # (n+2)^4 <= 1e9 holds up to n = 175; the guard raises before any work
+        assert (175 + 2) ** 4 <= dispersion.SLAB_GUARD < (176 + 2) ** 4
+        with pytest.raises(InstanceTooLargeError):
+            exact_dispersion(uniform_pointset(176, 3, seed=0))
+
+    def test_29_points_in_3d_match_brute_force(self):
+        pts = uniform_pointset(29, 3, seed=3).points
+        got = exact_dispersion(PointSet(points=pts, provenance="x")).value
+        assert got == pytest.approx(brute_force_dispersion(pts), rel=1e-12)
+
+    @pytest.mark.parametrize("n, d", [(0, 2), (0, 3), (3, 1), (3, 2), (3, 3), (3, 4)])
+    def test_value_is_python_float(self, n, d):
+        ps = PointSet(points=np.random.default_rng(n + d).random((n, d)), provenance="x")
+        assert type(exact_dispersion(ps).value) is float
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 3), st.integers(2, 9), st.integers(0, 10 ** 6))
     def test_monotone_under_point_removal(self, d, n, seed):
@@ -323,6 +392,63 @@ class TestPlanarSweepPinned:
         g = np.random.default_rng(seed)
         pts = np.round(g.random((int(g.integers(2, 41)), 2)) * 6) / 6
         assert_matches_reference(pts)
+
+
+class TestSlabsPinned:
+    """The slab sweep in d = 3 and 4 against the depth-first search it
+    replaced, value and witness bit for bit."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_sets(self, d, seed):
+        g = np.random.default_rng(seed)
+        assert_matches_reference(g.random((int(g.integers(1, 13 if d == 3 else 9)), d)))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("steps", [2, 3, 4, 5, 10])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grid_sets(self, d, steps, seed):
+        # shared coordinates, ties between boxes and points on the walls
+        g = np.random.default_rng(100 * steps + seed)
+        pts = g.random((int(g.integers(1, 13 if d == 3 else 9)), d))
+        assert_matches_reference(np.round(pts * steps) / steps)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_points_on_walls(self, d, seed):
+        g = np.random.default_rng(seed)
+        pts = g.random((int(g.integers(1, 11 if d == 3 else 8)), d))
+        on_wall = g.random(pts.shape) < 0.4
+        pts[on_wall] = g.integers(0, 2, size=pts.shape)[on_wall]
+        assert_matches_reference(pts)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_negative_zero_coordinates(self, d, seed):
+        # -0.0 passes the [0, 1] check; the witness keeps its sign as before
+        g = np.random.default_rng(seed)
+        pts = np.round(g.random((int(g.integers(1, 10 if d == 3 else 8)), d)) * 4) / 4
+        zeros = pts == 0
+        pts[zeros & (g.random(pts.shape) < 0.7)] = -0.0
+        assert_matches_reference(pts)
+
+    @pytest.mark.parametrize("pts", [
+        [[0.5, 0.5, 0.5]],
+        [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+        [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)],
+        [[0.5, 0.5, 0.5]] * 3,
+        [[0.25, 0.25, 0.25], [0.5, 0.5, 0.5], [0.75, 0.75, 0.75]],
+        [[-0.0, 0.5, 0.5], [0.5, -0.0, 0.5], [0.5, 0.5, -0.0]],
+        [[0.0, 0.5, -0.0], [-0.0, 0.2, 0.0], [0.6, -0.0, 0.3]],
+        [[0.5, 0.5, 0.5, 0.5], [-0.0, 0.25, 0.75, -0.0]],
+    ], ids=["center", "corners", "all-corners", "repeated", "diagonal",
+            "negative-zero-faces", "mixed-zeros", "4d-negative-zero"])
+    def test_hand_made_sets(self, pts):
+        assert_matches_reference(np.array(pts, dtype=float))
+
+    def test_uniform_12(self):
+        for seed in range(3):
+            assert_matches_reference(uniform_pointset(12, 3, seed).points)
 
 
 class TestLeftWallPass:

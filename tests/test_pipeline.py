@@ -151,6 +151,16 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"r": 1, "M": 1.0, "d": 2, "eps": 0.1,
                                         "family": "nope"})
 
+    @pytest.mark.parametrize("field, value", [("d", 3), ("r", 2), ("M", 2.5)])
+    def test_tensor_spec_must_match_config(self, field, value):
+        # equal numbers of another type agree: d 2 and 2.0, M 1 and 1.0
+        spec = {"d": 2.0, "r": 1, "M": 1.0, "replicate": True,
+                "factor": {"kind": "polynomial-piecewise", "coefficients": [0.5, 0.1]}}
+        base = {"r": 1, "M": 1, "d": 2, "eps": 0.1}
+        assert ExperimentConfig.from_dict({**base, "tensor_spec": spec}).make_tensor(0).d == 2
+        with pytest.raises(ConfigError, match=f"tensor_spec {field} = "):
+            ExperimentConfig.from_dict({**base, "tensor_spec": {**spec, field: value}})
+
     @pytest.mark.parametrize("extra", [{"grid": 1}, {"grid": 0}, {"samples": 0},
                                        {"grid": 801.0}, {"samples": "200"}])
     def test_bracket_sizes_validated(self, extra):
