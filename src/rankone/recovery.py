@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -44,23 +43,17 @@ class RecoveryConfig:
 @dataclass(frozen=True)
 class RankOneApproximant:
     """A(x) = f(z*) * prod_i (g_i(x_i) / f(z*)) from the d axis lines g_i,
-    which share one piece layout (``lines.values`` has shape (d, k, r))."""
+    interpolated on one shared piece layout: ``line_interpolants.values``
+    has shape (d, k, r), row i the values of line i at the nodes."""
 
-    lines: PiecewisePolynomial
+    line_interpolants: PiecewisePolynomial
     center_value: float
-
-    @property
-    def line_interpolants(self) -> Tuple[PiecewisePolynomial, ...]:
-        """Each axis line as a one-line interpolant on the shared layout."""
-        g = self.lines
-        return tuple(PiecewisePolynomial(g.breakpoints, g.nodes, v, g.weights)
-                     for v in g.values)
 
     def __call__(self, x):
         """A at a d-vector (a float) or at each row of an (n, d) array."""
         x = np.asarray(x, dtype=float)
         c = self.center_value
-        out = c * np.prod(self.lines(x) / c, axis=-1)
+        out = c * np.prod(self.line_interpolants(x) / c, axis=-1)
         return float(out) if x.ndim == 1 else out
 
 
@@ -126,5 +119,4 @@ def recover(oracle: QueryOracle, z_star, cfg: RecoveryConfig) -> RankOneApproxim
         points = np.tile(z, (len(axes), len(nodes), 1))
         points[axes, :, start + axes] = nodes
         vals[lines][query[lines]] = oracle.evaluate_batch(points[query[lines]])
-    return RankOneApproximant(lines=interpolate_line(nodes, vals, cfg.r),
-                              center_value=center)
+    return RankOneApproximant(interpolate_line(nodes, vals, cfg.r), center)

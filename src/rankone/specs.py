@@ -8,6 +8,7 @@ the class parameters.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Dict
 
 import numpy as np
@@ -34,12 +35,22 @@ def factor_from_spec(spec: Dict[str, Any], r: int) -> UnivariateFactor:
     raise ConfigError(f"unknown factor kind {kind!r}")
 
 
+def _real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def tensor_from_spec(spec: Dict[str, Any]) -> RankOneTensor:
     """Build a tensor from {"d", "r", "M", "V", "factors" | "factor"+replicate}."""
     try:
-        d, r, M = spec["d"], spec["r"], float(spec["M"])
+        d, r, M = spec["d"], spec["r"], spec["M"]
     except KeyError as exc:
         raise ConfigError(f"tensor spec missing field {exc}")
+    V = spec.get("V")
+    # float() would read true as 1 and "10" as 10
+    if not _real(M) or not 0 <= M <= sys.float_info.max:
+        raise ConfigError(f"tensor spec field 'M' must be a finite number >= 0, got {M!r}")
+    if V is not None and not _real(V):
+        raise ConfigError(f"tensor spec field 'V' must be a number, got {V!r}")
     for key, value in (("d", d), ("r", r)):  # int() would truncate 2.5 to 2
         whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
         if isinstance(value, bool) or not whole:
@@ -53,13 +64,12 @@ def tensor_from_spec(spec: Dict[str, Any]) -> RankOneTensor:
         if len(fspecs) != d:
             raise ConfigError(f"expected {d} factor specs, got {len(fspecs)}")
         factors = tuple(factor_from_spec(fs, r) for fs in fspecs)
-    V = spec.get("V")
     witness = None
     if spec.get("witness_box") is not None:
         wb = spec["witness_box"]
         witness = Box(lower=np.asarray(wb["lower"], dtype=float),
                       upper=np.asarray(wb["upper"], dtype=float))
-    return RankOneTensor(factors=factors, r=r, M=M,
+    return RankOneTensor(factors=factors, r=r, M=float(M),
                          support_volume=None if V is None else float(V),
                          witness_box=witness)
 
@@ -70,19 +80,16 @@ def approximant_to_dict(approx) -> Dict[str, Any]:
     Each piece's coefficients are those of its interpolating polynomial
     in the local variable (t - piece midpoint), ascending order.
     """
+    g = approx.line_interpolants
+    deg = g.nodes.shape[1] - 1
+    local = g.nodes - 0.5 * (g.breakpoints[:-1] + g.breakpoints[1:])[:, None]
+    breakpoints, nodes = g.breakpoints.tolist(), g.nodes.tolist()
     axes = []
-    for g in approx.line_interpolants:
-        deg = g.nodes.shape[1] - 1
-        midpoints = 0.5 * (g.breakpoints[:-1] + g.breakpoints[1:])
+    for line in g.values:
         coefficients = []
-        for nodes, values, mid in zip(g.nodes, g.values, midpoints):
-            coef = np.polynomial.Polynomial.fit(nodes - mid, values, deg=deg,
-                                                domain=[]).coef
+        for x, values in zip(local, line):
+            coef = np.polynomial.Polynomial.fit(x, values, deg=deg, domain=[]).coef
             coefficients.append(np.pad(coef, (0, deg + 1 - len(coef))).tolist())
-        axes.append({
-            "breakpoints": g.breakpoints.tolist(),
-            "coefficients": coefficients,
-            "nodes": g.nodes.tolist(),
-            "values": g.values.tolist(),
-        })
+        axes.append({"breakpoints": breakpoints, "coefficients": coefficients,
+                     "nodes": nodes, "values": line.tolist()})
     return {"center_value": float(approx.center_value), "axes": axes}

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -260,16 +260,16 @@ def check_membership(t: RankOneTensor, cls: str = "F", grid: int = DEFAULT_GRID,
 
 
 def sup_distance_bound(t: RankOneTensor,
-                       approx: Sequence[PiecewisePolynomial],
+                       lines: PiecewisePolynomial,
                        scale: float,
                        grid: int = DEFAULT_GRID,
                        samples: int = DEFAULT_SAMPLES,
                        seed: int = 0) -> Tuple[float, float]:
-    """Bracket the sup distance between f and A = scale * prod_i (approx_i / scale).
+    """Bracket the sup distance between f and A = scale * prod_i (g_i / scale).
 
-    ``approx`` must be ``recover``'s lines for t (``line_interpolants``):
-    on k blocks of r = t.r Chebyshev nodes, line i times f_i(z*_i) / scale
-    interpolates f_i, so it errs by at most e_i = deriv_bound_i 2
+    ``lines`` must be ``recover``'s ``line_interpolants`` for t, its d
+    lines g_i on k blocks of r = t.r Chebyshev nodes: g_i f_i(z*_i) /
+    scale interpolates f_i, so it errs by at most e_i = deriv_bound_i 2
     (1/(4k))^r / r! (``log_block_remainder``).  With s_i = sup_bound_i,
     upper is sum_i e_i prod_{j<i} (s_j + e_j) prod_{j>i} s_j plus the
     rounding allowance 8 d (r + 1) 2^-53 prod_i (s_i + e_i).  Why 8: f(x)
@@ -288,22 +288,26 @@ def sup_distance_bound(t: RankOneTensor,
     ``grid`` points; all lines scanned at once with prefix and suffix
     products) and ``samples`` seeded random points, in blocks.
 
-    Raises DomainError for lines on another layout, a table factor at
-    r >= 2 (it has no bounded r-th derivative) and lower > upper (the
-    lines are not recover's interpolants of t, or t's bounds are false);
-    InstanceTooLargeError for a bound past the float range.
+    Raises DomainError for a number of lines other than d, lines on
+    another layout, a table factor at r >= 2 (it has no bounded r-th
+    derivative) and lower > upper (the lines are not recover's
+    interpolants of t, or t's bounds are false); InstanceTooLargeError
+    for a bound past the float range.
     """
     d, r = t.d, t.r
-    if len(approx) != d:
-        raise DomainError(f"need {d} approximant factors, got {len(approx)}")
+    if len(lines.values) != d:
+        raise DomainError(f"need {d} approximant lines, got {len(lines.values)}")
     if scale == 0:
         raise DomainError("scale must be nonzero")
     if tables := _table_failures(t):
         raise DomainError("; ".join(tables))
-    lines = _stacked(approx, r)
+    k = lines.pieces
+    if not np.array_equal(lines.nodes, block_chebyshev_nodes(k * r, r).reshape(k, r)):
+        raise DomainError(f"the approximant lines must lie on k blocks of r = {r} "
+                          "Chebyshev nodes, as recover builds them")
 
     e = (np.array([f.deriv_bound for f in t.factors])
-         * math.exp(log_block_remainder(lines.pieces, r)))
+         * math.exp(log_block_remainder(k, r)))
     s = np.array([f.sup_bound for f in t.factors])
     with np.errstate(over="ignore"):  # an infinite bound is refused below
         before, after = _prefix_suffix(np.stack((s + e, s)))
@@ -361,20 +365,3 @@ def _table_failures(t: RankOneTensor) -> List[str]:
     return [f"factor {i}: a piecewise-linear table has no bounded r-th derivative "
             f"at r = {t.r}" for i, f in enumerate(t.factors)
             if f.kind == "explicit-table" and t.r > 1]
-
-
-def _stacked(approx: Sequence[PiecewisePolynomial], r: int) -> PiecewisePolynomial:
-    """The one-line interpolants ``approx`` as one interpolant of d lines,
-    on recover's layout: k blocks of r Chebyshev nodes."""
-    g = approx[0]
-    k = g.pieces
-    if not np.array_equal(g.nodes, block_chebyshev_nodes(k * r, r).reshape(k, r)):
-        raise DomainError(f"the approximant lines must lie on k blocks of r = {r} "
-                          "Chebyshev nodes, as recover builds them")
-    for h in approx[1:]:
-        for a, b in ((h.breakpoints, g.breakpoints), (h.nodes, g.nodes),
-                     (h.weights, g.weights)):
-            if a is not b and not np.array_equal(a, b):
-                raise DomainError("the approximant lines must share one piece layout")
-    return PiecewisePolynomial(g.breakpoints, g.nodes,
-                               np.stack([h.values for h in approx]), g.weights)

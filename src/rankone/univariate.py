@@ -234,20 +234,20 @@ def _poly_abs_max(poly: np.polynomial.Polynomial, lo: float = 0.0,
 
 @dataclass(frozen=True)
 class PiecewisePolynomial:
-    """Piecewise polynomial of local degree < r on [0,1], or d of them.
+    """d piecewise polynomials of local degree < r on [0,1] that share
+    one piece layout.
 
     Piece j covers [breakpoints[j], breakpoints[j+1]) and is stored as
     row j of the (k, r) arrays of its interpolation nodes and their
-    barycentric weights.  ``values`` holds the values at the nodes:
-    shape (k, r) for one line, or (d, k, r) for d lines that share the
-    layout.  Evaluation gathers each point's row and applies the
-    barycentric formula to all points at once; a point within 1e-300 of
-    a node of its piece returns that node's value.
+    barycentric weights.  ``values`` holds each line's values at the
+    nodes, shape (d, k, r).  Evaluation gathers each point's row and
+    applies the barycentric formula to all points at once; a point
+    within 1e-300 of a node of its piece returns that node's value.
     """
 
     breakpoints: np.ndarray  # shape (k+1,), 0 = first < ... < last = 1
     nodes: np.ndarray        # shape (k, r)
-    values: np.ndarray       # shape (k, r), or (d, k, r)
+    values: np.ndarray       # shape (d, k, r)
     weights: np.ndarray      # shape (k, r)
 
     @property
@@ -255,14 +255,17 @@ class PiecewisePolynomial:
         return self.nodes.shape[0]
 
     def __call__(self, t):
-        """Values at t, of t's shape.  With d lines, t[..., i] is a
-        point on line i, so t has d as its last axis; when that axis has
-        stride 0 (one point for all lines, as from ``np.broadcast_to``),
-        the piece lookup and the barycentric terms are made once per
-        point and serve every line."""
-        t = np.asarray(t, dtype=float)
-        tf = np.atleast_1d(t)
-        shared = self.values.ndim == 3 and tf.strides[-1] == 0
+        """Values at t, of t's shape.  t[..., i] is a point on line i, so
+        t has d as its last axis; when that axis has stride 0 (one point
+        for all lines, as from ``np.broadcast_to``), the piece lookup and
+        the barycentric terms are made once per point and serve every
+        line."""
+        tf = np.asarray(t, dtype=float)
+        d = len(self.values)
+        if tf.ndim == 0 or tf.shape[-1] != d:
+            raise ParameterError(f"points on {d} lines need a last axis of {d}, "
+                                 f"got shape {tf.shape}")
+        shared = tf.strides[-1] == 0
         if shared:
             tf = tf[..., 0]
         j = np.clip(np.searchsorted(self.breakpoints, tf, side="right") - 1,
@@ -271,22 +274,17 @@ class PiecewisePolynomial:
         exact = np.abs(diff) <= 1e-300
         # guard exact node hits before dividing
         terms = self.weights.take(j, axis=0) / np.where(exact, 1.0, diff)
-        # each point's row in the (lines x pieces, r) table of values
+        # each point's row in the (lines x pieces, r) table of values;
+        # shared, the lines form a leading axis: shape (d,) + j.shape
         k, r = self.nodes.shape
         table = self.values.reshape(-1, r)
-        if self.values.ndim == 2:
-            rows = j
-        elif shared:  # shape (d,) + j.shape
-            rows = j + k * np.arange(len(self.values)).reshape((-1,) + (1,) * j.ndim)
-        else:
-            rows = j + k * np.arange(len(self.values))
+        offsets = k * np.arange(d)
+        rows = j + (offsets.reshape((-1,) + (1,) * j.ndim) if shared else offsets)
         out = _node_dot(terms, table, rows) / _node_sum(terms)
         if exact.any():
             *at, q = np.nonzero(np.broadcast_to(exact, rows.shape + (r,)))
             out[tuple(at)] = table[rows[tuple(at)], q]
-        if shared:
-            out = np.moveaxis(out, 0, -1)
-        return float(out[0]) if t.ndim == 0 else out
+        return np.moveaxis(out, 0, -1) if shared else out
 
 
 def _node_sum(a: np.ndarray) -> np.ndarray:
@@ -314,43 +312,38 @@ def _node_dot(terms: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.ndar
 
 
 def interpolate_line(ts, values, r: int) -> PiecewisePolynomial:
-    """Blockwise degree-(r-1) interpolation on [0,1] of values at nodes ts.
+    """Blockwise degree-(r-1) interpolation on [0,1] of d lines sampled
+    at the same nodes ts, which then share one piece layout.
 
-    ``values`` has one entry per node along its last axis: shape (m,)
-    for one line, or (d, m) for d lines sampled at the same nodes, which
-    then share one piece layout.  The nodes are partitioned into
-    consecutive groups of r (the final group is the last r nodes when
-    the count is not a multiple of r); each group defines one polynomial
-    piece.  Piece boundaries sit at the midpoints between adjacent
-    groups, with the first piece starting at 0 and the last ending at 1.
-    Reproduces any global polynomial of degree <= r-1 exactly.
+    ``values`` has shape (d, m): row i holds line i's values at the m
+    nodes.  m must be a multiple of r; each consecutive group of r nodes
+    defines one polynomial piece.  Piece boundaries sit at the midpoints
+    between adjacent groups, with the first piece starting at 0 and the
+    last ending at 1.  Reproduces any global polynomial of degree <= r-1
+    exactly.
     """
     if r < 1:
         raise ParameterError("smoothness order r must be a positive integer")
     ts = np.asarray(ts, dtype=float)
     vs = np.asarray(values, dtype=float)
-    if ts.ndim != 1 or ts.size < r:
-        raise ParameterError(f"need at least r={r} sample nodes, got {ts.size}")
-    if vs.ndim not in (1, 2) or vs.shape[-1] != ts.size:
-        raise ParameterError(
-            f"values must have shape ({ts.size},) or (d, {ts.size}), got {vs.shape}")
+    if ts.ndim != 1 or ts.size == 0 or ts.size % r:
+        raise ParameterError(f"need a positive multiple of r={r} sample nodes, "
+                             f"got {ts.size}")
+    if vs.ndim != 2 or vs.shape[1] != ts.size:
+        raise ParameterError(f"values must have shape (d, {ts.size}), got {vs.shape}")
     if np.any(np.diff(ts) <= 0):
         raise ParameterError("sample nodes must be strictly increasing")
     if ts[0] < 0 or ts[-1] > 1:
         raise ParameterError("sample nodes must lie in [0, 1]")
 
-    m = len(ts)
-    starts = np.arange(m // r) * r
-    starts[-1] = m - r
-    groups = starts[:, None] + np.arange(r)
-    nodes = ts[groups]
+    nodes = ts.reshape(-1, r)
     inner = 0.5 * (nodes[:-1, -1] + nodes[1:, 0])
     # w_i = 1 / prod_{l != i} (x_i - x_l); the identity fills the diagonal
     diff = nodes[:, :, None] - nodes[:, None, :] + np.eye(r)
     return PiecewisePolynomial(
         breakpoints=np.concatenate(([0.0], inner, [1.0])),
         nodes=nodes,
-        values=vs[..., groups],
+        values=vs.reshape(len(vs), *nodes.shape),
         weights=1.0 / diff.prod(axis=-1),
     )
 

@@ -128,6 +128,22 @@ class TestExitCodes:
         assert run(["search", "--config", str(spec), "--strategy", "single"]) == 2
         assert f"tensor spec field '{field}' must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["search", "--strategy", "single"],
+        ["recover", "--z", "0.3,0.6", "--budget", "21"]], ids=["search", "recover"])
+    @pytest.mark.parametrize("field, value", [
+        ("M", True), ("M", float("nan")), ("M", float("inf")), ("M", -5), ("M", "10"),
+        ("V", True), ("V", "0.5")])
+    def test_non_numeric_spec_bounds_refused(self, tmp_path, capsys, command, field, value):
+        # float() once read these, so "M": true ran at M = 1 and exited 0
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({"d": 2, "r": 2, "M": 3.0, "replicate": True,
+                                    "factor": {"kind": "trig", "amplitude": 0.05,
+                                               "frequency": 1, "offset": 0.5},
+                                    field: value}))
+        assert run(command[:1] + ["--config", str(spec)] + command[1:]) == 2
+        assert f"tensor spec field '{field}' must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("config_d, spec_d", [(2, 6), (6, 2)])
     def test_spec_and_config_dimensions_must_agree(self, tmp_path, capsys, config_d, spec_d):
         # the run plans n2 with the config's d: at d = 2 against a 6-D spec
@@ -286,6 +302,26 @@ class TestOutputs:
             run(["approx", "--config", str(cfg), "--out", str(out)])
             outs.append((out / "trials.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_recover_byte_identical_reruns(self, tmp_path, capsys):
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({
+            "d": 3, "r": 3, "M": 60.0,
+            "factors": [{"kind": "trig", "amplitude": 0.4, "frequency": 0.5,
+                         "phase": 0.3, "offset": 0.5},
+                        {"kind": "polynomial-piecewise",
+                         "coefficients": [0.5, 0.2, -0.1, 0.05]},
+                        {"kind": "trig", "amplitude": 0.3, "frequency": 1.0,
+                         "phase": 0.1, "offset": 0.6}]}))
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert run(["recover", "--config", str(spec), "--z", "0.3,0.6,0.2",
+                        "--budget", "91", "--out", str(out)]) == 0
+            outs.append([(out / f).read_bytes() for f in ("approximant.json", "error.csv")])
+        assert outs[0] == outs[1]
+        axes = json.loads(outs[0][0])["axes"]
+        assert len(axes) == 3 and all(len(a["coefficients"]) == 10 for a in axes)
 
     def test_dispersion_export_roundtrip(self, tmp_path, capsys):
         exported = tmp_path / "pts.csv"

@@ -119,15 +119,14 @@ class TestRecover:
         o = QueryOracle(t, log=True)
         z = np.full(4, 0.5)
         ap = recover(o, z, RecoveryConfig(r=3, budget_n2=37))
-        assert np.count_nonzero(ap.line_interpolants[0].nodes == 0.5) == 1
+        assert np.count_nonzero(ap.line_interpolants.nodes == 0.5) == 1
         assert o.query_count == 33
         queries = np.array([q for q, _ in o.query_log])
         assert np.all(queries == z, axis=1).sum() == 1
         # after the center, each query moves one coordinate, in axis order
         moved = np.argmax(queries[1:] != z, axis=1)
         assert np.array_equal(moved, np.repeat(np.arange(4), 8))
-        for g in ap.line_interpolants:
-            assert g(0.5) == ap.center_value
+        assert np.all(ap.line_interpolants(np.full(4, 0.5)) == ap.center_value)
         assert ap(z) == pytest.approx(t.value(z), rel=1e-12)
 
     def test_center_value_stored(self):
@@ -177,7 +176,7 @@ class TestRecover:
     @pytest.mark.parametrize("d", [1, 2, 5, 10])
     def test_matches_power_rescaled_product(self, d, r):
         # the normalized product f(z*) prod_i (g_i / f(z*)) against the
-        # earlier formula f(z*)^-(d-1) prod_i g_i(x_i), one line at a time
+        # earlier formula f(z*)^-(d-1) prod_i g_i(x_i)
         gen = np.random.default_rng(100 * d + r)
         t = RankOneTensor(
             factors=tuple(trig_factor(0.2, 1.0, 6.0 * gen.random(), 0.7, r)
@@ -185,8 +184,7 @@ class TestRecover:
         z = gen.random(d)
         ap = recover(QueryOracle(t), z, RecoveryConfig(r=r, budget_n2=1 + 4 * r * d))
         X = np.vstack([gen.random((200, d)), z])
-        ref = ap.center_value ** -(d - 1) * np.prod(
-            [g(X[:, i]) for i, g in enumerate(ap.line_interpolants)], axis=0)
+        ref = ap.center_value ** -(d - 1) * np.prod(ap.line_interpolants(X), axis=1)
         np.testing.assert_allclose(ap(X), ref, rtol=1e-12, atol=0)
 
     def test_tiny_center_value_at_large_d(self):
@@ -214,8 +212,8 @@ class TestRecover:
         for r, k in itertools.product(range(1, 8), (1, 2, 5, 20)):
             f = trig_factor(0.2, 1.0, 0.7 * r, 0.75, r)
             nodes = block_chebyshev_nodes(r * k, r)
-            g = interpolate_line(nodes, f(nodes), r)
-            err = np.max(np.abs(g(ts) - f(ts)))
+            g = interpolate_line(nodes, f(nodes)[None], r)
+            err = np.max(np.abs(g(ts[:, None])[:, 0] - f(ts)))
             assert err <= line_error(k, r, f.deriv_bound)
 
     @pytest.mark.parametrize("family", ["shifted_smooth", "trig_smooth"])
@@ -287,7 +285,7 @@ class TestBlockedLines:
             ap = recover(got, z, cfg)
             ref = reference_recover(want, z, cfg)
             assert got.query_count == want.query_count < 1 + d * 3 * r
-            assert np.array_equal(ap.lines.values, ref.values)
+            assert np.array_equal(ap.line_interpolants.values, ref.values)
             assert len(got.query_log) == len(want.query_log)
             for (x, v), (y, w) in zip(got.query_log, want.query_log):
                 assert np.array_equal(x, y) and v == w

@@ -85,11 +85,14 @@ class TestApproximantSerialization:
                                          "frequency": 1.0, "offset": 0.7}})
         ap = recover(QueryOracle(t), np.full(2, 0.4),
                      RecoveryConfig(r=3, budget_n2=37))
-        for axis, g in zip(approximant_to_dict(ap)["axes"], ap.line_interpolants):
+        g = ap.line_interpolants
+        for i, axis in enumerate(approximant_to_dict(ap)["axes"]):
             bps = axis["breakpoints"]
             assert len(axis["coefficients"]) == g.pieces == 6
+            np.testing.assert_array_equal(axis["values"], g.values[i])
             for lo, hi, coef in zip(bps[:-1], bps[1:], axis["coefficients"]):
                 assert len(coef) == 3
                 ts = np.linspace(lo, hi, 50, endpoint=False)
                 local = np.polynomial.Polynomial(coef)(ts - 0.5 * (lo + hi))
-                np.testing.assert_allclose(local, g(ts), rtol=0, atol=1e-10)
+                np.testing.assert_allclose(local, g(np.tile(ts[:, None], 2))[:, i],
+                                           rtol=0, atol=1e-10)

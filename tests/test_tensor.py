@@ -75,18 +75,24 @@ def reference_upper(t, k):
     return upper + 8 * d * (r + 1) * 2.0 ** -53 * math.prod(a + b for a, b in zip(s, e))
 
 
-def reference_sampled_lower(t, approx, scale, samples, seed):
+def line(lines, i):
+    """Line i of the stacked interpolant ``lines`` alone, as a function of t."""
+    one = replace(lines, values=lines.values[i:i + 1])
+    return lambda t: one(np.asarray(t, dtype=float)[..., None])[..., 0]
+
+
+def reference_sampled_lower(t, lines, scale, samples, seed):
     """The sampled lower end as the bracket first had it: one (samples, d)
     draw, one call per factor and per line."""
     d = t.d
     X = rng.spawn(seed, 0x5D).random((samples, d))
     av = np.ones(samples)
     for i in range(d):
-        av *= approx[i](X[:, i]) / scale
+        av *= line(lines, i)(X[:, i]) / scale
     return float(np.max(np.abs(per_factor_product(t, X) - scale * av)))
 
 
-def reference_lower(t, approx, scale, grid, samples, seed):
+def reference_lower(t, lines, scale, grid, samples, seed):
     """The lower end one factor and one line at a time: the scan of the d
     axis lines through the grid argmax y of the |f_i| with the products
     over the other axes formed in a loop, then the best scan point and
@@ -94,7 +100,7 @@ def reference_lower(t, approx, scale, grid, samples, seed):
     d = t.d
     ts = np.linspace(0.0, 1.0, grid)
     F = [np.asarray(f(ts), dtype=float) for f in t.factors]
-    G = [np.asarray(g(ts), dtype=float) / scale for g in approx]
+    G = [line(lines, i)(ts) / scale for i in range(d)]
     y = [int(np.argmax(np.abs(row))) for row in F]
 
     def others(rows, i):  # prod_{j<i} from the left times prod_{j>i} from the right
@@ -112,9 +118,9 @@ def reference_lower(t, approx, scale, grid, samples, seed):
         if gap[j] > best:
             best, x = gap[j], ts[y]
             x[i] = ts[j]
-    av = scale * np.prod([g(x[i]) / scale for i, g in enumerate(approx)])
+    av = scale * np.prod([line(lines, i)(x[i]) / scale for i in range(d)])
     at_x = abs(float(per_factor_product(t, x[None])[0]) - av)
-    return max(at_x, reference_sampled_lower(t, approx, scale, samples, seed))
+    return max(at_x, reference_sampled_lower(t, lines, scale, samples, seed))
 
 
 class TestBox:
@@ -316,7 +322,7 @@ class TestSupDistanceBound:
         ap = self._recover(t, 1 + 6 * d)
         up, _ = sup_distance_bound(t, ap.line_interpolants, ap.center_value,
                                    grid=501, samples=10)
-        assert ap.lines.pieces == 6
+        assert ap.line_interpolants.pieces == 6
         assert up == pytest.approx(reference_upper(t, 6), rel=1e-14)
 
     def test_sign_flipped_line_keeps_bracket(self):
@@ -325,8 +331,9 @@ class TestSupDistanceBound:
         # the bracket is refused rather than returned inverted
         t = product_tensor()
         ap = self._recover(t, 30)
-        lines = ap.line_interpolants
-        flipped = (replace(lines[0], values=-lines[0].values),) + lines[1:]
+        values = ap.line_interpolants.values.copy()
+        values[0] *= -1
+        flipped = replace(ap.line_interpolants, values=values)
         with pytest.raises(DomainError, match="inverted"):
             sup_distance_bound(t, flipped, ap.center_value, grid=1001, samples=1000)
 
@@ -435,20 +442,20 @@ class TestSupDistanceBound:
         with pytest.raises(InstanceTooLargeError):
             sup_distance_bound(t, ap.line_interpolants, ap.center_value, 101, 10)
 
-    def test_lines_of_different_layouts_rejected(self):
+    def test_lines_off_recovers_layout_rejected(self):
+        # the remainder bound holds on blocks of r Chebyshev nodes only
         t = product_tensor()
-        lines = list(self._recover(t, 30).line_interpolants)
-        other = interpolate_line(block_chebyshev_nodes(6, 2), np.ones(6), 2)
-        with pytest.raises(DomainError):
-            sup_distance_bound(t, lines[:2] + [other], 1.0)
+        lines = interpolate_line(np.linspace(0.1, 0.9, 8), np.ones((3, 8)), 2)
+        with pytest.raises(DomainError, match="Chebyshev"):
+            sup_distance_bound(t, lines, 1.0)
 
     def test_dimension_mismatch(self):
         t = product_tensor()
-        ap = self._recover(t, 30)
+        lines = self._recover(t, 30).line_interpolants
+        with pytest.raises(DomainError, match="need 3 approximant lines, got 2"):
+            sup_distance_bound(t, replace(lines, values=lines.values[:2]), 1.0)
         with pytest.raises(DomainError):
-            sup_distance_bound(t, ap.line_interpolants[:2], 1.0)
-        with pytest.raises(DomainError):
-            sup_distance_bound(t, ap.line_interpolants, 0.0)
+            sup_distance_bound(t, lines, 0.0)
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
@@ -470,8 +477,7 @@ class TestBoundedMemory:
         t = family_shifted_smooth(d, r, 10.0, np.random.default_rng(0))
         nodes = block_chebyshev_nodes(5, r)
         lines = interpolate_line(nodes, np.array([f(nodes) for f in t.factors]), r)
-        views = [replace(lines, values=v) for v in lines.values]
-        peaks = [traced_peak(sup_distance_bound, t, views, 1.0, grid=801,
+        peaks = [traced_peak(sup_distance_bound, t, lines, 1.0, grid=801,
                              samples=n, seed=1) for n in (2_000, 20_000)]
         # (samples, d) is 16 MB and 160 MB; the grid's (d, grid) arrays
         # are 6.4 MB each
@@ -485,8 +491,7 @@ class TestBoundedMemory:
         t = family_shifted_smooth(d, r, 10.0, np.random.default_rng(0))
         nodes = block_chebyshev_nodes(r, r)
         lines = interpolate_line(nodes, np.array([f(nodes) for f in t.factors]), r)
-        views = [replace(lines, values=v) for v in lines.values]
-        assert traced_peak(sup_distance_bound, t, views, 1.0, grid=801,
+        assert traced_peak(sup_distance_bound, t, lines, 1.0, grid=801,
                            samples=2_000, seed=1) < 30_000_000
 
     def test_value_batch_memory_grows_only_with_its_output(self):

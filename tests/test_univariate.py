@@ -18,9 +18,9 @@ def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-def reference_eval(g, t):
-    """Per-piece barycentric evaluation, one piece at a time, with the
-    weights recomputed from each piece's nodes."""
+def reference_eval(g, t, i=0):
+    """Line i at the points t by per-piece barycentric evaluation, one
+    piece at a time, with the weights recomputed from each piece's nodes."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty_like(t)
     idx = np.clip(np.searchsorted(g.breakpoints, t, side="right") - 1,
@@ -29,7 +29,7 @@ def reference_eval(g, t):
         sel = idx == j
         if not np.any(sel):
             continue
-        nodes, values = g.nodes[j], g.values[j]
+        nodes, values = g.nodes[j], g.values[i, j]
         diff = nodes[:, None] - nodes[None, :]
         np.fill_diagonal(diff, 1.0)
         weights = 1.0 / diff.prod(axis=1)
@@ -50,21 +50,29 @@ def reference_call(g, t):
     for all lines, as from ``np.broadcast_to``) makes the piece lookup
     and the barycentric terms once per point."""
     t = np.asarray(t, dtype=float)
-    tf = np.atleast_1d(t)
-    if g.values.ndim == 3 and tf.strides[-1] == 0:
-        tf = tf[..., :1]
-    j = np.clip(np.searchsorted(g.breakpoints, tf, side="right") - 1,
+    if t.strides[-1] == 0:
+        t = t[..., :1]
+    j = np.clip(np.searchsorted(g.breakpoints, t, side="right") - 1,
                 0, g.pieces - 1)
-    values = (g.values[j] if g.values.ndim == 2
-              else g.values[np.arange(len(g.values)), j])
-    diff = tf[..., None] - g.nodes[j]
+    values = g.values[np.arange(len(g.values)), j]
+    diff = t[..., None] - g.nodes[j]
     exact = np.abs(diff) <= 1e-300
     terms = g.weights[j] / np.where(exact, 1.0, diff)
     out = _node_sum(terms * values) / _node_sum(terms)
     if exact.any():
         exact = np.broadcast_to(exact, values.shape)
         out[exact.any(axis=-1)] = values[exact]
-    return float(out[0]) if t.ndim == 0 else out
+    return out
+
+
+def one_line(ts, values, r):
+    """The interpolant of one line, as a stack of d = 1 lines."""
+    return interpolate_line(ts, np.asarray(values)[None], r)
+
+
+def at(g, t):
+    """The single line of g at the points t, of t's shape."""
+    return g(np.asarray(t, dtype=float)[..., None])[..., 0]
 
 
 class TestInterpErrorBound:
@@ -228,70 +236,94 @@ class TestInterpolateLine:
             nodes = block_chebyshev_nodes(4 * r, r)
             coeffs = np.arange(1, r + 1, dtype=float)
             p = np.polynomial.Polynomial(coeffs)
-            g = interpolate_line(nodes, p(nodes), r)
+            g = one_line(nodes, p(nodes), r)
             ts = np.linspace(0, 1, 501)
-            np.testing.assert_allclose(g(ts), p(ts), atol=1e-10)
+            np.testing.assert_allclose(at(g, ts), p(ts), atol=1e-10)
 
     def test_node_hit_exact(self):
         nodes = block_chebyshev_nodes(6, 3)
         vals = np.sin(nodes)
-        g = interpolate_line(nodes, vals, 3)
+        g = one_line(nodes, vals, 3)
         for t, v in zip(nodes, vals):
-            assert g(float(t)) == pytest.approx(v, abs=1e-14)
+            assert at(g, t) == pytest.approx(v, abs=1e-14)
 
-    def test_remainder_group_uses_last_nodes(self):
-        # 7 nodes, r=3: two pieces, the second built on the last 3 nodes
+    def test_node_count_not_a_multiple_of_r_refused(self):
+        # recover samples whole blocks of r nodes; 7 nodes at r = 3 are not
         ts = np.linspace(0.05, 0.95, 7)
-        g = interpolate_line(ts, ts ** 2, 3)
-        assert g.pieces == 2
-        np.testing.assert_allclose(g.nodes[1], ts[-3:])
+        with pytest.raises(ParameterError, match="multiple of r=3"):
+            one_line(ts, ts ** 2, 3)
+        assert one_line(ts[:6], ts[:6] ** 2, 3).pieces == 2
 
     def test_dense_layout(self):
-        ts = np.linspace(0.05, 0.95, 11)
-        g = interpolate_line(ts, np.sin(ts), 3)
-        assert g.nodes.shape == g.values.shape == g.weights.shape == (3, 3)
-        np.testing.assert_array_equal(g.nodes, ts[[[0, 1, 2], [3, 4, 5], [8, 9, 10]]])
-        np.testing.assert_array_equal(g.values, np.sin(g.nodes))
+        ts = np.linspace(0.05, 0.95, 9)
+        vals = np.vstack((np.sin(ts), np.cos(ts)))
+        g = interpolate_line(ts, vals, 3)
+        assert g.nodes.shape == g.weights.shape == (3, 3)
+        assert g.values.shape == (2, 3, 3)
+        np.testing.assert_array_equal(g.nodes, ts.reshape(3, 3))
+        np.testing.assert_array_equal(g.values, [np.sin(g.nodes), np.cos(g.nodes)])
         np.testing.assert_array_equal(
-            g.breakpoints, [0.0, 0.5 * (ts[2] + ts[3]), 0.5 * (ts[5] + ts[8]), 1.0])
+            g.breakpoints, [0.0, 0.5 * (ts[2] + ts[3]), 0.5 * (ts[5] + ts[6]), 1.0])
         t = np.linspace(0, 1, 101)
-        loop = reference_eval(g, t)
-        assert np.max(np.abs(g(t) - loop)) <= 24 * EPS * np.max(np.abs(loop))
+        out = g(np.column_stack((t, t)))
+        for i in range(2):
+            loop = reference_eval(g, t, i)
+            assert np.max(np.abs(out[:, i] - loop)) <= 24 * EPS * np.max(np.abs(loop))
 
     @pytest.mark.parametrize("r", range(1, 7))
     def test_dense_evaluation_matches_piecewise_loop(self, r):
+        # the d-line call, each line at its own points, against the
+        # per-piece reference one line at a time
         gen = np.random.default_rng(r)
         for k in range(1, 41):
             nodes = block_chebyshev_nodes(k * r, r)
-            vals = gen.standard_normal(nodes.size)
+            vals = gen.standard_normal((3, nodes.size))
             g = interpolate_line(nodes, vals, r)
             t = np.concatenate([gen.random(200), nodes, [0.0, 1.0]])
-            dense, loop = g(t), reference_eval(g, t)
-            if r == 1:
-                np.testing.assert_array_equal(dense, loop)
-            else:
-                assert np.max(np.abs(dense - loop)) <= 8 * r * EPS * np.max(np.abs(vals))
-            np.testing.assert_array_equal(g(nodes), vals)
-            assert g(float(nodes[-1])) == vals[-1]
+            T = np.column_stack((t, t[::-1], gen.permutation(t)))
+            dense = g(T)
+            for i in range(3):
+                loop = reference_eval(g, T[:, i], i)
+                if r == 1:
+                    np.testing.assert_array_equal(dense[:, i], loop)
+                else:
+                    assert (np.max(np.abs(dense[:, i] - loop))
+                            <= 8 * r * EPS * np.max(np.abs(vals[i])))
+            np.testing.assert_array_equal(g(np.tile(nodes[:, None], 3)).T, vals)
+            assert g(np.full(3, nodes[-1]))[2] == vals[2, -1]
 
     def test_breakpoints_cover_unit_interval(self):
         ts = np.linspace(0.1, 0.9, 8)
-        g = interpolate_line(ts, np.cos(ts), 2)
+        g = one_line(ts, np.cos(ts), 2)
         assert g.breakpoints[0] == 0.0
         assert g.breakpoints[-1] == 1.0
         assert np.all(np.diff(g.breakpoints) > 0)
 
     def test_errors(self):
         with pytest.raises(ParameterError):
-            interpolate_line([0.1], [1.0], 2)
+            one_line([0.1], [1.0], 2)
         with pytest.raises(ParameterError):
-            interpolate_line([0.5, 0.5], [1.0, 2.0], 1)
+            one_line([0.2, 0.4, 0.6], [1.0, 2.0, 3.0], 2)
         with pytest.raises(ParameterError):
-            interpolate_line([0.5, 1.5], [1.0, 2.0], 1)
+            one_line([0.5, 0.5], [1.0, 2.0], 1)
         with pytest.raises(ParameterError):
-            interpolate_line([0.2, 0.5], [1.0], 1)
+            one_line([0.5, 1.5], [1.0, 2.0], 1)
+        with pytest.raises(ParameterError):
+            one_line([0.2, 0.5], [1.0], 1)
+        with pytest.raises(ParameterError):
+            interpolate_line([0.2, 0.5], [1.0, 2.0], 1)
         with pytest.raises(ParameterError):
             interpolate_line([0.2, 0.5], np.ones((2, 2, 2)), 1)
+
+    def test_points_without_a_line_axis_refused(self):
+        # t must have the d lines as its last axis: a scalar would read
+        # line 0 alone and a (5, 3) array would not broadcast against 4 lines
+        nodes = block_chebyshev_nodes(6, 3)
+        lines = interpolate_line(nodes, np.ones((4, 6)), 3)
+        for t in (0.3, np.full((5, 3), 0.3), np.full(3, 0.3)):
+            with pytest.raises(ParameterError, match="last axis of 4"):
+                lines(t)
+        np.testing.assert_array_equal(lines(np.broadcast_to(0.3, (5, 4))), np.ones((5, 4)))
 
     @pytest.mark.parametrize("r", range(1, 7))
     def test_shared_layout_matches_single_lines(self, r):
@@ -307,9 +339,9 @@ class TestInterpolateLine:
         out = lines(T)
         assert out.shape == T.shape
         for i in range(4):
-            single = interpolate_line(nodes, vals[i], r)
-            np.testing.assert_array_equal(lines.values[i], single.values)
-            np.testing.assert_array_equal(out[:, i], single(T[:, i]))
+            single = one_line(nodes, vals[i], r)
+            np.testing.assert_array_equal(lines.values[i], single.values[0])
+            np.testing.assert_array_equal(out[:, i], at(single, T[:, i]))
         np.testing.assert_array_equal(lines(T[0]), out[0])
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 9])
@@ -344,9 +376,9 @@ class TestInterpolateLine:
         M = a * (2 * np.pi) ** r
         m = blocks * r
         nodes = block_chebyshev_nodes(m, r)
-        g = interpolate_line(nodes, f(nodes), r)
+        g = one_line(nodes, f(nodes), r)
         ts = np.linspace(0, 1, 2001)
-        err = np.max(np.abs(g(ts) - f(ts)))
+        err = np.max(np.abs(at(g, ts) - f(ts)))
         assert err <= interp_error_bound(M, 0.0, 1.0 / blocks, r) + 1e-12
 
 
