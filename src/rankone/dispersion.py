@@ -143,7 +143,8 @@ def exact_dispersion(ps: PointSet) -> DispersionResult:
     d=1 scans gaps; d=2 runs an exact planar maximal-empty-rectangle
     sweep in O(n) memory, so large n is fine: O(n^2) blocked numpy work
     for anchored rectangles, one O(n) pass for those at the left wall;
-    d>=3 cuts axis 0 into slabs between pairs of walls, widest first,
+    d>=3 sorts the points once on axis 0, cuts it into slabs between
+    pairs of walls, widest first, each slab a slice of the sorted points,
     and solves each slab's points in the other axes down to the planar
     sweep, for at most (n+2)^(2d-2) <= 1e9 work; beyond that guard an
     error directs to dispersion_lower_estimate.
@@ -192,27 +193,33 @@ def _slabs(best: _Best, pts: np.ndarray, c: float, lower: tuple, upper: tuple):
     """Offer the empty boxes of the points' slab in its last k >= 2 axes
     as (*lower, ...), (*upper, ...), of volume c times their own.
 
-    k >= 3: each pair (a, b) of walls on the first axis (0, 1 and the
-    coordinates), widest first, cuts the slab a < x < b, solved in the
-    other axes with prefix c (b - a), until c (b - a) falls below the
-    best volume, which the later widths cannot raise.  k = 2: the planar
-    sweep scores the rectangles anchored at a point a block at a time as
-    a (rows, n+1) array of volumes, column j's right edge at rights[j],
-    -inf where no rectangle of the family is; only the entries equal to
-    a block's maximum reach _Best, in row-major order, so every box that
-    ties the overall maximum goes through its tie-break, and a block's
-    arrays are freed before the next is built.  The left-wall family
-    takes one O(n) pass."""
+    k >= 3: the points are sorted once on the first axis, and each pair
+    (a, b) of walls there (0, 1 and the coordinates), widest first, cuts
+    the slab a < x < b, the slice of the sorted points between the walls'
+    searchsorted positions, solved in the other axes with prefix
+    c (b - a), until c (b - a) falls below the best volume, which the
+    later widths cannot raise.  k = 2: the planar sweep scores the
+    rectangles anchored at a point a block at a time as a (rows, n+1)
+    array of volumes, column j's right edge at rights[j], -inf where no
+    rectangle of the family is; only the entries equal to a block's
+    maximum reach _Best, in row-major order, so every box that ties the
+    overall maximum goes through its tie-break, and a block's arrays are
+    freed before the next is built.  The left-wall family takes one O(n)
+    pass, which stops before its witness search when its maximum is
+    below the best volume."""
     if pts.shape[1] > 2:
+        srt = pts[np.argsort(pts[:, 0], kind="stable")]
         walls = np.unique(np.concatenate(([0.0, 1.0], pts[:, 0])))
+        first = np.searchsorted(srt[:, 0], walls, side="right")
+        last = np.searchsorted(srt[:, 0], walls, side="left")
         lo, hi = np.triu_indices(len(walls), 1)
         widths = walls[hi] - walls[lo]
         for p in np.argsort(-widths, kind="stable"):
-            a, b = walls[lo[p]], walls[hi[p]]
+            i, j = lo[p], hi[p]
             if c * widths[p] < best.volume:
                 break
-            inside = (pts[:, 0] > a) & (pts[:, 0] < b)
-            _slabs(best, pts[inside, 1:], c * widths[p], lower + (a,), upper + (b,))
+            _slabs(best, srt[first[i]:last[j], 1:], c * widths[p],
+                   lower + (walls[i],), upper + (walls[j],))
         return
     order = np.argsort(pts[:, 0], kind="stable")
     xs, ys = pts[order, 0], pts[order, 1]
@@ -284,6 +291,8 @@ def _left_wall(best: _Best, xs, ys, rights, c: float, lower: tuple,
     # candidate of zero height or width reaches
     vols = (c * right) * (np.append(levels[above], levels) - lo)
     vmax = vols.max()
+    if vmax < best.volume:  # offer would reject the box
+        return
     lo = lo[vols == vmax].min()
     # row j's gap from the topmost kept level lo (or the floor) upward,
     # in the rows from the one that first keeps a point at lo
@@ -304,7 +313,10 @@ def dispersion_lower_estimate(ps: PointSet, boxes: int = 10_000,
 
     Box k has lower corner lo and upper corner lo + u (1 - lo), with
     (lo, u) the k-th (2, d) draw of one stream; the boxes come a block
-    at a time, so memory does not grow with ``boxes``."""
+    at a time, so memory does not grow with ``boxes``, which must be
+    positive."""
+    if boxes < 1:
+        raise ParameterError(f"boxes must be positive, got {boxes}")
     g = rng.spawn(seed, 0xD15)
     pts = ps.points
     step = max(1, _BLOCK_CELLS // max(1, pts.size))

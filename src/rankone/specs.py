@@ -22,21 +22,44 @@ from .univariate import (UnivariateFactor, make_bump, polynomial_factor,
 def factor_from_spec(spec: Dict[str, Any], r: int) -> UnivariateFactor:
     kind = spec.get("kind")
     if kind == "bump":
-        interval = tuple(spec.get("interval", (0.0, 1.0)))
-        return make_bump(r, spec["orientation"], interval)
+        interval = _numbers(spec, "interval", (0.0, 1.0))
+        if len(interval) != 2:
+            raise ConfigError(f"factor spec field 'interval' must hold two numbers, "
+                              f"got {interval!r}")
+        return make_bump(r, spec["orientation"], tuple(interval))
     if kind == "trig":
-        return trig_factor(spec["amplitude"], spec["frequency"],
-                           spec.get("phase", 0.0), spec.get("offset", 0.0), r)
+        return trig_factor(_number(spec, "amplitude"), _number(spec, "frequency"),
+                           _number(spec, "phase", 0.0), _number(spec, "offset", 0.0), r)
     if kind == "polynomial-piecewise":
-        return polynomial_factor(spec["coefficients"], r)
+        return polynomial_factor(_numbers(spec, "coefficients"), r)
     if kind == "explicit-table":
-        return table_factor(spec["ts"], spec["values"], spec["sup_bound"],
-                            spec["deriv_bound"], r)
+        return table_factor(_numbers(spec, "ts"), _numbers(spec, "values"),
+                            _number(spec, "sup_bound"), _number(spec, "deriv_bound"), r)
     raise ConfigError(f"unknown factor kind {kind!r}")
 
 
 def _real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    return _real(value) and abs(value) <= sys.float_info.max
+
+
+# float() and np.asarray would read "0.05" as 0.05 and true as 1.0
+def _number(spec: Dict[str, Any], key: str, default=None):
+    value = spec[key] if default is None else spec.get(key, default)
+    if not _finite(value):
+        raise ConfigError(f"factor spec field {key!r} must be a finite number, got {value!r}")
+    return value
+
+
+def _numbers(spec: Dict[str, Any], key: str, default=None):
+    values = spec[key] if default is None else spec.get(key, default)
+    if not (isinstance(values, (list, tuple)) and all(map(_finite, values))):
+        raise ConfigError(f"factor spec field {key!r} must be a list of finite numbers, "
+                          f"got {values!r}")
+    return values
 
 
 def tensor_from_spec(spec: Dict[str, Any]) -> RankOneTensor:
@@ -47,7 +70,7 @@ def tensor_from_spec(spec: Dict[str, Any]) -> RankOneTensor:
         raise ConfigError(f"tensor spec missing field {exc}")
     V = spec.get("V")
     # float() would read true as 1 and "10" as 10
-    if not _real(M) or not 0 <= M <= sys.float_info.max:
+    if not _finite(M) or M < 0:
         raise ConfigError(f"tensor spec field 'M' must be a finite number >= 0, got {M!r}")
     if V is not None and not _real(V):
         raise ConfigError(f"tensor spec field 'V' must be a number, got {V!r}")

@@ -110,6 +110,26 @@ class TestExitCodes:
         assert "dispersion" not in captured.out
         assert str(pts) in captured.err and message in captured.err
 
+    @pytest.mark.parametrize("factor", [
+        {"kind": "trig", "amplitude": "0.05", "frequency": True},
+        {"kind": "polynomial-piecewise", "coefficients": ["1", True, 0.1]}],
+        ids=["trig", "polynomial"])
+    def test_non_numeric_factor_fields_refused(self, tmp_path, capsys, factor):
+        # float() and np.asarray once read these, and the search exited 0
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({"d": 2, "r": 2, "M": 3.0, "replicate": True,
+                                    "factor": factor}))
+        assert run(["search", "--config", str(spec), "--strategy", "single"]) == 2
+        assert "factor spec field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("boxes", ["0", "-5"])
+    def test_estimate_without_boxes_refused(self, capsys, boxes):
+        # it once printed a lower estimate of 0.0 and exited 0
+        assert run(["dispersion", "--estimate", "--boxes", boxes, "--n", "10",
+                    "--d", "2"]) == 3
+        captured = capsys.readouterr()
+        assert "dispersion" not in captured.out and "boxes" in captured.err
+
     def test_unknown_factor_kind(self, tmp_path, capsys):
         spec = tmp_path / "t.json"
         spec.write_text(json.dumps({"d": 2, "r": 1, "M": 1.0, "replicate": True,

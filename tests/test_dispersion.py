@@ -317,6 +317,12 @@ class TestExactDispersion:
                 assert (dispersion_lower_estimate(ps, boxes=boxes, seed=seed)
                         == reference_lower_estimate(ps, boxes, seed))
 
+    @pytest.mark.parametrize("boxes", [0, -5])
+    def test_lower_estimate_needs_a_box(self, boxes):
+        # it once returned 0.0, a lower estimate of no box at all
+        with pytest.raises(ParameterError, match="boxes"):
+            dispersion_lower_estimate(uniform_pointset(10, 2, 0), boxes=boxes)
+
     def test_lower_estimate_of_empty_set_is_largest_box(self):
         ps = PointSet(points=np.empty((0, 3)), provenance="x")
         assert dispersion_lower_estimate(ps, boxes=500) == reference_lower_estimate(ps, 500, 0)
@@ -441,14 +447,34 @@ class TestSlabsPinned:
         [[-0.0, 0.5, 0.5], [0.5, -0.0, 0.5], [0.5, 0.5, -0.0]],
         [[0.0, 0.5, -0.0], [-0.0, 0.2, 0.0], [0.6, -0.0, 0.3]],
         [[0.5, 0.5, 0.5, 0.5], [-0.0, 0.25, 0.75, -0.0]],
+        [[0.5, 0.2, 0.7], [0.5, 0.8, 0.3], [0.5, 0.4, 0.4], [0.25, 0.6, 0.1],
+         [0.25, 0.1, 0.9], [0.75, 0.3, 0.6], [0.75, 0.9, 0.2]],
+        [[-0.0, 0.3, 0.3], [0.0, 0.6, 0.6], [-0.0, 0.9, 0.1], [1.0, 0.5, 0.5],
+         [1.0, 0.2, 0.8], [0.5, 0.5, 0.5]],
+        [[0.0, 0.5, 0.5, 0.5], [-0.0, 0.2, 0.8, 0.4], [1.0, 0.7, 0.3, 0.6],
+         [0.5, 0.5, 0.5, 0.5], [0.5, 0.1, 0.9, 0.3]],
     ], ids=["center", "corners", "all-corners", "repeated", "diagonal",
-            "negative-zero-faces", "mixed-zeros", "4d-negative-zero"])
+            "negative-zero-faces", "mixed-zeros", "4d-negative-zero",
+            "runs-at-walls", "zeros-and-ones", "4d-runs"])
     def test_hand_made_sets(self, pts):
         assert_matches_reference(np.array(pts, dtype=float))
 
     def test_uniform_12(self):
         for seed in range(3):
             assert_matches_reference(uniform_pointset(12, 3, seed).points)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_runs_of_equal_first_coordinates(self, d, seed):
+        # each slab is a slice of the points sorted on axis 0, cut at the
+        # walls: runs of equal coordinates sit on both sides of a wall, on
+        # 0 and 1, and -0.0 sorts with 0.0
+        g = np.random.default_rng(seed)
+        pts = g.random((int(g.integers(2, 13 if d == 3 else 9)), d))
+        pts[:, 0] = g.choice([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0], size=len(pts))
+        if seed % 2:
+            pts[:, 1:] = np.round(pts[:, 1:] * 4) / 4
+        assert_matches_reference(pts)
 
 
 class TestLeftWallPass:
@@ -500,6 +526,45 @@ class TestLeftWallPass:
         if negative_zero:
             pts[pts == 0] = -0.0
         assert_matches_reference(pts)
+
+    @staticmethod
+    def left_wall(best, pts, c=1.0, lower=(), upper=()):
+        order = np.argsort(pts[:, 0], kind="stable")
+        xs, ys = pts[order, 0], pts[order, 1]
+        dispersion._left_wall(best, xs, ys, np.append(xs, 1.0), c, lower, upper)
+
+    @staticmethod
+    def holding(volume, lower, upper):
+        best = dispersion._Best()
+        best.offer(volume, lower, upper)
+        return best
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("c, lower, upper", [(1.0, (), ()), (0.375, (0.25,), (0.625,))])
+    def test_below_the_best_leaves_it_untouched(self, seed, c, lower, upper):
+        g = np.random.default_rng(seed)
+        pts = g.random((int(g.integers(1, 30)), 2))
+        if seed % 2:
+            pts = np.round(pts * 8) / 8
+        fresh = dispersion._Best()
+        self.left_wall(fresh, pts, c, lower, upper)
+        vmax = fresh.volume
+        assert vmax > 0 and fresh.lower[:len(lower)] == lower
+        # one ulp above the pass's maximum: nothing it finds can win
+        held = (np.nextafter(vmax, np.inf), (1.0,) * (len(lower) + 2),
+                (1.0,) * (len(upper) + 2))
+        best = self.holding(*held)
+        self.left_wall(best, pts, c, lower, upper)
+        assert (best.volume, best.lower, best.upper) == held
+        # a tie still goes through the tie-break, so the stop is strict
+        best = self.holding(vmax, *held[1:])
+        self.left_wall(best, pts, c, lower, upper)
+        assert (best.volume, best.lower, best.upper) == (vmax, fresh.lower, fresh.upper)
+        # one ulp below, the pass's box wins outright
+        best = self.holding(np.nextafter(vmax, -np.inf), (0.0,) * (len(lower) + 2),
+                            (0.0,) * (len(upper) + 2))
+        self.left_wall(best, pts, c, lower, upper)
+        assert (best.volume, best.lower, best.upper) == (vmax, fresh.lower, fresh.upper)
 
 
 class TestCostBounds:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rankone.errors import ParameterError
+from rankone.errors import ConfigError, ParameterError
 from rankone.recovery import RecoveryConfig, recover
 from rankone.specs import approximant_to_dict, factor_from_spec, tensor_from_spec
 from rankone.tensor import QueryOracle
@@ -31,6 +31,41 @@ class TestFactorFromSpec:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             factor_from_spec({"kind": "mystery"}, 1)
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"kind": "trig", "amplitude": "0.05", "frequency": 1.0}, "amplitude"),
+        ({"kind": "trig", "amplitude": 0.05, "frequency": True}, "frequency"),
+        ({"kind": "trig", "amplitude": 0.05, "frequency": 1.0, "phase": None}, "phase"),
+        ({"kind": "trig", "amplitude": 0.05, "frequency": 1.0, "offset": float("nan")},
+         "offset"),
+        ({"kind": "polynomial-piecewise", "coefficients": ["1", True, 0.1]},
+         "coefficients"),
+        ({"kind": "polynomial-piecewise", "coefficients": 0.5}, "coefficients"),
+        ({"kind": "explicit-table", "ts": [0, "1"], "values": [0, 1], "sup_bound": 1.0,
+          "deriv_bound": 1.0}, "ts"),
+        ({"kind": "explicit-table", "ts": [0, 1], "values": [False, 1], "sup_bound": 1.0,
+          "deriv_bound": 1.0}, "values"),
+        ({"kind": "explicit-table", "ts": [0, 1], "values": [0, 1], "sup_bound": "1",
+          "deriv_bound": 1.0}, "sup_bound"),
+        ({"kind": "explicit-table", "ts": [0, 1], "values": [0, 1], "sup_bound": 1.0,
+          "deriv_bound": float("inf")}, "deriv_bound"),
+        ({"kind": "bump", "orientation": "left", "interval": [0, "0.5"]}, "interval"),
+        ({"kind": "bump", "orientation": "left", "interval": [0.0]}, "interval"),
+        ({"kind": "bump", "orientation": "right", "interval": [0.5, 1, 2]}, "interval"),
+    ], ids=["trig-amplitude-str", "trig-frequency-bool", "trig-phase-null",
+            "trig-offset-nan", "poly-mixed", "poly-scalar", "table-ts", "table-values",
+            "table-sup-bound", "table-deriv-bound", "bump-str", "bump-short", "bump-long"])
+    def test_non_numeric_fields_refused(self, spec, field):
+        # float() and np.asarray once read strings and bools as numbers
+        with pytest.raises(ConfigError, match=f"factor spec field '{field}'"):
+            factor_from_spec(spec, 1)
+
+    def test_integers_and_huge_integers(self):
+        f = factor_from_spec({"kind": "trig", "amplitude": 1, "frequency": 2,
+                              "phase": 0, "offset": 3}, 1)
+        assert f.params == (1.0, 2.0, 0.0, 3.0)
+        with pytest.raises(ConfigError, match="'amplitude'"):
+            factor_from_spec({"kind": "trig", "amplitude": 10 ** 400, "frequency": 1}, 1)
 
 
 class TestTensorFromSpec:
