@@ -168,7 +168,7 @@ FAMILIES: Dict[str, Callable[..., RankOneTensor]] = {
 
 
 # the type of each ExperimentConfig field; None is allowed where it is the default
-_INT, _REAL = (numbers.Integral, "an integer"), (numbers.Real, "a real number")
+_INT, _REAL = (numbers.Integral, "an integer"), (numbers.Real, "a finite real number")
 _FIELD_TYPES = {"r": _INT, "M": _REAL, "d": _INT, "eps": _REAL, "V": _REAL, "p": _REAL,
                 "tensor_spec": (dict, "an object"), "family": (str, "a string"),
                 "strategy": (str, "a string"), "n1": _INT, "n2": _INT, "trials": _INT,
@@ -211,7 +211,8 @@ class ExperimentConfig:
             value, (kind, what) = getattr(self, f.name), _FIELD_TYPES[f.name]
             if value is None and f.default is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or (kind is numbers.Real and not abs(value) < math.inf)):
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         if self.tensor_spec is None and self.family is None:
             raise ConfigError("config needs either 'tensor_spec' or 'family'")

@@ -58,15 +58,15 @@ class RankOneApproximant:
 
 
 def required_n2(d: int, r: int, M: float, eps: float) -> int:
-    """Least budget 1 + d r k, k blocks of r Chebyshev nodes per line
-    (k >= ceil(2/r): two nodes), with (1 + e_k)^d - 1 <= eps.
+    """Least budget 1 + d r k, k blocks of r Chebyshev nodes per line,
+    with (1 + e_k)^d - 1 <= eps, and at least ``min_budget(d, r)``.
 
     e_k = M exp(log_block_remainder(k, r)) is the interpolation remainder
     of a line with r-th derivative <= M, and (1 + e_k)^d - 1 bounds
     sup|f - A| for factors of sup <= 1, wherever z* lies.  Computed in
     logs; a budget past the float range raises InstanceTooLargeError.
     """
-    if d < 1 or r < 1 or M <= 0 or eps <= 0:
+    if d < 1 or r < 1 or not (M > 0 and eps > 0):  # so that NaN fails
         raise ParameterError("all planner inputs must be positive")
     # log of the line allowance expm1(log1p(eps) / d), even if it underflows
     log_u = math.log(math.log1p(eps)) - math.log(d)
@@ -76,7 +76,7 @@ def required_n2(d: int, r: int, M: float, eps: float) -> int:
     if math.log(d * r) + max(log_k, 0.0) >= _LOG_FLOAT_MAX:
         raise InstanceTooLargeError("phase-2 budget n2 past the float range")
     # the slack keeps a tie (a whole k in exact arithmetic) from rounding up
-    return 1 + d * r * max(math.ceil(math.exp(log_k) * (1 - 1e-12)), -(-2 // r))
+    return max(1 + d * r * math.ceil(math.exp(log_k) * (1 - 1e-12)), min_budget(d, r))
 
 
 def min_budget(d: int, r: int) -> int:
@@ -96,10 +96,9 @@ def recover(oracle: QueryOracle, z_star, cfg: RecoveryConfig) -> RankOneApproxim
     if z.shape != (d,):
         raise ParameterError(f"z* must be a {d}-vector")
     m = (cfg.budget_n2 - 1) // d
-    if m < max(cfg.r, 2):
-        raise BudgetTooSmallError(
-            f"budget {cfg.budget_n2} gives {m} nodes per line; "
-            f"need at least {max(cfg.r, 2)} (budget >= {min_budget(d, cfg.r)})")
+    if cfg.budget_n2 < min_budget(d, cfg.r):
+        raise BudgetTooSmallError(f"budget {cfg.budget_n2} gives {m} nodes per line; "
+                                  f"need budget >= {min_budget(d, cfg.r)}")
 
     center = oracle.evaluate(z)
     if center == 0.0:
@@ -119,4 +118,4 @@ def recover(oracle: QueryOracle, z_star, cfg: RecoveryConfig) -> RankOneApproxim
         points = np.tile(z, (len(axes), len(nodes), 1))
         points[axes, :, start + axes] = nodes
         vals[lines][query[lines]] = oracle.evaluate_batch(points[query[lines]])
-    return RankOneApproximant(interpolate_line(nodes, vals, cfg.r), center)
+    return RankOneApproximant(interpolate_line(vals, cfg.r), center)

@@ -212,7 +212,7 @@ def plan(r: int, M: float, d: int, eps: float, V: Optional[float] = None,
     range; they then saturate at the largest finite float, and with a
     saturated c_prob, success_prob_lower is the valid bound 0.0.
     """
-    if r < 1 or d < 1 or M <= 0:
+    if r < 1 or d < 1 or not M > 0:  # so that NaN fails
         raise ParameterError("r, d must be positive integers and M > 0")
     if not 0 < eps < 1:
         raise ParameterError("eps must lie in (0, 1)")

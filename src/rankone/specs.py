@@ -54,10 +54,10 @@ def _number(spec: Dict[str, Any], key: str, default=None):
     return value
 
 
-def _numbers(spec: Dict[str, Any], key: str, default=None):
+def _numbers(spec: Dict[str, Any], key: str, default=None, owner="factor spec"):
     values = spec[key] if default is None else spec.get(key, default)
     if not (isinstance(values, (list, tuple)) and all(map(_finite, values))):
-        raise ConfigError(f"factor spec field {key!r} must be a list of finite numbers, "
+        raise ConfigError(f"{owner} field {key!r} must be a list of finite numbers, "
                           f"got {values!r}")
     return values
 
@@ -87,11 +87,11 @@ def tensor_from_spec(spec: Dict[str, Any]) -> RankOneTensor:
         if len(fspecs) != d:
             raise ConfigError(f"expected {d} factor specs, got {len(fspecs)}")
         factors = tuple(factor_from_spec(fs, r) for fs in fspecs)
-    witness = None
-    if spec.get("witness_box") is not None:
-        wb = spec["witness_box"]
-        witness = Box(lower=np.asarray(wb["lower"], dtype=float),
-                      upper=np.asarray(wb["upper"], dtype=float))
+    wb = spec.get("witness_box")
+    if wb is not None and not isinstance(wb, dict):
+        raise ConfigError(f"tensor spec field 'witness_box' must be an object, got {wb!r}")
+    witness = None if wb is None else Box(_numbers(wb, "lower", owner="witness_box"),
+                                          _numbers(wb, "upper", owner="witness_box"))
     return RankOneTensor(factors=factors, r=r, M=float(M),
                          support_volume=None if V is None else float(V),
                          witness_box=witness)

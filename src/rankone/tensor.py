@@ -17,7 +17,7 @@ import numpy as np
 from . import rng
 from .errors import BudgetExhaustedError, DomainError, InstanceTooLargeError
 from .univariate import (KERNELS, PiecewisePolynomial, UnivariateFactor,
-                         block_chebyshev_nodes, log_block_remainder)
+                         log_block_remainder)
 
 DEFAULT_GRID = 10_001
 DEFAULT_SAMPLES = 100_000
@@ -288,23 +288,21 @@ def sup_distance_bound(t: RankOneTensor,
     ``grid`` points; all lines scanned at once with prefix and suffix
     products) and ``samples`` seeded random points, in blocks.
 
-    Raises DomainError for a number of lines other than d, lines on
-    another layout, a table factor at r >= 2 (it has no bounded r-th
+    Raises DomainError for a number of lines other than d, lines of
+    another r, a table factor at r >= 2 (it has no bounded r-th
     derivative) and lower > upper (the lines are not recover's
     interpolants of t, or t's bounds are false); InstanceTooLargeError
     for a bound past the float range.
     """
     d, r = t.d, t.r
-    if len(lines.values) != d:
-        raise DomainError(f"need {d} approximant lines, got {len(lines.values)}")
+    n, k, q = lines.values.shape
+    if (n, q) != (d, r):
+        raise DomainError(f"need {d} approximant lines of r = {r} nodes per piece, "
+                          f"got {n} lines of {q}")
     if scale == 0:
         raise DomainError("scale must be nonzero")
     if tables := _table_failures(t):
         raise DomainError("; ".join(tables))
-    k = lines.pieces
-    if not np.array_equal(lines.nodes, block_chebyshev_nodes(k * r, r).reshape(k, r)):
-        raise DomainError(f"the approximant lines must lie on k blocks of r = {r} "
-                          "Chebyshev nodes, as recover builds them")
 
     e = (np.array([f.deriv_bound for f in t.factors])
          * math.exp(log_block_remainder(k, r)))

@@ -232,23 +232,30 @@ def _poly_abs_max(poly: np.polynomial.Polynomial, lo: float = 0.0,
 # Piecewise polynomial interpolation
 
 
-@dataclass(frozen=True)
 class PiecewisePolynomial:
     """d piecewise polynomials of local degree < r on [0,1] that share
-    one piece layout.
+    one piece layout: k blocks of r Chebyshev nodes.
 
-    Piece j covers [breakpoints[j], breakpoints[j+1]) and is stored as
-    row j of the (k, r) arrays of its interpolation nodes and their
-    barycentric weights.  ``values`` holds each line's values at the
-    nodes, shape (d, k, r).  Evaluation gathers each point's row and
+    Built from ``values``, each line's values at the nodes, shape
+    (d, k, r); the layout follows from that shape.  Piece j covers
+    [breakpoints[j], breakpoints[j+1]) and is row j of the (k, r) arrays
+    ``nodes`` (``block_chebyshev_nodes(k r, r)``) and ``weights`` (their
+    barycentric weights); its breakpoints sit at the midpoints between
+    adjacent blocks' end nodes, with the first piece starting at 0 and
+    the last ending at 1.  Evaluation gathers each point's row and
     applies the barycentric formula to all points at once; a point
     within 1e-300 of a node of its piece returns that node's value.
     """
 
-    breakpoints: np.ndarray  # shape (k+1,), 0 = first < ... < last = 1
-    nodes: np.ndarray        # shape (k, r)
-    values: np.ndarray       # shape (d, k, r)
-    weights: np.ndarray      # shape (k, r)
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        _, k, r = values.shape
+        self.nodes = nodes = block_chebyshev_nodes(k * r, r).reshape(k, r)
+        inner = 0.5 * (nodes[:-1, -1] + nodes[1:, 0])
+        self.breakpoints = np.concatenate(([0.0], inner, [1.0]))
+        # w_i = 1 / prod_{l != i} (x_i - x_l); the identity fills the diagonal
+        diff = nodes[:, :, None] - nodes[:, None, :] + np.eye(r)
+        self.weights = 1.0 / diff.prod(axis=-1)
 
     @property
     def pieces(self) -> int:
@@ -311,48 +318,28 @@ def _node_dot(terms: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.ndar
     return out
 
 
-def interpolate_line(ts, values, r: int) -> PiecewisePolynomial:
+def interpolate_line(values, r: int) -> PiecewisePolynomial:
     """Blockwise degree-(r-1) interpolation on [0,1] of d lines sampled
-    at the same nodes ts, which then share one piece layout.
+    at the same m = k r nodes ``block_chebyshev_nodes(m, r)``.
 
     ``values`` has shape (d, m): row i holds line i's values at the m
-    nodes.  m must be a multiple of r; each consecutive group of r nodes
-    defines one polynomial piece.  Piece boundaries sit at the midpoints
-    between adjacent groups, with the first piece starting at 0 and the
-    last ending at 1.  Reproduces any global polynomial of degree <= r-1
-    exactly.
+    nodes, each consecutive group of r nodes defining one polynomial
+    piece.  Reproduces any global polynomial of degree <= r-1 exactly.
     """
     if r < 1:
         raise ParameterError("smoothness order r must be a positive integer")
-    ts = np.asarray(ts, dtype=float)
     vs = np.asarray(values, dtype=float)
-    if ts.ndim != 1 or ts.size == 0 or ts.size % r:
-        raise ParameterError(f"need a positive multiple of r={r} sample nodes, "
-                             f"got {ts.size}")
-    if vs.ndim != 2 or vs.shape[1] != ts.size:
-        raise ParameterError(f"values must have shape (d, {ts.size}), got {vs.shape}")
-    if np.any(np.diff(ts) <= 0):
-        raise ParameterError("sample nodes must be strictly increasing")
-    if ts[0] < 0 or ts[-1] > 1:
-        raise ParameterError("sample nodes must lie in [0, 1]")
-
-    nodes = ts.reshape(-1, r)
-    inner = 0.5 * (nodes[:-1, -1] + nodes[1:, 0])
-    # w_i = 1 / prod_{l != i} (x_i - x_l); the identity fills the diagonal
-    diff = nodes[:, :, None] - nodes[:, None, :] + np.eye(r)
-    return PiecewisePolynomial(
-        breakpoints=np.concatenate(([0.0], inner, [1.0])),
-        nodes=nodes,
-        values=vs.reshape(len(vs), *nodes.shape),
-        weights=1.0 / diff.prod(axis=-1),
-    )
+    if vs.ndim != 2 or vs.shape[1] == 0 or vs.shape[1] % r:
+        raise ParameterError(f"values must have shape (d, m), m a positive multiple "
+                             f"of r={r}, got {vs.shape}")
+    return PiecewisePolynomial(vs.reshape(len(vs), -1, r))
 
 
 def block_chebyshev_nodes(m: int, r: int) -> np.ndarray:
-    """r Chebyshev nodes in each of floor(m/r) equal blocks of [0,1].
+    """r Chebyshev nodes in each of k = floor(m/r) equal blocks of [0,1].
 
-    Returns r*floor(m/r) <= m sorted nodes; this is the node layout
-    that ``interpolate_line`` groups back into the same blocks.
+    Returns r*k <= m sorted nodes; this is the node layout of
+    ``PiecewisePolynomial``.
     """
     if m < r:
         raise ParameterError(f"need at least r={r} nodes, got m={m}")
@@ -360,11 +347,8 @@ def block_chebyshev_nodes(m: int, r: int) -> np.ndarray:
     # Chebyshev points of the first kind on (-1, 1), ascending
     theta = (2 * np.arange(r) + 1) * np.pi / (2 * r)
     ref = -np.cos(theta)
-    out = []
-    for j in range(k):
-        lo, hi = j / k, (j + 1) / k
-        out.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * ref)
-    return np.concatenate(out)
+    lo, hi = np.arange(k)[:, None] / k, np.arange(1, k + 1)[:, None] / k
+    return (0.5 * (lo + hi) + 0.5 * (hi - lo) * ref).ravel()
 
 
 def log_block_remainder(k: float, r: int) -> float:

@@ -27,9 +27,12 @@ class TestExitCodes:
         (["--r", "1", "--M", "1e308", "--d", "10", "--eps", "1e-300"], 3),
         (["--r", "171", "--M", "10", "--d", "3", "--eps", "0.1"], 0),
         (["--r", "151", "--M", "1e300", "--d", "3", "--eps", "0.1"], 3),
-    ], ids=["n2-past-float-range", "factorial-past-float-range", "subset-past-float-range"])
+        (["--r", "2", "--M", "nan", "--d", "3", "--eps", "0.1"], 3),
+    ], ids=["n2-past-float-range", "factorial-past-float-range", "subset-past-float-range",
+            "nan-M"])
     def test_plan_at_the_float_range(self, capsys, argv, code):
-        # each ends in a plan or a documented exit code, never a traceback
+        # each ends in a plan or a documented exit code, never a traceback;
+        # a NaN M once leaked "cannot convert float NaN to integer" (exit 2)
         assert run(["plan"] + argv) == code
         if code == 0:
             assert json.loads(capsys.readouterr().out)["n2"] == 1 + 3 * 171
@@ -121,6 +124,17 @@ class TestExitCodes:
                                     "factor": factor}))
         assert run(["search", "--config", str(spec), "--strategy", "single"]) == 2
         assert "factor spec field" in capsys.readouterr().err
+
+    def test_non_numeric_witness_box_refused(self, tmp_path, capsys):
+        # np.asarray once read these, and the search exited 0
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({"d": 2, "r": 2, "M": 3.0, "replicate": True,
+                                    "factor": {"kind": "trig", "amplitude": 0.05,
+                                               "frequency": 1, "offset": 0.5},
+                                    "witness_box": {"lower": ["0.1", False],
+                                                    "upper": [True, "0.4"]}}))
+        assert run(["search", "--config", str(spec), "--strategy", "single"]) == 2
+        assert "witness_box field 'lower'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("boxes", ["0", "-5"])
     def test_estimate_without_boxes_refused(self, capsys, boxes):

@@ -162,9 +162,12 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({**base, "tensor_spec": {**spec, field: value}})
 
     @pytest.mark.parametrize("extra", [{"grid": 1}, {"grid": 0}, {"samples": 0},
-                                       {"grid": 801.0}, {"samples": "200"}])
+                                       {"grid": 801.0}, {"samples": "200"},
+                                       {"M": math.nan}, {"M": math.inf}, {"eps": math.nan},
+                                       {"V": math.nan}, {"p": -math.inf}])
     def test_bracket_sizes_validated(self, extra):
-        with pytest.raises(ConfigError):
+        # a NaN M was once reported as differing from the tensor_spec's M
+        with pytest.raises(ConfigError, match="must be"):
             ExperimentConfig.from_dict({"r": 1, "M": 1.0, "d": 2, "eps": 0.1,
                                         "family": "trig_smooth", **extra})
 

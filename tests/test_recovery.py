@@ -212,7 +212,7 @@ class TestRecover:
         for r, k in itertools.product(range(1, 8), (1, 2, 5, 20)):
             f = trig_factor(0.2, 1.0, 0.7 * r, 0.75, r)
             nodes = block_chebyshev_nodes(r * k, r)
-            g = interpolate_line(nodes, f(nodes)[None], r)
+            g = interpolate_line(f(nodes)[None], r)
             err = np.max(np.abs(g(ts[:, None])[:, 0] - f(ts)))
             assert err <= line_error(k, r, f.deriv_bound)
 
@@ -264,7 +264,7 @@ def reference_recover(oracle, z, cfg):
     reuse = nodes == z[:, None]
     vals = np.full(reuse.shape, center)
     vals[~reuse] = oracle.evaluate_batch(points[~reuse])
-    return interpolate_line(nodes, vals, cfg.r)
+    return interpolate_line(vals, cfg.r)
 
 
 class TestBlockedLines:

@@ -267,6 +267,13 @@ class TestPlanner:
             plan(1, 1.0, 2, 0.1, p=0.0)
         with pytest.raises(ParameterError):
             plan(1, 1.0, 2, 0.1, V=1.5)
+        # NaN once passed the guards M <= 0 and eps <= 0, and math.ceil
+        # then raised a bare ValueError
+        for M, eps in ((math.nan, 0.1), (2.0, math.nan)):
+            with pytest.raises(ParameterError):
+                plan(2, M, 3, eps)
+            with pytest.raises(ParameterError):
+                required_n2(3, 2, M, eps)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 4), st.floats(0.01, 100.0), st.integers(1, 8),

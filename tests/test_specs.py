@@ -99,6 +99,21 @@ class TestTensorFromSpec:
         assert t.support_volume == 0.04
         assert t.witness_box.volume == pytest.approx(0.09)
 
+    @pytest.mark.parametrize("box, message", [
+        ({"lower": ["0.1", False], "upper": [True, "0.4"]}, "witness_box field 'lower'"),
+        ({"lower": [0.1, 0.1], "upper": [True, 0.4]}, "witness_box field 'upper'"),
+        ({"lower": [0.1, float("nan")], "upper": [0.4, 0.4]}, "witness_box field 'lower'"),
+        ({"lower": 0.1, "upper": [0.4, 0.4]}, "witness_box field 'lower'"),
+        ([0.1, 0.4], "'witness_box' must be an object"),
+    ], ids=["mixed", "upper-bool", "lower-nan", "lower-scalar", "not-an-object"])
+    def test_witness_box_non_numbers_refused(self, box, message):
+        # np.asarray once read strings and bools as numbers, and a list
+        # in place of the object raised a TypeError
+        with pytest.raises(ConfigError, match=message):
+            tensor_from_spec({"d": 2, "r": 1, "M": 2.0, "replicate": True,
+                              "factor": {"kind": "bump", "orientation": "left"},
+                              "witness_box": box})
+
 
 class TestApproximantSerialization:
     def test_roundtrip_fields(self):

@@ -1,8 +1,6 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -13,9 +11,9 @@ from rankone.recovery import RecoveryConfig, recover
 from rankone.search import plan
 from rankone.tensor import (Box, QueryOracle, RankOneTensor, check_membership,
                             sup_distance_bound, sup_norm)
-from rankone.univariate import (block_chebyshev_nodes, constant_factor,
-                                interpolate_line, make_bump, polynomial_factor,
-                                table_factor, trig_factor)
+from rankone.univariate import (PiecewisePolynomial, block_chebyshev_nodes,
+                                constant_factor, interpolate_line, make_bump,
+                                polynomial_factor, table_factor, trig_factor)
 
 
 def product_tensor(d=3, r=2):
@@ -77,7 +75,7 @@ def reference_upper(t, k):
 
 def line(lines, i):
     """Line i of the stacked interpolant ``lines`` alone, as a function of t."""
-    one = replace(lines, values=lines.values[i:i + 1])
+    one = PiecewisePolynomial(lines.values[i:i + 1])
     return lambda t: one(np.asarray(t, dtype=float)[..., None])[..., 0]
 
 
@@ -333,7 +331,7 @@ class TestSupDistanceBound:
         ap = self._recover(t, 30)
         values = ap.line_interpolants.values.copy()
         values[0] *= -1
-        flipped = replace(ap.line_interpolants, values=values)
+        flipped = PiecewisePolynomial(values)
         with pytest.raises(DomainError, match="inverted"):
             sup_distance_bound(t, flipped, ap.center_value, grid=1001, samples=1000)
 
@@ -443,17 +441,19 @@ class TestSupDistanceBound:
             sup_distance_bound(t, ap.line_interpolants, ap.center_value, 101, 10)
 
     def test_lines_off_recovers_layout_rejected(self):
-        # the remainder bound holds on blocks of r Chebyshev nodes only
+        # the remainder bound is for blocks of r = t.r nodes: lines of
+        # another r are refused
         t = product_tensor()
-        lines = interpolate_line(np.linspace(0.1, 0.9, 8), np.ones((3, 8)), 2)
-        with pytest.raises(DomainError, match="Chebyshev"):
-            sup_distance_bound(t, lines, 1.0)
+        for r in (1, 3):
+            lines = interpolate_line(np.ones((3, 6)), r)
+            with pytest.raises(DomainError, match=f"r = 2 nodes per piece, got 3 lines of {r}"):
+                sup_distance_bound(t, lines, 1.0)
 
     def test_dimension_mismatch(self):
         t = product_tensor()
         lines = self._recover(t, 30).line_interpolants
-        with pytest.raises(DomainError, match="need 3 approximant lines, got 2"):
-            sup_distance_bound(t, replace(lines, values=lines.values[:2]), 1.0)
+        with pytest.raises(DomainError, match="need 3 approximant lines .*, got 2 lines"):
+            sup_distance_bound(t, PiecewisePolynomial(lines.values[:2]), 1.0)
         with pytest.raises(DomainError):
             sup_distance_bound(t, lines, 0.0)
 
@@ -476,7 +476,7 @@ class TestBoundedMemory:
         d, r = 1000, 5
         t = family_shifted_smooth(d, r, 10.0, np.random.default_rng(0))
         nodes = block_chebyshev_nodes(5, r)
-        lines = interpolate_line(nodes, np.array([f(nodes) for f in t.factors]), r)
+        lines = interpolate_line(np.array([f(nodes) for f in t.factors]), r)
         peaks = [traced_peak(sup_distance_bound, t, lines, 1.0, grid=801,
                              samples=n, seed=1) for n in (2_000, 20_000)]
         # (samples, d) is 16 MB and 160 MB; the grid's (d, grid) arrays
@@ -490,7 +490,7 @@ class TestBoundedMemory:
         d, r = 1000, 9
         t = family_shifted_smooth(d, r, 10.0, np.random.default_rng(0))
         nodes = block_chebyshev_nodes(r, r)
-        lines = interpolate_line(nodes, np.array([f(nodes) for f in t.factors]), r)
+        lines = interpolate_line(np.array([f(nodes) for f in t.factors]), r)
         assert traced_peak(sup_distance_bound, t, lines, 1.0, grid=801,
                            samples=2_000, seed=1) < 30_000_000
 
