@@ -103,12 +103,12 @@ def cmd_search(args) -> int:
     tensor = tensor_from_spec(spec)
     params = (SubsetSearchParams.from_problem(tensor.r, tensor.M, args.eps)
               if args.strategy == "subset" else None)
-    outcome = run_search(args.strategy, QueryOracle(tensor), args.n1, args.seed,
-                         params, args.pointset)
+    oracle = QueryOracle(tensor)
+    outcome = run_search(args.strategy, oracle, args.n1, args.seed, params, args.pointset)
     _emit({"found": outcome.found,
            "z_star": None if outcome.z_star is None else outcome.z_star.tolist(),
            "value": outcome.value,
-           "queries_used": outcome.queries_used,
+           "queries_used": oracle.query_count,
            "iterations": outcome.iterations}, args.out, "search.json")
     return 0
 
@@ -194,7 +194,7 @@ def _adversary_strategy(name: str, d: int):
             if not outcome.found:
                 return None
             r = oracle.target.r
-            n2 = budget - outcome.queries_used
+            n2 = budget - oracle.query_count
             if n2 < min_budget(oracle.d, r):
                 return None
             rec = recover(oracle, outcome.z_star,

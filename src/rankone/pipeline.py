@@ -27,8 +27,8 @@ from .univariate import UnivariateFactor, table_factor, trig_factor
 
 
 # The largest planned n1 that run_pipeline runs with n1 unset: 10^10
-# subset-search iterations of about 100 us (d = 10, 2-core host) are some
-# 10^6 s when f vanishes where the search looks.
+# subset-search iterations of about 25 us (d = 10 to 100, shared 2-core
+# Xeon host) are some 2.5 10^5 s when f vanishes where the search looks.
 MAX_PLANNED_N1 = 10 ** 10
 
 

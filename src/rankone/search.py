@@ -69,7 +69,6 @@ class SubsetSearchParams:
 class SearchOutcome:
     z_star: Optional[np.ndarray]  # present iff a nonzero was found
     value: Optional[float]        # f(z*) when found
-    queries_used: int
     iterations: int
 
     @property
@@ -99,10 +98,9 @@ def _scan(oracle: QueryOracle, n: int,
         if hit.size:
             j = int(hit[0])
             return SearchOutcome(z_star=X[j].copy(), value=float(vals[j]),
-                                 queries_used=start + size,
                                  iterations=start + j + 1)
         start, c = start + size, 2 * c
-    return SearchOutcome(z_star=None, value=None, queries_used=n, iterations=n)
+    return SearchOutcome(z_star=None, value=None, iterations=n)
 
 
 def search_uniform_single(oracle: QueryOracle, seed: int) -> SearchOutcome:
@@ -111,8 +109,8 @@ def search_uniform_single(oracle: QueryOracle, seed: int) -> SearchOutcome:
     x = rng.spawn(seed).random(oracle.d)
     v = oracle.evaluate(x)
     if v != 0.0:
-        return SearchOutcome(z_star=x, value=v, queries_used=1, iterations=1)
-    return SearchOutcome(z_star=None, value=None, queries_used=1, iterations=1)
+        return SearchOutcome(z_star=x, value=v, iterations=1)
+    return SearchOutcome(z_star=None, value=None, iterations=1)
 
 
 def search_uniform_multi(oracle: QueryOracle, n1: int, seed: int) -> SearchOutcome:
@@ -145,15 +143,16 @@ def search_subset(oracle: QueryOracle, params: SubsetSearchParams, n1: int,
     k = min(params.d_star, d)
     half = min(params.delta_star, 0.5)
     g = rng.spawn(seed)
-    for i in range(n1):
-        subset = rng.floyd_sample(g, d, k)
-        z = g.random(d)
-        x = 0.5 + half * (2.0 * z - 1.0)
-        x[subset] = z[subset]
-        v = oracle.evaluate(x)
-        if v != 0.0:
-            return SearchOutcome(z_star=x, value=v, queries_used=i + 1, iterations=i + 1)
-    return SearchOutcome(z_star=None, value=None, queries_used=n1, iterations=n1)
+
+    def batch(start: int, size: int) -> np.ndarray:
+        X = np.empty((size, d))
+        for x in X:  # one iteration's draws per row, in the order of the rows
+            subset = rng.floyd_sample(g, d, k)
+            z = g.random(d)
+            x[:] = 0.5 + half * (2.0 * z - 1.0)
+            x[subset] = z[subset]
+        return X
+    return _scan(oracle, n1, batch)
 
 
 def search_deterministic(oracle: QueryOracle, ps: PointSet) -> SearchOutcome:

@@ -64,6 +64,8 @@ def _numbers(spec: Dict[str, Any], key: str, default=None, owner="factor spec"):
 
 def tensor_from_spec(spec: Dict[str, Any]) -> RankOneTensor:
     """Build a tensor from {"d", "r", "M", "V", "factors" | "factor"+replicate}."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"tensor spec must be an object, got {spec!r}")
     try:
         d, r, M = spec["d"], spec["r"], spec["M"]
     except KeyError as exc:
@@ -79,14 +81,21 @@ def tensor_from_spec(spec: Dict[str, Any]) -> RankOneTensor:
         if isinstance(value, bool) or not whole:
             raise ConfigError(f"tensor spec field {key!r} must be an integer, got {value!r}")
     d, r = int(d), int(r)
+    fspecs = spec.get("factors", [])
+    if not (isinstance(fspecs, list) and all(isinstance(fs, dict) for fs in fspecs)):
+        raise ConfigError(f"tensor spec field 'factors' must be a list of objects, "
+                          f"got {fspecs!r}")
     if spec.get("replicate"):
-        fspec = spec.get("factor") or spec["factors"][0]
-        factors = tuple(factor_from_spec(fspec, r) for _ in range(d))
-    else:
-        fspecs = spec.get("factors", [])
-        if len(fspecs) != d:
-            raise ConfigError(f"expected {d} factor specs, got {len(fspecs)}")
-        factors = tuple(factor_from_spec(fs, r) for fs in fspecs)
+        fspec = spec.get("factor") or (fspecs[0] if fspecs else None)
+        if fspec is None:
+            raise ConfigError("a replicated tensor spec needs a 'factor' or a "
+                              "non-empty 'factors'")
+        if not isinstance(fspec, dict):
+            raise ConfigError(f"tensor spec field 'factor' must be an object, got {fspec!r}")
+        fspecs = [fspec] * d
+    elif len(fspecs) != d:
+        raise ConfigError(f"expected {d} factor specs, got {len(fspecs)}")
+    factors = tuple(factor_from_spec(fs, r) for fs in fspecs)
     wb = spec.get("witness_box")
     if wb is not None and not isinstance(wb, dict):
         raise ConfigError(f"tensor spec field 'witness_box' must be an object, got {wb!r}")

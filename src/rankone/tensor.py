@@ -47,7 +47,7 @@ class Box:
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise DomainError("box corners must be d-vectors of equal length")
-        if np.any(lo < 0) or np.any(hi > 1) or np.any(lo > hi):
+        if not np.all((lo >= 0) & (lo <= hi) & (hi <= 1)):  # so that NaN fails
             raise DomainError("box must satisfy 0 <= lower <= upper <= 1")
 
     @property
@@ -182,8 +182,8 @@ class QueryOracle:
 
     def _query(self, X: np.ndarray) -> np.ndarray:
         """The values at the rows of the (k, d) array X, k queries charged
-        and logged; points outside the cube are refused."""
-        if np.any(X < 0) or np.any(X > 1):
+        and logged; points outside the cube, and NaN, are refused uncharged."""
+        if not np.all((X >= 0) & (X <= 1)):
             raise DomainError("query point outside the unit cube")
         self.require(len(X))
         self.query_count += len(X)

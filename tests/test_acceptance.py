@@ -68,7 +68,7 @@ def test_criterion_02_randomized_floor():
         if not outcome.found:
             return None
         r = oracle.target.r
-        n2 = budget - outcome.queries_used
+        n2 = budget - oracle.query_count
         if n2 < min_budget(oracle.d, r):
             return None
         return recover(oracle, outcome.z_star,

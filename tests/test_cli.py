@@ -136,6 +136,34 @@ class TestExitCodes:
         assert run(["search", "--config", str(spec), "--strategy", "single"]) == 2
         assert "witness_box field 'lower'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, field", [
+        ([1, 2], "tensor spec must"),
+        ({"d": 2, "r": 1, "M": 1.0, "factors": [5, 5]}, "'factors'"),
+        ({"d": 2, "r": 1, "M": 1.0, "factors": 5}, "'factors'"),
+        ({"d": 2, "r": 1, "M": 1.0, "replicate": True, "factor": 5}, "'factor'"),
+        ({"d": 2, "r": 1, "M": 1.0, "replicate": True, "factors": []}, "'factors'"),
+    ], ids=["spec-list", "factors-ints", "factors-int", "factor-int", "replicate-empty"])
+    def test_malformed_spec_containers_refused(self, tmp_path, capsys, spec, field):
+        # each of these once ended in a traceback (exit 1)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(spec))
+        assert run(["search", "--config", str(path), "--strategy", "single"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+
+    def test_nan_center_refused_before_any_query(self, tmp_path, capsys):
+        # the NaN once passed the cube check: recover queried every line,
+        # then exited 2 on an "inverted" bracket (nan > upper)
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({"d": 3, "r": 2, "M": 20.0, "replicate": True,
+                                    "factor": {"kind": "trig", "amplitude": 0.3,
+                                               "frequency": 1.0, "offset": 0.6}}))
+        out = tmp_path / "out"
+        assert run(["recover", "--config", str(spec), "--z", "nan,0.5,0.5",
+                    "--budget", "61", "--out", str(out)]) == 2
+        assert "outside the unit cube" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("boxes", ["0", "-5"])
     def test_estimate_without_boxes_refused(self, capsys, boxes):
         # it once printed a lower estimate of 0.0 and exited 0
@@ -422,9 +450,10 @@ class TestSearchStrategies:
         assert run(["search", "--config", str(spec), "--n1", "100",
                     "--eps", "0.2", "--seed", "5", *argv]) == 0
         out = json.loads(capsys.readouterr().out)
-        expected = direct(QueryOracle(tensor_from_spec(BUMP_SPEC)))
+        oracle = QueryOracle(tensor_from_spec(BUMP_SPEC))
+        expected = direct(oracle)
         assert expected.found and out["found"]
         assert out["z_star"] == expected.z_star.tolist()
         assert out["value"] == expected.value
-        assert out["queries_used"] == expected.queries_used
+        assert out["queries_used"] == oracle.query_count
         assert out["iterations"] == expected.iterations

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankone import rng
 from rankone.cli import main
 from rankone.dispersion import halton, uniform_pointset
 from rankone.errors import ParameterError
+from rankone.pipeline import family_offcenter_triangle
 from rankone.recovery import required_n2
 from rankone.search import (SubsetSearchParams, plan, search_deterministic,
                             search_subset, search_uniform_multi,
@@ -135,6 +137,55 @@ class TestSubsetSearch:
         o = QueryOracle(const_tensor(3, c=0.0))
         out = search_subset(o, params, n1=13, seed=0)
         assert not out.found and o.query_count == 13
+
+
+def reference_subset_search(oracle, params, n1, seed):
+    """The subset search as one query per iteration: (z*, f(z*), iterations)."""
+    d = oracle.d
+    k = min(params.d_star, d)
+    half = min(params.delta_star, 0.5)
+    g = rng.spawn(seed)
+    for i in range(n1):
+        subset = rng.floyd_sample(g, d, k)
+        z = g.random(d)
+        x = 0.5 + half * (2.0 * z - 1.0)
+        x[subset] = z[subset]
+        v = oracle.evaluate(x)
+        if v != 0.0:
+            return x, v, i + 1
+    return None, None, n1
+
+
+class TestSubsetSearchMatchesPerIterationLoop:
+    # r = 2, M = 4, eps = 0.3 gives d* = 5: d = 3 is clamped to plain
+    # uniform search, d = 8 and 40 squeeze the coordinates off the subset
+    PARAMS = SubsetSearchParams.from_problem(2, 4.0, 0.3)
+
+    @pytest.mark.parametrize("d", [3, 8, 40])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 2 ** 63 - 1])
+    @pytest.mark.parametrize("tensor", ["offcenter_triangle", "zero"])
+    def test_bit_identical_and_charged_in_whole_chunks(self, d, seed, tensor):
+        t = (family_offcenter_triangle(d, 2, 4.0, 0.3, rng.spawn(seed))
+             if tensor == "offcenter_triangle" else const_tensor(d, c=0.0, r=2))
+        n1 = 300
+        z, v, iterations = reference_subset_search(QueryOracle(t), self.PARAMS, n1, seed)
+        o = QueryOracle(t)
+        out = search_subset(o, self.PARAMS, n1, seed)
+        assert out.iterations == iterations and out.value == v
+        if z is None:
+            assert out.z_star is None and o.query_count == n1
+        else:
+            assert out.z_star.tobytes() == z.tobytes()
+            # chunks of 1, 2, 4, ...: whole chunks, 1, 3, 7, 15, ... up to n1
+            assert o.query_count == min((1 << iterations.bit_length()) - 1, n1)
+
+    def test_hits_past_the_first_chunk_are_covered(self):
+        # the comparison above means little if every search hits at once
+        found = [search_subset(QueryOracle(family_offcenter_triangle(
+                     d, 2, 4.0, 0.3, rng.spawn(seed))), self.PARAMS, 300, seed)
+                 for d in (3, 8) for seed in range(5)]
+        assert sum(out.found and out.iterations > 7 for out in found) >= 5
+        assert not all(out.found for out in found)
 
 
 class TestDeterministicScan:

@@ -86,6 +86,31 @@ class TestTensorFromSpec:
             tensor_from_spec({"d": 3, "r": 1, "M": 1.0,
                               "factors": [{"kind": "bump", "orientation": "left"}]})
 
+    @pytest.mark.parametrize("spec, message", [
+        ([1, 2], "tensor spec must be an object"),
+        ({"d": 2, "r": 1, "M": 1.0, "factors": [5, 5]},
+         "tensor spec field 'factors' must be a list of objects"),
+        ({"d": 2, "r": 1, "M": 1.0, "factors": 5},
+         "tensor spec field 'factors' must be a list of objects"),
+        ({"d": 2, "r": 1, "M": 1.0, "replicate": True, "factor": 5},
+         "tensor spec field 'factor' must be an object"),
+        ({"d": 2, "r": 1, "M": 1.0, "replicate": True, "factors": []},
+         "needs a 'factor' or a non-empty 'factors'"),
+        ({"d": 2, "r": 1, "M": 1.0, "replicate": True},
+         "needs a 'factor' or a non-empty 'factors'"),
+    ], ids=["spec-list", "factors-ints", "factors-int", "factor-int", "replicate-empty",
+            "replicate-none"])
+    def test_malformed_containers_refused(self, spec, message):
+        # these once raised AttributeError, TypeError or IndexError
+        with pytest.raises(ConfigError, match=message):
+            tensor_from_spec(spec)
+
+    def test_replicate_from_first_of_factors(self):
+        bump = {"kind": "bump", "orientation": "left"}
+        t = tensor_from_spec({"d": 3.0, "r": 1, "M": 2.0, "replicate": True,
+                              "factors": [bump]})
+        assert t.d == 3 and t.value(np.zeros(3)) == pytest.approx(1.0)
+
     def test_missing_field(self):
         with pytest.raises(ParameterError):
             tensor_from_spec({"d": 2, "r": 1})

@@ -132,6 +132,13 @@ class TestBox:
         with pytest.raises(DomainError):
             Box(lower=np.array([-0.1]), upper=np.array([0.5]))
 
+    @pytest.mark.parametrize("lower, upper", [([np.nan, 0.1], [0.5, 0.5]),
+                                              ([0.1, 0.1], [0.5, np.nan])])
+    def test_nan_corner_refused(self, lower, upper):
+        # every comparison with NaN is false, so a test for the outside let it in
+        with pytest.raises(DomainError):
+            Box(lower=np.array(lower), upper=np.array(upper))
+
 
 class TestRankOneTensor:
     def test_value_is_product(self):
@@ -216,6 +223,16 @@ class TestQueryOracle:
             o.evaluate(np.array([0.1, 0.2, 1.3]))
         with pytest.raises(DomainError):
             o.evaluate_batch(np.array([[0.1, -0.2, 0.3]]))
+
+    def test_nan_refused_before_any_charge(self):
+        # a NaN point once passed the cube check, answered nan and was charged
+        o = QueryOracle(product_tensor(), budget=3, log=True)
+        with pytest.raises(DomainError):
+            o.evaluate(np.array([np.nan, 0.5, 0.5]))
+        with pytest.raises(DomainError):
+            o.evaluate_batch(np.array([[0.1, 0.2, 0.3], [0.5, np.nan, 0.5]]))
+        assert o.query_count == 0 and o.query_log == []
+        assert len(o.evaluate_batch(np.empty((0, 3)))) == 0
 
     def test_log(self):
         o = QueryOracle(product_tensor(), log=True)
