@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import sys
@@ -24,8 +25,7 @@ from .adversary import fool_deterministic, fool_randomized
 from .dispersion import (PointSet, dispersion_lower_estimate, exact_dispersion,
                          halton, uniform_pointset)
 from .errors import (BudgetExhaustedError, BudgetTooSmallError, ConfigError,
-                     DomainError, InstanceTooLargeError, NonzeroCenterError,
-                     ParameterError)
+                     InstanceTooLargeError, NonzeroCenterError, ParameterError)
 from .pipeline import ExperimentConfig, convergence_sweep, fit_order, run_pipeline
 from .recovery import RecoveryConfig, min_budget, recover
 from .search import (STRATEGIES, SubsetSearchParams, plan, run_search,
@@ -33,20 +33,25 @@ from .search import (STRATEGIES, SubsetSearchParams, plan, run_search,
 from .specs import approximant_to_dict, tensor_from_spec
 from .tensor import QueryOracle, sup_distance_bound
 
-_CONFIG_ERRORS = (DomainError, KeyError, ValueError, json.JSONDecodeError,
-                  FileNotFoundError)
+_CONFIG_ERRORS = (KeyError, ValueError, FileNotFoundError)
 _PRECONDITION_ERRORS = (ParameterError, BudgetTooSmallError,
                         BudgetExhaustedError, InstanceTooLargeError,
                         NonzeroCenterError)
 
 
-def _write_csv(path: Path, rows: Sequence[Dict[str, Any]],
+def _write_csv(out: Optional[Path], name: str, rows: Sequence[Dict[str, Any]],
                header: Sequence[str]):
-    with open(path, "w", newline="") as fh:
+    """Write ``rows`` to out/name, one column per ``header`` key; nothing
+    without --out."""
+    if out is None:
+        return
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / name, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(row.get(k)) for k in header])
+    print(f"wrote {out / name}")
 
 
 def _fmt(v) -> str:
@@ -58,21 +63,13 @@ def _fmt(v) -> str:
 
 
 def _emit(obj: Dict[str, Any], out: Optional[Path], name: str):
-    text = json.dumps(obj, indent=2, default=_json_default)
+    text = json.dumps(obj, indent=2)
     if out is None:
         print(text)
     else:
         out.mkdir(parents=True, exist_ok=True)
         (out / name).write_text(text + "\n")
         print(f"wrote {out / name}")
-
-
-def _json_default(o):
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    raise TypeError(f"not JSON serializable: {type(o)}")
 
 
 def _load_json(path: str) -> Dict[str, Any]:
@@ -91,9 +88,7 @@ def cmd_plan(args) -> int:
            "success_prob_lower": bp.success_prob_lower,
            "inputs": {k: getattr(args, k) for k in ("r", "M", "d", "eps", "V", "p")}}
     if bp.subset_params is not None:
-        sp = bp.subset_params
-        out["subset_params"] = {"delta_star": sp.delta_star, "d_star": sp.d_star,
-                               "alpha": sp.alpha, "c_prob": sp.c_prob}
+        out["subset_params"] = dataclasses.asdict(bp.subset_params)
     _emit(out, args.out, "plan.json")
     return 0
 
@@ -122,12 +117,11 @@ def cmd_recover(args) -> int:
     upper, lower = sup_distance_bound(tensor, approx.line_interpolants,
                                       approx.center_value, seed=args.seed)
     _emit(approximant_to_dict(approx), args.out, "approximant.json")
-    rows = [{"error_upper": upper, "error_lower": lower,
-             "queries": oracle.query_count}]
-    if args.out is not None:
-        _write_csv(args.out / "error.csv", rows, ["error_upper", "error_lower", "queries"])
-    else:
+    if args.out is None:
         print(f"error_upper={upper!r} error_lower={lower!r} queries={oracle.query_count}")
+    _write_csv(args.out, "error.csv", [{"error_upper": upper, "error_lower": lower,
+                                        "queries": oracle.query_count}],
+               ["error_upper", "error_lower", "queries"])
     return 0
 
 
@@ -139,12 +133,9 @@ def cmd_approx(args) -> int:
         raw["trials"] = args.trials
     cfg = ExperimentConfig.from_dict(raw)
     rows, summary = run_pipeline(cfg)
-    header = ["trial", "seed", "queries_phase1", "queries_phase2", "found",
-              "error_upper", "error_lower"]
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        _write_csv(args.out / "trials.csv", rows, header)
-        print(f"wrote {args.out / 'trials.csv'}")
+    _write_csv(args.out, "trials.csv", rows,
+               ["trial", "seed", "queries_phase1", "queries_phase2", "found",
+                "error_upper", "error_lower"])
     _emit(summary, args.out, "summary.json")
     return 0
 
@@ -171,58 +162,52 @@ def cmd_dispersion(args) -> int:
     return 0
 
 
-def _adversary_strategy(name: str, d: int):
-    """Built-in strategies for the lower-bound harness."""
-    if name == "zero":
-        def zero_det(oracle):
-            return None
+def _zero(oracle, seed):
+    return None
 
-        def zero_ran(oracle, seed):
-            return None
-        return zero_det, zero_ran
-    if name == "halton-scan":
-        def det(oracle):
-            budget = oracle.budget if oracle.budget is not None else 1
-            search_deterministic(oracle, halton(budget, oracle.d))
-            return None  # scan only: output stays zero unless recovered
-        return det, None
-    if name == "uniform-recover":
-        def ran(oracle, seed):
-            budget = oracle.budget
-            n1 = max(1, budget // 2)
-            outcome = search_uniform_multi(oracle, n1, seed)
-            if not outcome.found:
-                return None
-            r = oracle.target.r
-            n2 = budget - oracle.query_count
-            if n2 < min_budget(oracle.d, r):
-                return None
-            rec = recover(oracle, outcome.z_star,
-                          RecoveryConfig(r=r, budget_n2=n2))
-            return rec
-        return None, ran
-    raise ParameterError(f"unknown adversary strategy {name!r}")
+
+def _halton_scan(oracle, seed):
+    search_deterministic(oracle, halton(oracle.budget, oracle.d))
+    return None  # a scan that never recovers: the output is zero
+
+
+def _uniform_recover(oracle, seed):
+    budget = oracle.budget
+    outcome = search_uniform_multi(oracle, max(1, budget // 2), seed)
+    if not outcome.found:
+        return None
+    r = oracle.target.r
+    n2 = budget - oracle.query_count
+    if n2 < min_budget(oracle.d, r):
+        return None
+    return recover(oracle, outcome.z_star, RecoveryConfig(r=r, budget_n2=n2))
+
+
+# built-in strategies for the lower-bound harnesses, each run as
+# strategy(oracle, seed) on an oracle whose budget is the harness's n
+ADVERSARY_STRATEGIES = {"zero": _zero, "halton-scan": _halton_scan,
+                        "uniform-recover": _uniform_recover}
+
+
+def _adversary_strategy(name: str, d: int):
+    """(det, ran) forms of a built-in strategy: det runs ran at seed 0."""
+    ran = ADVERSARY_STRATEGIES[name]
+    return (lambda oracle: ran(oracle, 0)), ran
 
 
 def cmd_adversary(args) -> int:
     det, ran = _adversary_strategy(args.strategy, args.d)
     if args.mode == "det":
-        if det is None:
-            raise ParameterError(f"strategy {args.strategy!r} is randomized only")
         err, (k, plus, minus) = fool_deterministic(det, args.d, args.r, args.n)
         out = {"mode": "det", "certified_error_lower": err,
                "untouched_orthant": k, "n": args.n, "d": args.d, "r": args.r,
                "theorem_floor": 1.0}
         _emit(out, args.out, "adversary.json")
         return 0
-    if ran is None:
-        raise ParameterError(f"strategy {args.strategy!r} is deterministic only")
     report = fool_randomized(ran, args.d, args.r, args.n, args.trials, args.seed)
-    rows = [{"trial": t, "error": float(e)}
-            for t, e in enumerate(report.trial_errors)]
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        _write_csv(args.out / "adversary_trials.csv", rows, ["trial", "error"])
+    _write_csv(args.out, "adversary_trials.csv",
+               [{"trial": t, "error": float(e)} for t, e in enumerate(report.trial_errors)],
+               ["trial", "error"])
     _emit({"mode": "ran", "rms_error": report.rms_error,
            "theorem_floor": report.theorem_floor,
            "ci_halfwidth": report.ci_halfwidth,
@@ -235,10 +220,8 @@ def cmd_adversary(args) -> int:
 def cmd_curves(args) -> int:
     budgets = [int(b) for b in args.budgets.split(",")]
     pairs = convergence_sweep(args.d, args.r, budgets, seed=args.seed)
-    rows = [{"n2": n, "error_upper": e} for n, e in pairs]
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        _write_csv(args.out / "curve.csv", rows, ["n2", "error_upper"])
+    _write_csv(args.out, "curve.csv", [{"n2": n, "error_upper": e} for n, e in pairs],
+               ["n2", "error_upper"])
     slope, stderr = fit_order(pairs)
     _emit({"slope": slope, "stderr": stderr, "r": args.r, "d": args.d,
            "pairs": pairs}, args.out, "curve.json")
@@ -274,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prefer the low-dispersion scan in the support regime")
     common(p)
 
-    p = sub.add_parser("search", help="phase 1 only, on a tensor spec")
+    p = sub.add_parser("search", help="phase 1 by itself, on a tensor spec")
     p.add_argument("--config", required=True, help="tensor spec JSON file")
     p.add_argument("--strategy", choices=STRATEGIES, required=True)
     p.add_argument("--n1", type=int, default=1)
@@ -292,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="full pipeline over repeated trials")
     p.add_argument("--config", required=True, help="experiment config JSON file")
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    common(p, seed_default=None)
 
     p = sub.add_parser("dispersion", help="dispersion of a point set")
     p.add_argument("--points", default=None, help="CSV file, one point per row")
@@ -312,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--n", type=int, required=True, help="query budget")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--strategy", default="zero",
-                   choices=["zero", "halton-scan", "uniform-recover"])
+    p.add_argument("--strategy", default="zero", choices=ADVERSARY_STRATEGIES)
     common(p)
 
     p = sub.add_parser("curves", help="error against phase-2 budget, with slope")

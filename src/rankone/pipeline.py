@@ -75,19 +75,19 @@ def fit_order(pairs: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
 
 def triangle_factor(support_lo: float, support_hi: float, peak: float,
                     r: int) -> UnivariateFactor:
-    """Piecewise-linear spike, nonzero exactly on (support_lo, support_hi)."""
+    """Piecewise-linear spike, nonzero exactly on (support_lo, support_hi),
+    restricted to [0, 1].  A spike that crosses 0 or 1 keeps its slope
+    peak / half and is cut there, at its own nonzero value."""
     mid = 0.5 * (support_lo + support_hi)
     half = mid - support_lo
-    ts = [0.0, support_lo, mid, support_hi, 1.0]
-    vals = [0.0, 0.0, peak, 0.0, 0.0]
-    if support_lo <= 0.0:
-        ts, vals = ts[1:], vals[1:]
-        ts[0] = 0.0
-    if support_hi >= 1.0:
-        ts, vals = ts[:-1], vals[:-1]
-        ts[-1] = 1.0
-    f = table_factor(ts, vals, sup_bound=peak, deriv_bound=peak / half, r=r)
-    return replace(f, support=(support_lo, support_hi))
+
+    def spike(t):
+        return peak * (1.0 - abs(t - mid) / half) if support_lo < t < support_hi else 0.0
+
+    ts = [0.0] + [t for t in (support_lo, mid, support_hi) if 0.0 < t < 1.0] + [1.0]
+    f = table_factor(ts, [spike(t) for t in ts], sup_bound=peak,
+                     deriv_bound=peak / half, r=r)
+    return replace(f, support=(max(support_lo, 0.0), min(support_hi, 1.0)))
 
 
 def family_shifted_smooth(d: int, r: int, M: float, gen: np.random.Generator,
@@ -146,7 +146,7 @@ def family_offcenter_triangle(d: int, r: int, M: float, eps: float,
                               gen: np.random.Generator) -> RankOneTensor:
     """Most adversarial admissible spikes: minimal support given the
     product sup-norm target eps (slopes at the class bound M)."""
-    peak = eps ** (1.0 / d) * 1.05  # small headroom over the minimum
+    peak = min(eps ** (1.0 / d) * 1.05, 1.0)  # small headroom over the minimum
     width = 2.0 * peak / M
     factors = []
     for _ in range(d):

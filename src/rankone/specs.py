@@ -85,7 +85,11 @@ def tensor_from_spec(spec: Dict[str, Any]) -> RankOneTensor:
     if not (isinstance(fspecs, list) and all(isinstance(fs, dict) for fs in fspecs)):
         raise ConfigError(f"tensor spec field 'factors' must be a list of objects, "
                           f"got {fspecs!r}")
-    if spec.get("replicate"):
+    replicate = spec.get("replicate", False)
+    if not isinstance(replicate, bool):  # "false" would read as true
+        raise ConfigError(f"tensor spec field 'replicate' must be true or false, "
+                          f"got {replicate!r}")
+    if replicate:
         fspec = spec.get("factor") or (fspecs[0] if fspecs else None)
         if fspec is None:
             raise ConfigError("a replicated tensor spec needs a 'factor' or a "

@@ -4,7 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from rankone.cli import main
+from rankone.adversary import FoolingFamily
+from rankone.cli import _adversary_strategy, main
 from rankone.dispersion import halton, uniform_pointset
 from rankone.search import (SubsetSearchParams, search_deterministic,
                             search_subset, search_uniform_multi)
@@ -150,6 +151,15 @@ class TestExitCodes:
         assert run(["search", "--config", str(path), "--strategy", "single"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err
+
+    def test_replicate_string_refused(self, tmp_path, capsys):
+        # "false" once read as true, and the search ran on two left bumps
+        left, right = ({"kind": "bump", "orientation": o} for o in ("left", "right"))
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"d": 2, "r": 1, "M": 2.0, "replicate": "false",
+                                    "factor": left, "factors": [left, right]}))
+        assert run(["search", "--config", str(path), "--strategy", "single"]) == 2
+        assert "'replicate' must be true or false" in capsys.readouterr().err
 
     def test_nan_center_refused_before_any_query(self, tmp_path, capsys):
         # the NaN once passed the cube check: recover queried every line,
@@ -416,6 +426,58 @@ class TestOutputs:
         assert summary["rms_error"] == pytest.approx(1.0)
         lines = (out / "adversary_trials.csv").read_text().strip().splitlines()
         assert len(lines) == 21
+
+    @pytest.mark.parametrize("strategy", ["zero", "halton-scan", "uniform-recover"])
+    def test_adversary_det_runs_every_strategy(self, tmp_path, capsys, strategy):
+        # uniform-recover was once refused in det mode (exit 3)
+        out = tmp_path / "adv"
+        assert run(["adversary", "--mode", "det", "--d", "4", "--n", "15",
+                    "--strategy", strategy, "--out", str(out)]) == 0
+        summary = json.loads((out / "adversary.json").read_text())
+        assert summary["mode"] == "det" and summary["certified_error_lower"] >= 1.0
+        assert 0 <= summary["untouched_orthant"] < 16
+
+    def test_adversary_ran_halton_scan(self, tmp_path, capsys):
+        # halton-scan was once refused in ran mode (exit 3); it never
+        # recovers, so every trial errs by sup|f| = 1
+        out = tmp_path / "adv"
+        assert run(["adversary", "--mode", "ran", "--d", "6", "--n", "32",
+                    "--trials", "30", "--strategy", "halton-scan",
+                    "--out", str(out)]) == 0
+        summary = json.loads((out / "adversary.json").read_text())
+        assert summary["rms_error"] == 1.0 and summary["passes_floor"] is True
+        lines = (out / "adversary_trials.csv").read_text().splitlines()
+        assert lines[0] == "trial,error" and lines[1:] == [f"{t},1.0" for t in range(30)]
+
+    def test_det_form_runs_the_strategy_at_seed_0(self):
+        det, ran = _adversary_strategy("uniform-recover", 4)
+        logs = []
+        for strategy in (det, lambda oracle: ran(oracle, 0)):
+            oracle = QueryOracle(FoolingFamily(d=4, r=1).zero_member(), budget=15, log=True)
+            assert strategy(oracle) is None
+            logs.append(np.array([q for q, _ in oracle.query_log]))
+        assert len(logs[0]) == 7
+        np.testing.assert_array_equal(logs[0], logs[1])
+
+    @pytest.mark.parametrize("argv, files", [
+        (["curves", "--d", "2", "--r", "2", "--budgets", "12,24,48,96"],
+         ["curve.csv", "curve.json"]),
+        (["adversary", "--mode", "ran", "--d", "4", "--n", "8", "--trials", "5"],
+         ["adversary_trials.csv", "adversary.json"]),
+        (["recover", "--z", "0.3,0.6", "--budget", "11"],
+         ["approximant.json", "error.csv"]),
+    ], ids=["curves", "adversary", "recover"])
+    def test_each_file_under_out_is_announced(self, tmp_path, capsys, argv, files):
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({"d": 2, "r": 1, "M": 1.0, "replicate": True,
+                                    "factor": {"kind": "polynomial-piecewise",
+                                               "coefficients": [0.5, 0.2]}}))
+        if argv[0] == "recover":
+            argv = argv + ["--config", str(spec)]
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"wrote {out / f}" for f in files]
+        assert sorted(f.name for f in out.iterdir()) == sorted(files)
 
     def test_curves_outputs_slope(self, tmp_path, capsys):
         out = tmp_path / "cv"

@@ -136,6 +136,43 @@ class TestFamilies:
         assert sup_norm(t) >= 0.2
 
 
+def _measured_slope(f, n=20001):
+    ts = np.linspace(0.0, 1.0, n)
+    return float(np.max(np.abs(np.diff(f(ts)) / np.diff(ts))))
+
+
+class TestTriangleFactor:
+    def test_spike_across_the_cube_edge_keeps_its_values(self):
+        # the trim once moved the zero end to t = 0: f(0) = 0 and slope
+        # 6.67 against a declared 2.86
+        f = pipeline.triangle_factor(-0.2, 0.5, 1.0, 1)
+        assert float(f(0.0)) == pytest.approx(1.0 - 0.15 / 0.35, rel=1e-14)
+        assert float(f(0.15)) == 1.0 and float(f(0.5)) == 0.0
+        assert _measured_slope(f) <= f.deriv_bound * (1 + 1e-9)
+        assert f.support == (0.0, 0.5)
+        g = pipeline.triangle_factor(0.6, 1.3, 1.0, 1)
+        assert float(g(1.0)) == pytest.approx(1.0 - 0.05 / 0.35, rel=1e-14)
+        assert _measured_slope(g) <= g.deriv_bound * (1 + 1e-9)
+        assert g.support == (0.6, 1.0)
+
+    def test_spike_inside_the_cube_unchanged(self):
+        f = pipeline.triangle_factor(0.25, 0.75, 0.8, 1)
+        ts = np.linspace(0.0, 1.0, 1001)
+        assert np.array_equal(f(ts), np.interp(ts, [0.0, 0.25, 0.5, 0.75, 1.0],
+                                                [0.0, 0.0, 0.8, 0.0, 0.0]))
+        assert f.support == (0.25, 0.75) and f.deriv_bound == 0.8 / 0.25
+
+    @pytest.mark.parametrize("d", [32, 64])
+    def test_offcenter_triangle_within_declared_bounds(self, d):
+        # at d = 32 the spikes are wider than the cube and once measured
+        # slope 2.087 > M = 1.9; at d = 64 the peak was 1.024
+        t = family_offcenter_triangle(d, 1, 1.9, 0.2, rng.spawn(6, 0))
+        for f in t.factors:
+            assert f.sup_bound <= 1.0
+            assert float(np.max(f(np.linspace(0.0, 1.0, 2001)))) <= f.sup_bound
+            assert _measured_slope(f) <= 1.9 * (1 + 1e-9)
+
+
 class TestExperimentConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ParameterError):
@@ -267,6 +304,9 @@ OFFCENTER = dict(r=1, M=1.9, d=6, eps=0.2, V=0.3, family="offcenter_triangle",
 # M >= 2^r r! with a declared support volume: the support-class regimes
 BOX = dict(r=1, M=4.0, d=2, eps=0.5, V=0.3, family="box_support",
            trials=4, seed=2, grid=801, samples=500)
+# M <= r! eps: the planner has no subset parameters to hand a "subset" run
+TRIVIAL = dict(r=2, M=1.5, d=4, eps=0.8, family="shifted_smooth", n1=20,
+               trials=3, seed=5, grid=801, samples=500)
 
 
 class TestPhase1Strategies:
@@ -285,8 +325,11 @@ class TestPhase1Strategies:
         (BOX, "det", "support_class_deterministic",
          lambda o, s: search_deterministic(
              o, uniform_pointset(n_disp_upper(0.3, 2, "behw"), 2, s))),
+        (TRIVIAL, "subset", "trivial_M_small",
+         lambda o, s: search_subset(o, SubsetSearchParams.from_problem(2, 1.5, 0.8),
+                                    20, s)),
     ], ids=["single", "subset", "det", "plan-support-random",
-            "det-support-deterministic"])
+            "det-support-deterministic", "subset-outside-its-regime"])
     def test_matches_direct_call(self, monkeypatch, base, strategy, regime,
                                  search):
         centers = []

@@ -105,6 +105,21 @@ class TestTensorFromSpec:
         with pytest.raises(ConfigError, match=message):
             tensor_from_spec(spec)
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [], {}])
+    def test_replicate_must_be_a_bool(self, value):
+        # "false" once read as true: a left factor and factors [left, right]
+        # built two left bumps
+        left, right = ({"kind": "bump", "orientation": o} for o in ("left", "right"))
+        with pytest.raises(ConfigError, match="'replicate' must be true or false"):
+            tensor_from_spec({"d": 2, "r": 1, "M": 2.0, "replicate": value,
+                              "factor": left, "factors": [left, right]})
+
+    def test_replicate_false_uses_factors(self):
+        left, right = ({"kind": "bump", "orientation": o} for o in ("left", "right"))
+        t = tensor_from_spec({"d": 2, "r": 1, "M": 2.0, "replicate": False,
+                              "factor": left, "factors": [left, right]})
+        assert t.value(np.array([0.0, 1.0])) == pytest.approx(1.0)
+
     def test_replicate_from_first_of_factors(self):
         bump = {"kind": "bump", "orientation": "left"}
         t = tensor_from_spec({"d": 3.0, "r": 1, "M": 2.0, "replicate": True,
