@@ -196,6 +196,8 @@ def _adversary_strategy(name: str, d: int):
 
 
 def cmd_adversary(args) -> int:
+    if args.n < 1:  # the zero strategy asks for no query, so no budget refuses it
+        raise ParameterError(f"--n must be positive, got {args.n}")
     det, ran = _adversary_strategy(args.strategy, args.d)
     if args.mode == "det":
         err, (k, plus, minus) = fool_deterministic(det, args.d, args.r, args.n)

@@ -146,8 +146,10 @@ def exact_dispersion(ps: PointSet) -> DispersionResult:
     d>=3 sorts the points once on axis 0, cuts it into slabs between
     pairs of walls, widest first, each slab a slice of the sorted points,
     and solves each slab's points in the other axes down to the planar
-    sweep, for at most (n+2)^(2d-2) <= 1e9 work; beyond that guard an
-    error directs to dispersion_lower_estimate.
+    sweep, where the slabs of a d = 3 level come in chunks whose
+    anchored rectangles are scored in one array program, for at most
+    (n+2)^(2d-2) <= 1e9 work; beyond that guard an error directs to
+    dispersion_lower_estimate.
     """
     n, d = ps.points.shape
     if n == 0:
@@ -174,11 +176,19 @@ def _wall_zeros(best: _Best, pts: np.ndarray):
     once it holds none."""
     lower, inside = list(best.lower), np.ones(len(pts), dtype=bool)
     for i, col in enumerate(pts.T):
-        if lower[i] == 0:  # np.unique keeps one of 0.0 and -0.0
-            walls = np.unique(np.concatenate(([0.0, 1.0], col)))
+        if lower[i] == 0:  # _unique keeps one of 0.0 and -0.0
+            walls = _unique(np.concatenate(([0.0, 1.0], col)))
             lower[i] = walls[0] if inside.any() else 0.0
         inside &= (col > lower[i]) & (col < best.upper[i])
     best.lower = tuple(lower)
+
+
+def _unique(xs: np.ndarray) -> np.ndarray:
+    """np.unique of a finite float array, bit for bit, down to which of
+    0.0 and -0.0 survives: the same sort, then the first of each run.
+    np.unique itself imports numpy.ma on its first call."""
+    xs = np.sort(xs)
+    return xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
 
 
 def _dispersion_1d(xs: np.ndarray) -> DispersionResult:
@@ -195,68 +205,118 @@ def _slabs(best: _Best, pts: np.ndarray, c: float, lower: tuple, upper: tuple):
 
     k >= 3: the points are sorted once on the first axis, and each pair
     (a, b) of walls there (0, 1 and the coordinates), widest first, cuts
-    the slab a < x < b, the slice of the sorted points between the walls'
-    searchsorted positions, solved in the other axes with prefix
-    c (b - a), until c (b - a) falls below the best volume, which the
-    later widths cannot raise.  k = 2: the planar sweep scores the
-    rectangles anchored at a point a block at a time as a (rows, n+1)
-    array of volumes, column j's right edge at rights[j], -inf where no
-    rectangle of the family is; only the entries equal to a block's
-    maximum reach _Best, in row-major order, so every box that ties the
-    overall maximum goes through its tie-break, and a block's arrays are
-    freed before the next is built.  The left-wall family takes one O(n)
-    pass, which stops before its witness search when its maximum is
-    below the best volume."""
-    if pts.shape[1] > 2:
-        srt = pts[np.argsort(pts[:, 0], kind="stable")]
-        walls = np.unique(np.concatenate(([0.0, 1.0], pts[:, 0])))
-        first = np.searchsorted(srt[:, 0], walls, side="right")
-        last = np.searchsorted(srt[:, 0], walls, side="left")
-        lo, hi = np.triu_indices(len(walls), 1)
-        widths = walls[hi] - walls[lo]
-        for p in np.argsort(-widths, kind="stable"):
-            i, j = lo[p], hi[p]
-            if c * widths[p] < best.volume:
-                break
-            _slabs(best, srt[first[i]:last[j], 1:], c * widths[p],
-                   lower + (walls[i],), upper + (walls[j],))
+    the slab a < x < b, the points between the walls' searchsorted
+    positions, solved in the other axes with prefix c (b - a), until
+    c (b - a) falls below the best volume, which the later widths cannot
+    raise.  k > 3 recurses one slab at a time.  k = 3 takes the pairs in
+    chunks of at most _BLOCK_CELLS anchored cells (at least one slab),
+    cut at the stop as it stands when the chunk starts: _anchored scores
+    the chunk's slabs, padded to its largest, in one array program, and
+    then each slab's left-wall pass runs, widest first, until the stop.
+    k = 2: _anchored on a batch of one slab, then _left_wall.  The stop
+    drops only boxes below the best volume, and _Best's tie-break
+    depends on the order of the offers only through the sign of a zero
+    wall, which _wall_zeros sets in d >= 3, so the chunks find the value
+    and witness of the slab-by-slab sweep."""
+    if pts.shape[1] == 2:
+        order = np.argsort(pts[:, 0], kind="stable")
+        xs, ys = pts[order, 0], pts[order, 1]
+        rights = np.concatenate((xs, [1.0]))
+        _anchored(best, xs[None], xs[None], ys[None], rights[None], c, (lower,), (upper,))
+        _left_wall(best, xs, ys, rights, c, lower, upper)
         return
-    order = np.argsort(pts[:, 0], kind="stable")
-    xs, ys = pts[order, 0], pts[order, 1]
-    rights = np.append(xs, 1.0)
-    start = 0
-    while start < len(xs):  # an anchor block spans the columns start:
-        stop = start + max(1, _BLOCK_CELLS // (len(rights) - start))
-        _anchor_block(best, xs, ys, rights, start, stop, c, lower, upper)
+    srt = pts[np.argsort(pts[:, 0], kind="stable")]
+    walls = _unique(np.concatenate(([0.0, 1.0], pts[:, 0])))
+    first = np.searchsorted(srt[:, 0], walls, side="right")
+    last = np.searchsorted(srt[:, 0], walls, side="left")
+    lo, hi = np.triu_indices(len(walls), 1)
+    widths = walls[hi] - walls[lo]
+    order = np.argsort(-widths, kind="stable")
+    lo, hi, bound = lo[order], hi[order], c * widths[order]  # bound: non-increasing
+    if pts.shape[1] > 3:
+        for i, j, cw in zip(lo, hi, bound):
+            if cw < best.volume:
+                break
+            _slabs(best, srt[first[i]:last[j], 1:], cw, lower + (walls[i],), upper + (walls[j],))
+        return
+    # k = 3: rank[p] is the place of srt[p] in the planar sweep's order,
+    # and n pads a slab's row: a padded anchor lies right of every point
+    # and a padded point left of every anchor, so neither bounds or
+    # forms a rectangle, and a padded right edge is the right wall
+    n = len(srt)
+    sweep = np.argsort(srt[:, 1], kind="stable")
+    rank = np.full(n + 1, n)
+    rank[sweep] = np.arange(n)
+    xk, yk = srt[sweep, 1], srt[sweep, 2]
+    anchor_x = np.concatenate((xk, [np.inf]))
+    point_x = np.concatenate((xk, [-np.inf]))
+    right_x = np.concatenate((xk, [1.0]))
+    ys = np.concatenate((yk, [0.0]))
+    sizes = last[hi] - first[lo]
+    pairs, start = len(bound), 0
+    while start < pairs and bound[start] >= best.volume:
+        stop, m = start + 1, sizes[start]  # m: the chunk's largest slab
+        while stop < pairs and bound[stop] >= best.volume:
+            grown = max(m, sizes[stop])
+            if (stop + 1 - start) * grown * (grown + 1) > _BLOCK_CELLS:
+                break
+            stop, m = stop + 1, grown
+        size, cs = sizes[start:stop], bound[start:stop]
+        lowers = [lower + (a,) for a in walls[lo[start:stop]]]
+        uppers = [upper + (b,) for b in walls[hi[start:stop]]]
+        cols = np.arange(m + 1)
+        idx = np.where(cols < size[:, None], first[lo[start:stop], None] + cols, n)
+        keys = np.sort(rank[idx], axis=1)  # each slab's places in the sweep, then n
+        # rights[s]: slab s's x in the sweep's order, then 1.0
+        rights, row = right_x[keys], keys[:, :-1]
+        y = ys[row]
+        _anchored(best, anchor_x[row], point_x[row], y, rights, cs[:, None, None], lowers, uppers)
+        for s, k in enumerate(size):
+            if cs[s] < best.volume:
+                break
+            _left_wall(best, rights[s, :k], y[s, :k], rights[s, :k + 1], cs[s],
+                       lowers[s], uppers[s])
         start = stop
-    _left_wall(best, xs, ys, rights, c, lower, upper)
 
 
-def _anchor_block(best: _Best, xs, ys, rights, start: int, stop: int,
-                  c: float, lower: tuple, upper: tuple):
-    """Rectangles whose left edge passes through an anchor point, bounded
-    above and below by the points between it and the right edge; the
-    points not right of the anchor take the neutral values 1.0 and 0.0.
-    Only the columns start: are built: xs is sorted, so no point before
-    the first anchor lies right of any anchor of the block."""
-    px, py = xs[start:stop, None], ys[start:stop, None]
-    xr, yr, rr = xs[start:], ys[start:], rights[start:]
-    right_of = xr > px
-    hi = np.ones((len(px), len(rr)))
-    lo = np.zeros((len(px), len(rr)))
-    np.copyto(hi[:, 1:], yr, where=right_of & (yr >= py))
-    np.copyto(lo[:, 1:], yr, where=right_of & (yr <= py))
-    np.minimum.accumulate(hi, axis=1, out=hi)
-    np.maximum.accumulate(lo, axis=1, out=lo)
-    vols = rr - px
-    vols *= c
-    vols *= hi - lo
-    vols[:, :-1][~right_of] = -np.inf
-    vmax = vols.max()
-    if vmax >= best.volume:  # offer the entries equal to it, if it can win
-        for b, j in zip(*np.nonzero(vols == vmax)):
-            best.offer(float(vols[b, j]), (*lower, px[b, 0], lo[b, j]),
-                       (*upper, rr[j], hi[b, j]))
+def _anchored(best: _Best, ax, xs, ys, rights, c, lowers, uppers):
+    """Rectangles whose left edge passes through an anchor point, for a
+    batch of S slabs.  Slab s has the anchors (ax[s], ys[s]) and the
+    points (xs[s], ys[s]), both in x order, the right edges rights[s]
+    (each point's x, then the right wall's 1.0), the prefix c (a scalar,
+    or one per slab) and the corners lowers[s], uppers[s].  A rectangle is
+    bounded above and below by the points before its right edge that lie
+    right of its anchor; the others take the neutral values 1.0 and 0.0.
+    The anchors come a block of rows at a time, each scored as an
+    (S, rows, edges) array of volumes ((right - x) c) (hi - lo), -inf
+    where no rectangle of the family is.  Only the columns from the
+    block's first anchor on are built: no point before it lies right of
+    any anchor of the block.  Only the entries equal to a block's maximum
+    reach _Best, in row-major order, so every box that ties the overall
+    maximum goes through its tie-break, and a block's arrays are freed
+    before the next is built."""
+    start = 0
+    while start < ax.shape[1]:
+        stop = start + max(1, _BLOCK_CELLS // (len(rights) * (rights.shape[1] - start)))
+        px, py = ax[:, start:stop, None], ys[:, start:stop, None]
+        xr, yr, rr = xs[:, None, start:], ys[:, None, start:], rights[:, None, start:]
+        right_of = xr > px
+        hi = np.ones(right_of.shape[:2] + rr.shape[2:])
+        lo = np.zeros(hi.shape)
+        np.copyto(hi[..., 1:], yr, where=right_of & (yr >= py))
+        np.copyto(lo[..., 1:], yr, where=right_of & (yr <= py))
+        np.minimum.accumulate(hi, axis=2, out=hi)
+        np.maximum.accumulate(lo, axis=2, out=lo)
+        vols = rr - px
+        vols *= c
+        vols *= hi - lo
+        vols[..., :-1][~right_of] = -np.inf
+        vmax = vols.max()
+        if vmax >= best.volume:  # offer the entries equal to it, if it can win
+            for s, b, j in zip(*np.nonzero(vols == vmax)):
+                best.offer(float(vmax), (*lowers[s], px[s, b, 0], lo[s, b, j]),
+                           (*uppers[s], rr[s, 0, j], hi[s, b, j]))
+        start = stop
 
 
 def _left_wall(best: _Best, xs, ys, rights, c: float, lower: tuple,
@@ -274,7 +334,7 @@ def _left_wall(best: _Best, xs, ys, rights, c: float, lower: tuple,
     winners' floor lo, as the row-by-row loop offered them."""
     n = len(xs)
     by_y = np.argsort(ys, kind="stable")
-    levels = np.append(ys[by_y], 1.0)
+    levels = np.concatenate((ys[by_y], [1.0]))
     xq = xs[by_y]
     key = xq.tolist()
     below, above, stack = [-1] * n, [n] * n, []
@@ -284,19 +344,19 @@ def _left_wall(best: _Best, xs, ys, rights, c: float, lower: tuple,
         if stack:
             below[p] = stack[-1]
         stack.append(p)
-    floors = np.append(0.0, levels)
-    lo = np.append(floors[np.array(below, dtype=np.intp) + 1], floors[:-1])
-    right = np.append(xq, np.ones(n + 1))
+    floors = np.concatenate(([0.0], levels))
+    lo = np.concatenate((floors[np.array(below, dtype=np.intp) + 1], floors[:-1]))
+    right = np.concatenate((xq, np.ones(n + 1)))
     # the strips' heights sum to 1, so vmax > 0 (c > 0), which no
     # candidate of zero height or width reaches
-    vols = (c * right) * (np.append(levels[above], levels) - lo)
+    vols = (c * right) * (np.concatenate((levels[above], levels)) - lo)
     vmax = vols.max()
     if vmax < best.volume:  # offer would reject the box
         return
     lo = lo[vols == vmax].min()
     # row j's gap from the topmost kept level lo (or the floor) upward,
     # in the rows from the one that first keeps a point at lo
-    top = np.minimum.accumulate(np.append(1.0, np.where(ys > lo, ys, 1.0)))
+    top = np.minimum.accumulate(np.concatenate(([1.0], np.where(ys > lo, ys, 1.0))))
     first = 0 if lo == 0.0 else int(np.argmax(ys == lo)) + 1
     rows = first + np.flatnonzero((c * rights[first:]) * (top[first:] - lo) == vmax)
     rows = rows[rights[rows] == rights[rows].min()]

@@ -449,6 +449,17 @@ class TestOutputs:
         lines = (out / "adversary_trials.csv").read_text().splitlines()
         assert lines[0] == "trial,error" and lines[1:] == [f"{t},1.0" for t in range(30)]
 
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("mode", ["det", "ran"])
+    @pytest.mark.parametrize("strategy", ["zero", "halton-scan", "uniform-recover"])
+    def test_adversary_refuses_a_budget_below_one(self, tmp_path, capsys, strategy, mode, n):
+        # zero once exited 0 here, with "n": -1 in adversary.json
+        out = tmp_path / "adv"
+        assert run(["adversary", "--mode", mode, "--d", "4", f"--n={n}", "--trials", "5",
+                    "--strategy", strategy, "--out", str(out)]) == 3
+        assert "--n must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_det_form_runs_the_strategy_at_seed_0(self):
         det, ran = _adversary_strategy("uniform-recover", 4)
         logs = []

@@ -238,6 +238,24 @@ class TestPointSet:
             pytest.skip("this numpy imports numpy.random itself")
         assert lines[-1] == "False"
 
+    def test_exact_dispersion_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on its first call, which cost the d = 3
+        # path up to 0.6 MiB of peak memory
+        code = ("import sys\n"
+                "import numpy\n"
+                "print('numpy.ma' in sys.modules)\n"
+                "from rankone.dispersion import exact_dispersion, uniform_pointset\n"
+                "exact_dispersion(uniform_pointset(12, 3, 0))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(rankone.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        lines = out.stdout.splitlines()
+        if lines[0] == "True":
+            pytest.skip("this numpy imports numpy.ma itself")
+        assert lines[-1] == "False"
+
     def test_uniform_is_pure_in_seed_and_index(self):
         a = uniform_pointset(10, 4, seed=3)
         b = uniform_pointset(6, 4, seed=3)
@@ -462,6 +480,52 @@ class TestSlabsPinned:
     def test_uniform_12(self):
         for seed in range(3):
             assert_matches_reference(uniform_pointset(12, 3, seed).points)
+
+    @pytest.mark.parametrize("n, seed, value, lower, upper", [
+        (60, 0, "0.1388949594416027",
+         "[0.0, 0.1312009754188852, 0.0]",
+         "[0.4302188975046779, 0.5640921210882232, 0.7457929942611942]"),
+        (60, 1, "0.13206698587723695",
+         "[0.1709982545730594, 0.5725448384282922, 0.12963699987077115]",
+         "[0.9637030569153435, 0.7639626542700043, 1.0]"),
+        (60, 2, "0.17035578097870077",
+         "[0.0, 0.06280039878481602, 0.0]",
+         "[0.9450466613289044, 0.5350635011295032, 0.3816977570551513]"),
+        (100, 0, "0.10527796033008653",
+         "[0.0, 0.04087042974631072, 0.0]",
+         "[0.6049105239570779, 0.48650537038691277, 0.39054140745466637]"),
+        (100, 1, "0.09476951539937806",
+         "[0.0, 0.14830247539634833, 0.054453474141477054]",
+         "[0.7515680131261133, 0.28165998248479085, 1.0]"),
+        (100, 2, "0.11044747625264796",
+         "[0.10332525482233945, 0.06280039878481602, 0.0]",
+         "[0.9446245671730933, 0.47988181476531444, 0.31476354173987253]"),
+    ])
+    def test_uniform_sets_pinned(self, n, seed, value, lower, upper):
+        # too large for the exhaustive reference: the values and witnesses
+        # of the slab-by-slab sweep that the chunked d = 3 level replaced
+        res = exact_dispersion(uniform_pointset(n, 3, seed))
+        assert repr(res.value) == value
+        assert repr(res.witness_box.lower.tolist()) == lower
+        assert repr(res.witness_box.upper.tolist()) == upper
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("cells", [2, 40, 160],
+                             ids=["slab-per-chunk", "below-one-slab", "chunk-ends-at-stop"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_chunk_boundaries(self, d, cells, seed, monkeypatch):
+        # a chunk of slabs ends at the cell budget or at the width stop: at
+        # 2 cells no two slabs with points share a chunk; at 40 a slab of 6
+        # or more points is over budget, and its anchors come in row blocks;
+        # at 160 one slab of 12 points fills a chunk, while smaller slabs
+        # share chunks that run into the width stop
+        monkeypatch.setattr(dispersion, "_BLOCK_CELLS", cells)
+        g = np.random.default_rng(seed)
+        pts = g.random((int(g.integers(1, 13 if d == 3 else 9)), d))
+        if seed % 2:  # shared coordinates, ties and -0.0 walls
+            pts = np.round(pts * 4) / 4
+            pts[(pts == 0) & (g.random(pts.shape) < 0.5)] = -0.0
+        assert_matches_reference(pts)
 
     @pytest.mark.parametrize("d", [3, 4])
     @pytest.mark.parametrize("seed", range(20))
