@@ -84,6 +84,12 @@ class DispersionResult:
     witness_box: Box
 
 
+def _positive_ints(**counts):
+    for name, v in counts.items():  # bool is an int, but not a count
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+            raise ParameterError(f"{name} must be a positive integer, got {v!r}")
+
+
 def radical_inverse(index: int, base: int) -> float:
     """Van der Corput radical inverse of ``index`` in the given base."""
     f, r = 1.0, 0.0
@@ -96,8 +102,7 @@ def radical_inverse(index: int, base: int) -> float:
 
 def halton(n: int, d: int) -> PointSet:
     """First n Halton points in dimension d (bases: first d primes, index from 1)."""
-    if n < 1 or d < 1:
-        raise ParameterError("n and d must be positive")
+    _positive_ints(n=n, d=d)
     if d > len(_PRIMES):
         raise ParameterError(f"Halton prime table covers d <= {len(_PRIMES)}")
     pts = np.array([[radical_inverse(i, _PRIMES[j]) for j in range(d)]
@@ -107,8 +112,7 @@ def halton(n: int, d: int) -> PointSet:
 
 def uniform_pointset(n: int, d: int, seed: int) -> PointSet:
     """n i.i.d. uniform points; point i is a pure function of (seed, i)."""
-    if n < 1 or d < 1:
-        raise ParameterError("n and d must be positive")
+    _positive_ints(n=n, d=d)
     return PointSet(points=rng.uniform_points(seed, n, d),
                     provenance=f"uniform(seed={seed})")
 
@@ -146,10 +150,10 @@ def exact_dispersion(ps: PointSet) -> DispersionResult:
     d>=3 sorts the points once on axis 0, cuts it into slabs between
     pairs of walls, widest first, each slab a slice of the sorted points,
     and solves each slab's points in the other axes down to the planar
-    sweep, where the slabs of a d = 3 level come in chunks whose
-    anchored rectangles are scored in one array program, for at most
-    (n+2)^(2d-2) <= 1e9 work; beyond that guard an error directs to
-    dispersion_lower_estimate.
+    sweep, which takes the slabs of a d = 3 level in chunks, each chunk's
+    anchored rectangles and left-wall maxima in one array program, for
+    at most (n+2)^(2d-2) <= 1e9 work; beyond that guard an error directs
+    to dispersion_lower_estimate.
     """
     n, d = ps.points.shape
     if n == 0:
@@ -212,8 +216,9 @@ def _slabs(best: _Best, pts: np.ndarray, c: float, lower: tuple, upper: tuple):
     chunks of at most _BLOCK_CELLS anchored cells (at least one slab),
     cut at the stop as it stands when the chunk starts: _anchored scores
     the chunk's slabs, padded to its largest, in one array program, and
-    then each slab's left-wall pass runs, widest first, until the stop.
-    k = 2: _anchored on a batch of one slab, then _left_wall.  The stop
+    _left_wall takes the maxima of the slabs still at or above the stop
+    in one pass, then witnesses those that reach the best volume, widest
+    first.  k = 2: both on a batch of one slab.  The stop
     drops only boxes below the best volume, and _Best's tie-break
     depends on the order of the offers only through the sign of a zero
     wall, which _wall_zeros sets in d >= 3, so the chunks find the value
@@ -223,7 +228,7 @@ def _slabs(best: _Best, pts: np.ndarray, c: float, lower: tuple, upper: tuple):
         xs, ys = pts[order, 0], pts[order, 1]
         rights = np.concatenate((xs, [1.0]))
         _anchored(best, xs[None], xs[None], ys[None], rights[None], c, (lower,), (upper,))
-        _left_wall(best, xs, ys, rights, c, lower, upper)
+        _left_wall(best, ys[None], rights[None], (len(xs),), np.array([c]), (lower,), (upper,))
         return
     srt = pts[np.argsort(pts[:, 0], kind="stable")]
     walls = _unique(np.concatenate(([0.0, 1.0], pts[:, 0])))
@@ -242,7 +247,8 @@ def _slabs(best: _Best, pts: np.ndarray, c: float, lower: tuple, upper: tuple):
     # k = 3: rank[p] is the place of srt[p] in the planar sweep's order,
     # and n pads a slab's row: a padded anchor lies right of every point
     # and a padded point left of every anchor, so neither bounds or
-    # forms a rectangle, and a padded right edge is the right wall
+    # forms a rectangle, a padded right edge is the right wall, and a
+    # padded y of 1.0 puts the pads last in _left_wall's y order
     n = len(srt)
     sweep = np.argsort(srt[:, 1], kind="stable")
     rank = np.full(n + 1, n)
@@ -251,7 +257,7 @@ def _slabs(best: _Best, pts: np.ndarray, c: float, lower: tuple, upper: tuple):
     anchor_x = np.concatenate((xk, [np.inf]))
     point_x = np.concatenate((xk, [-np.inf]))
     right_x = np.concatenate((xk, [1.0]))
-    ys = np.concatenate((yk, [0.0]))
+    ys = np.concatenate((yk, [1.0]))
     sizes = last[hi] - first[lo]
     pairs, start = len(bound), 0
     while start < pairs and bound[start] >= best.volume:
@@ -271,11 +277,8 @@ def _slabs(best: _Best, pts: np.ndarray, c: float, lower: tuple, upper: tuple):
         rights, row = right_x[keys], keys[:, :-1]
         y = ys[row]
         _anchored(best, anchor_x[row], point_x[row], y, rights, cs[:, None, None], lowers, uppers)
-        for s, k in enumerate(size):
-            if cs[s] < best.volume:
-                break
-            _left_wall(best, rights[s, :k], y[s, :k], rights[s, :k + 1], cs[s],
-                       lowers[s], uppers[s])
+        live = np.count_nonzero(cs >= best.volume)  # cs is non-increasing
+        _left_wall(best, y[:live], rights[:live], size[:live], cs[:live], lowers, uppers)
         start = stop
 
 
@@ -319,41 +322,59 @@ def _anchored(best: _Best, ax, xs, ys, rights, c, lowers, uppers):
         start = stop
 
 
-def _left_wall(best: _Best, xs, ys, rights, c: float, lower: tuple,
-               upper: tuple):
-    """Rectangles touching the left wall, in O(n) after the sorts.
-
-    Row j of the family keeps the points before j in x order; its boxes
-    run from the left wall to rights[j] over the gaps between kept
-    levels.  The largest is a maximal rectangle (Naamad, Lee and Hsu,
-    1984): a strip at the right wall, or the gap at x_q around a point q
-    between the nearest points with a smaller x, found by a monotone
-    stack over the y order (its other gaps lie inside these).  Rounding
-    can let a box inside the largest tie its volume and win the
-    tie-break, so the witness is picked from every row's gap above the
-    winners' floor lo, as the row-by-row loop offered them."""
-    n = len(xs)
-    by_y = np.argsort(ys, kind="stable")
-    levels = np.concatenate((ys[by_y], [1.0]))
-    xq = xs[by_y]
-    key = xq.tolist()
-    below, above, stack = [-1] * n, [n] * n, []
+def _left_wall(best: _Best, ys, rights, sizes, cs, lowers, uppers):
+    """Rectangles touching the left wall, for a batch of S slabs, in O(m)
+    per slab after the sorts.  Slab s has the points (rights[s, :k],
+    ys[s, :k]), k = sizes[s], in x order, pads at x = y = 1.0 up to the
+    width m of ys, the right wall rights[s, m] = 1.0, the prefix cs[s]
+    and the corners lowers[s], uppers[s].  Row j of a slab's family keeps
+    the points before j; its boxes run from the left wall to rights[j]
+    over the gaps between kept levels.  The largest is a maximal
+    rectangle (Naamad, Lee and Hsu, 1984): a strip at the right wall, or
+    the gap at x_q around a point q between the nearest points with a
+    smaller x (its other gaps lie inside these), found by one monotone
+    stack over the slabs in y order, each between two -inf that empty
+    it.  A pad pops only points at x = 1.0, whose top stays 1.0, and its
+    box repeats one of the slab's.  The slabs whose maximum reaches the
+    best volume, widest first until cs[s] falls below it, go to
+    _wall_witness."""
+    S, m = ys.shape
+    order, at = np.argsort(ys, axis=1, kind="stable"), np.arange(S)[:, None]
+    # per slab, in y order: the levels 0.0, y, 1.0 and the right edges
+    # 0.0, x, 0.0, then 1.0 for the strips
+    levels = np.zeros((S, m + 2))
+    levels[:, 1:-1], levels[:, -1] = ys[at, order], 1.0
+    right = np.ones((S, 2 * m + 3))
+    right[:, 1:m + 1], right[:, 0], right[:, m + 1] = rights[at, order], 0.0, 0.0
+    key = right[:, :m + 2].ravel().tolist()
+    key[::m + 2] = key[m + 1::m + 2] = [-np.inf] * S
+    below, above, stack = [0] * len(key), [0] * len(key), []
     for p, x in enumerate(key):
         while stack and key[stack[-1]] >= x:
             above[stack.pop()] = p
         if stack:
             below[p] = stack[-1]
         stack.append(p)
-    floors = np.concatenate(([0.0], levels))
-    lo = np.concatenate((floors[np.array(below, dtype=np.intp) + 1], floors[:-1]))
-    right = np.concatenate((xq, np.ones(n + 1)))
+    flat = levels.ravel()
+    lo = np.concatenate((flat[below].reshape(S, -1), levels[:, :-1]), axis=1)
+    top = np.concatenate((flat[above].reshape(S, -1), levels[:, 1:]), axis=1)
     # the strips' heights sum to 1, so vmax > 0 (c > 0), which no
     # candidate of zero height or width reaches
-    vols = (c * right) * (np.concatenate((levels[above], levels)) - lo)
-    vmax = vols.max()
-    if vmax < best.volume:  # offer would reject the box
-        return
-    lo = lo[vols == vmax].min()
+    vols = (cs[:, None] * right) * (top - lo)
+    vmax = vols.max(axis=1)
+    for s, k in enumerate(sizes):
+        if cs[s] < best.volume:
+            break
+        if vmax[s] >= best.volume:  # else offer would reject the box
+            _wall_witness(best, ys[s, :k], rights[s, :k + 1], cs[s], vmax[s],
+                          lo[s][vols[s] == vmax[s]].min(), lowers[s], uppers[s])
+
+
+def _wall_witness(best: _Best, ys, rights, c, vmax, lo, lower, upper):
+    """Offer a slab's largest left-wall box, of volume vmax.  Rounding
+    can let a box inside the largest tie its volume and win the
+    tie-break, so the witness is picked from every row's gap above the
+    winners' floor lo, as the row-by-row loop offered them."""
     # row j's gap from the topmost kept level lo (or the floor) upward,
     # in the rows from the one that first keeps a point at lo
     top = np.minimum.accumulate(np.concatenate(([1.0], np.where(ys > lo, ys, 1.0))))
@@ -361,9 +382,8 @@ def _left_wall(best: _Best, xs, ys, rights, c: float, lower: tuple,
     rows = first + np.flatnonzero((c * rights[first:]) * (top[first:] - lo) == vmax)
     rows = rows[rights[rows] == rights[rows].min()]
     j = rows[top[rows] == top[rows].min()][0]
-    kept = np.flatnonzero((levels[:-1] == lo) & (by_y < j))
-    best.offer(float(vmax),
-               (*lower, 0.0, levels[kept[-1]] if len(kept) else 0.0),
+    kept = np.flatnonzero(ys[:j] == lo)  # the last point before j at lo
+    best.offer(float(vmax), (*lower, 0.0, ys[kept[-1]] if len(kept) else 0.0),
                (*upper, rights[j], top[j]))
 
 
@@ -375,8 +395,7 @@ def dispersion_lower_estimate(ps: PointSet, boxes: int = 10_000,
     (lo, u) the k-th (2, d) draw of one stream; the boxes come a block
     at a time, so memory does not grow with ``boxes``, which must be
     positive."""
-    if boxes < 1:
-        raise ParameterError(f"boxes must be positive, got {boxes}")
+    _positive_ints(boxes=boxes)
     g = rng.spawn(seed, 0xD15)
     pts = ps.points
     step = max(1, _BLOCK_CELLS // max(1, pts.size))
@@ -405,8 +424,9 @@ def disp_probability_bound(n: int, d: int, V: float) -> float:
     Read for phase 1, it bounds the probability that one shared sequence
     of n uniform points hits the support of every function in the
     support class at once."""
-    if n < 1 or d < 1:
-        raise ParameterError("n and d must be positive")
+    _positive_ints(n=n, d=d)
+    if not 0 < V < 1:  # so that NaN fails
+        raise ParameterError("V must lie in (0, 1)")
     log_tail = 2 * d * math.log(math.e * n / d) - 0.5 * V * n * math.log(2.0)
     if log_tail >= 0:
         return 0.0
@@ -422,8 +442,7 @@ def n_disp_upper(V: float, d: int, method: str = "behw") -> int:
     """
     if not 0 < V < 1:
         raise ParameterError("V must lie in (0, 1)")
-    if d < 1:
-        raise ParameterError("d must be positive")
+    _positive_ints(d=d)
     if method == "behw":
         return math.ceil(16.0 * d * math.log2(13.0 / V) / V)
     if method == "halton":

@@ -180,6 +180,15 @@ class TestHalton:
         with pytest.raises(ParameterError):
             halton(5, 64)
 
+    @pytest.mark.parametrize("n, d", [(3, 2.0), (3.0, 2), (True, 2), (3, True), (3, "2")])
+    def test_non_integer_counts_rejected(self, n, d):
+        with pytest.raises(ParameterError):
+            halton(n, d)
+
+    def test_numpy_integer_counts_accepted(self):
+        np.testing.assert_array_equal(halton(np.int64(3), np.int32(2)).points,
+                                      halton(3, 2).points)
+
 
 class TestPointSet:
     def test_csv_roundtrip(self, tmp_path):
@@ -255,6 +264,11 @@ class TestPointSet:
         if lines[0] == "True":
             pytest.skip("this numpy imports numpy.ma itself")
         assert lines[-1] == "False"
+
+    @pytest.mark.parametrize("n, d", [(3.5, 2), (3, 2.0), (False, 2), (3, True), (None, 2)])
+    def test_uniform_non_integer_counts_rejected(self, n, d):
+        with pytest.raises(ParameterError):
+            uniform_pointset(n, d, 0)
 
     def test_uniform_is_pure_in_seed_and_index(self):
         a = uniform_pointset(10, 4, seed=3)
@@ -335,9 +349,10 @@ class TestExactDispersion:
                 assert (dispersion_lower_estimate(ps, boxes=boxes, seed=seed)
                         == reference_lower_estimate(ps, boxes, seed))
 
-    @pytest.mark.parametrize("boxes", [0, -5])
+    @pytest.mark.parametrize("boxes", [0, -5, 2.5, True, "3"])
     def test_lower_estimate_needs_a_box(self, boxes):
-        # it once returned 0.0, a lower estimate of no box at all
+        # it once returned 0.0, a lower estimate of no box at all; a
+        # float or str count raised a bare TypeError, and True ran one box
         with pytest.raises(ParameterError, match="boxes"):
             dispersion_lower_estimate(uniform_pointset(10, 2, 0), boxes=boxes)
 
@@ -595,7 +610,8 @@ class TestLeftWallPass:
     def left_wall(best, pts, c=1.0, lower=(), upper=()):
         order = np.argsort(pts[:, 0], kind="stable")
         xs, ys = pts[order, 0], pts[order, 1]
-        dispersion._left_wall(best, xs, ys, np.append(xs, 1.0), c, lower, upper)
+        dispersion._left_wall(best, ys[None], np.append(xs, 1.0)[None], (len(xs),),
+                              np.array([c]), (lower,), (upper,))
 
     @staticmethod
     def holding(volume, lower, upper):
@@ -631,6 +647,129 @@ class TestLeftWallPass:
         assert (best.volume, best.lower, best.upper) == (vmax, fresh.lower, fresh.upper)
 
 
+def row_by_row_maximum(ys, rights, c):
+    """The largest left-wall box of one slab, row by row: row j keeps the
+    points before j and spans the gaps between its levels up to rights[j]."""
+    best = -1.0
+    for j, right in enumerate(rights):
+        levels = [0.0] + sorted(ys[:j]) + [1.0]
+        best = max(best, max((c * right) * (top - lo) for lo, top in zip(levels, levels[1:])))
+    return best
+
+
+class _AllOffers:
+    """A best volume below every box, which keeps each offer."""
+
+    volume = -1.0
+
+    def __init__(self):
+        self.offers = []
+
+    def offer(self, volume, lower, upper):
+        self.offers.append((float(volume), repr(tuple(lower)), repr(tuple(upper))))
+
+
+def left_wall_batches(pts, cells, monkeypatch):
+    """The padded batches that exact_dispersion hands _left_wall, with
+    _BLOCK_CELLS set to cells."""
+    batches, left_wall = [], dispersion._left_wall
+    monkeypatch.setattr(dispersion, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(dispersion, "_left_wall",
+                        lambda best, *batch: (batches.append(batch), left_wall(best, *batch)))
+    exact_dispersion(PointSet(points=pts, provenance="x"))
+    monkeypatch.setattr(dispersion, "_left_wall", left_wall)
+    return batches
+
+
+def mixed_set(seed, n_max=13):
+    """d = 3 sets with shared coordinates, -0.0 and points on the walls."""
+    g = np.random.default_rng(seed)
+    pts = g.random((int(g.integers(1, n_max)), 3))
+    if seed % 4 == 1:
+        pts = np.round(pts * 4) / 4
+        pts[(pts == 0) & (g.random(pts.shape) < 0.5)] = -0.0
+    elif seed % 4 == 2:  # every slab's points share x or y
+        pts[:, 1 + seed // 4 % 2] = g.choice([-0.0, 0.5, 1.0])
+    elif seed % 4 == 3:
+        pts[g.random(pts.shape) < 0.3] = 1.0
+    return pts
+
+
+class TestLeftWallBatch:
+    """_left_wall on a padded batch of slabs against the same slabs one at
+    a time, and its witness search only where a maximum can win."""
+
+    @pytest.mark.parametrize("cells", [2, 40, 160, 8192])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_batch_is_the_slabs_one_at_a_time(self, cells, seed, monkeypatch):
+        for ys, rights, sizes, cs, lowers, uppers in left_wall_batches(
+                mixed_set(seed), cells, monkeypatch):
+            batch, alone = _AllOffers(), _AllOffers()
+            dispersion._left_wall(batch, ys, rights, sizes, cs, lowers, uppers)
+            for s, k in enumerate(sizes):
+                dispersion._left_wall(alone, ys[s:s + 1, :k], rights[s:s + 1, :k + 1],
+                                      sizes[s:s + 1], cs[s:s + 1], lowers[s:], uppers[s:])
+                # each slab's maximum, bit for bit, is the row-by-row one
+                want = row_by_row_maximum(ys[s, :k], rights[s, :k + 1], cs[s])
+                assert repr(batch.offers[s][0]) == repr(float(want))
+            assert batch.offers == alone.offers
+
+    @pytest.mark.parametrize("sizes", [(0,), (0, 0), (3, 0, 2), (0, 4, 4), (2, 1, 0, 3)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hand_made_batches(self, sizes, seed):
+        # empty slabs (m = 0 when all are), points sharing x or y and -0.0
+        g, m = np.random.default_rng(seed), max(sizes)
+        ys, rights = np.ones((len(sizes), m)), np.ones((len(sizes), m + 1))
+        for s, k in enumerate(sizes):
+            x, y = np.round(g.random((2, k)) * 3) / 3
+            if (s + seed) % 3 == 0:
+                x[:] = x[:1]
+            elif (s + seed) % 3 == 1:
+                y[:] = y[:1]
+            x[x == 0], y[y == 0] = -0.0, -0.0
+            order = np.argsort(x, kind="stable")
+            rights[s, :k], ys[s, :k] = x[order], y[order]
+        cs = np.sort(g.random(len(sizes)))[::-1]
+        corners = [((float(s),), (float(s) + 1,)) for s in range(len(sizes))]
+        lowers, uppers = [lo for lo, _ in corners], [hi for _, hi in corners]
+        batch, alone = _AllOffers(), _AllOffers()
+        dispersion._left_wall(batch, ys, rights, sizes, cs, lowers, uppers)
+        for s, k in enumerate(sizes):
+            dispersion._left_wall(alone, ys[s:s + 1, :k], rights[s:s + 1, :k + 1],
+                                  sizes[s:s + 1], cs[s:s + 1], lowers[s:], uppers[s:])
+        assert batch.offers == alone.offers
+
+    def test_witness_only_where_the_maximum_reaches_the_best(self, monkeypatch):
+        witness, left_wall_pass = dispersion._wall_witness, dispersion._left_wall
+        slabs, witnessed, expected = [0], [], []
+
+        def counting_witness(best, ys, rights, c, vmax, lo, lower, upper):
+            assert vmax >= best.volume
+            witnessed.append((lower, upper))
+            witness(best, ys, rights, c, vmax, lo, lower, upper)
+
+        def left_wall(best, ys, rights, sizes, cs, lowers, uppers):
+            # the slabs a best volume raised by each witness lets through
+            volume = best.volume
+            for s, k in enumerate(sizes):
+                if cs[s] < volume:
+                    break
+                vmax = row_by_row_maximum(ys[s, :k], rights[s, :k + 1], cs[s])
+                if vmax >= volume:
+                    expected.append((lowers[s], uppers[s]))
+                    volume = max(volume, vmax)
+            slabs[0] += len(sizes)
+            left_wall_pass(best, ys, rights, sizes, cs, lowers, uppers)
+
+        monkeypatch.setattr(dispersion, "_wall_witness", counting_witness)
+        monkeypatch.setattr(dispersion, "_left_wall", left_wall)
+        for seed in range(20):
+            assert_matches_reference(uniform_pointset(12, 3, seed).points)
+        assert witnessed == expected
+        # the witness search ran on far fewer slabs than the batches held
+        assert 0 < len(witnessed) < slabs[0] / 10
+
+
 class TestCostBounds:
     def test_probability_bound_clamps_small_n(self):
         assert disp_probability_bound(5, 2, 0.3) == 0.0
@@ -652,6 +791,17 @@ class TestCostBounds:
         with pytest.raises(ParameterError):
             disp_probability_bound(0, 2, 0.3)
 
+    @pytest.mark.parametrize("V", [math.nan, math.inf, -math.inf, 0.0, 1.0, -0.5, 2.0])
+    def test_probability_bound_refuses_V_outside_the_unit_interval(self, V):
+        # NaN read as 0.0 and inf as 1.0 before
+        with pytest.raises(ParameterError):
+            disp_probability_bound(100, 2, V)
+
+    @pytest.mark.parametrize("n, d", [(100.0, 2), (100, 2.5), (True, 2), (100, True)])
+    def test_probability_bound_refuses_non_integer_counts(self, n, d):
+        with pytest.raises(ParameterError):
+            disp_probability_bound(n, d, 0.3)
+
     def test_behw_reference_value(self):
         assert n_disp_upper(0.5, 2, "behw") == 301
 
@@ -664,6 +814,12 @@ class TestCostBounds:
             n_disp_upper(0.0, 2)
         with pytest.raises(ParameterError):
             n_disp_upper(0.5, 2, "other")
+
+    @pytest.mark.parametrize("d", [True, False, 2.0, 0])
+    def test_invalid_d(self, d):
+        # a bool d read as 1 (n_disp_upper(0.3, True) was 290)
+        with pytest.raises(ParameterError):
+            n_disp_upper(0.3, d)
 
     def test_behw_smaller_than_halton_in_high_dim(self):
         assert n_disp_upper(0.5, 6, "behw") < n_disp_upper(0.5, 6, "halton")
