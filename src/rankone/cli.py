@@ -242,9 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "from point evaluations.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_default=0):
+    def out(p):
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (default: print JSON to stdout)")
+
+    def common(p, seed_default=0):
+        out(p)
         p.add_argument("--seed", type=int, default=seed_default, help="master seed")
 
     p = sub.add_parser("plan", help="budgets and guarantees for a problem")
@@ -257,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target failure probability")
     p.add_argument("--deterministic", action="store_true",
                    help="prefer the low-dispersion scan in the support regime")
-    common(p)
+    out(p)  # a plan draws nothing, so it takes no seed
 
     p = sub.add_parser("search", help="phase 1 by itself, on a tensor spec")
     p.add_argument("--config", required=True, help="tensor spec JSON file")

@@ -46,7 +46,8 @@ class PointSet:
     provenance: str
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        # its own copy, with each -0.0 read as 0.0 (see _Best)
+        pts = np.atleast_2d(np.asarray(self.points, dtype=float) + 0.0)
         if pts.size == 0:
             pts = pts.reshape(0, pts.shape[1] if pts.ndim == 2 and pts.shape[1] else 1)
         object.__setattr__(self, "points", pts)
@@ -122,7 +123,11 @@ def uniform_pointset(n: int, d: int, seed: int) -> PointSet:
 
 
 class _Best:
-    """Running maximum with the deterministic witness tie-break."""
+    """Running maximum with the deterministic witness tie-break: the least
+    (lower, upper) among the boxes of the largest volume.  With no -0.0
+    among the offers (a PointSet holds none), floats that compare equal
+    are the same float, so the result does not depend on the order of
+    the offers."""
 
     def __init__(self):
         self.volume = -1.0
@@ -167,40 +172,25 @@ def exact_dispersion(ps: PointSet) -> DispersionResult:
             "use dispersion_lower_estimate for a sampled lower estimate")
     best = _Best()
     _slabs(best, ps.points, 1.0, (), ())
-    if d > 2:
-        _wall_zeros(best, ps.points)
     return best.result()
 
 
-def _wall_zeros(best: _Best, pts: np.ndarray):
-    """Write each zero wall of the witness in d >= 3 as the search over
-    all candidate boxes (the tests' reference) writes it: as np.unique's
-    zero of 0, 1 and the axis's coordinates, whose sign -0.0 inputs
-    decide, while the slab of the earlier axes holds a point, and as 0.0
-    once it holds none."""
-    lower, inside = list(best.lower), np.ones(len(pts), dtype=bool)
-    for i, col in enumerate(pts.T):
-        if lower[i] == 0:  # _unique keeps one of 0.0 and -0.0
-            walls = _unique(np.concatenate(([0.0, 1.0], col)))
-            lower[i] = walls[0] if inside.any() else 0.0
-        inside &= (col > lower[i]) & (col < best.upper[i])
-    best.lower = tuple(lower)
-
-
 def _unique(xs: np.ndarray) -> np.ndarray:
-    """np.unique of a finite float array, bit for bit, down to which of
-    0.0 and -0.0 survives: the same sort, then the first of each run.
-    np.unique itself imports numpy.ma on its first call."""
+    """np.unique of a finite float array: the same sort, then the first of
+    each run.  np.unique itself imports numpy.ma on its first call."""
     xs = np.sort(xs)
     return xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
 
 
 def _dispersion_1d(xs: np.ndarray) -> DispersionResult:
+    """The first widest gap, which is _Best's least box: the sorted gaps'
+    left ends do not decrease, and only the last gap from each has a
+    positive width."""
     coords = np.concatenate(([0.0], np.sort(xs), [1.0]))
-    best = _Best()
-    for a, b in zip(coords[:-1], coords[1:]):
-        best.offer(b - a, (a,), (b,))
-    return best.result()
+    gaps = coords[1:] - coords[:-1]
+    j = int(np.argmax(gaps))
+    return DispersionResult(value=float(gaps[j]),
+                            witness_box=Box(lower=coords[j:j + 1], upper=coords[j + 1:j + 2]))
 
 
 def _slabs(best: _Best, pts: np.ndarray, c: float, lower: tuple, upper: tuple):
@@ -218,11 +208,10 @@ def _slabs(best: _Best, pts: np.ndarray, c: float, lower: tuple, upper: tuple):
     the chunk's slabs, padded to its largest, in one array program, and
     _left_wall takes the maxima of the slabs still at or above the stop
     in one pass, then witnesses those that reach the best volume, widest
-    first.  k = 2: both on a batch of one slab.  The stop
-    drops only boxes below the best volume, and _Best's tie-break
-    depends on the order of the offers only through the sign of a zero
-    wall, which _wall_zeros sets in d >= 3, so the chunks find the value
-    and witness of the slab-by-slab sweep."""
+    first.  k = 2: both on a batch of one slab.  The stop drops only
+    boxes below the best volume, and _Best's result does not depend on
+    the order of the offers, so the chunks find the value and witness of
+    the slab-by-slab sweep."""
     if pts.shape[1] == 2:
         order = np.argsort(pts[:, 0], kind="stable")
         xs, ys = pts[order, 0], pts[order, 1]
@@ -382,9 +371,7 @@ def _wall_witness(best: _Best, ys, rights, c, vmax, lo, lower, upper):
     rows = first + np.flatnonzero((c * rights[first:]) * (top[first:] - lo) == vmax)
     rows = rows[rights[rows] == rights[rows].min()]
     j = rows[top[rows] == top[rows].min()][0]
-    kept = np.flatnonzero(ys[:j] == lo)  # the last point before j at lo
-    best.offer(float(vmax), (*lower, 0.0, ys[kept[-1]] if len(kept) else 0.0),
-               (*upper, rights[j], top[j]))
+    best.offer(float(vmax), (*lower, 0.0, lo), (*upper, rights[j], top[j]))
 
 
 def dispersion_lower_estimate(ps: PointSet, boxes: int = 10_000,
@@ -433,23 +420,10 @@ def disp_probability_bound(n: int, d: int, V: float) -> float:
     return max(0.0, 1.0 - math.exp(log_tail))
 
 
-def n_disp_upper(V: float, d: int, method: str = "behw") -> int:
-    """Points sufficient for dispersion <= V.
-
-    behw: ceil(16 d log2(13/V) / V) (VC bound for boxes, existence via
-    random points); halton: ceil(2^d * prod(first d primes) / V), the
-    constructive but super-exponential Halton guarantee.
-    """
+def n_disp_upper(V: float, d: int) -> int:
+    """Points sufficient for dispersion <= V: ceil(16 d log2(13/V) / V),
+    the VC bound for boxes (BEHW), an existence count via random points."""
     if not 0 < V < 1:
         raise ParameterError("V must lie in (0, 1)")
     _positive_ints(d=d)
-    if method == "behw":
-        return math.ceil(16.0 * d * math.log2(13.0 / V) / V)
-    if method == "halton":
-        if d > len(_PRIMES):
-            raise ParameterError(f"Halton prime table covers d <= {len(_PRIMES)}")
-        prod = 1
-        for p in _PRIMES[:d]:
-            prod *= p
-        return math.ceil((2 ** d) * prod / V)
-    raise ParameterError(f"unknown method {method!r}")
+    return math.ceil(16.0 * d * math.log2(13.0 / V) / V)

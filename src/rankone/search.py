@@ -235,7 +235,7 @@ def plan(r: int, M: float, d: int, eps: float, V: Optional[float] = None,
                           regime="subset_search", subset_params=params)
     if V is not None:
         if prefer_deterministic:
-            return BudgetPlan(n1=n_disp_upper(V, d, "behw"), n2=n2, success_prob_lower=1.0,
+            return BudgetPlan(n1=n_disp_upper(V, d), n2=n2, success_prob_lower=1.0,
                               regime="support_class_deterministic")
         if 1.0 - V < 1.0:
             n1 = max(1, math.ceil(math.log(p) / math.log(1.0 - V)))

@@ -41,8 +41,8 @@ class Box:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
+        lo = np.array(self.lower, dtype=float)  # copies, not the caller's arrays
+        hi = np.array(self.upper, dtype=float)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or lo.ndim != 1:

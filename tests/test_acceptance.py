@@ -190,7 +190,7 @@ def test_criterion_08_dispersion_probability_bound():
     bound = disp_probability_bound(n, d, V)
     sigma = math.sqrt(max(bound * (1 - bound), 1e-12) / sets)
     frac = good / sets
-    count_ok = n_disp_upper(0.5, 2, "behw") == 301
+    count_ok = n_disp_upper(0.5, 2) == 301
     ok = frac >= bound - 3 * sigma and count_ok
     verdict(8, ok, f"fraction disp<=0.3: {frac:.4f} >= {bound:.4f} - "
                    f"3*{sigma:.5f}; n_disp_upper(0.5, 2) == 301: {count_ok}")

@@ -38,6 +38,12 @@ class TestExitCodes:
         if code == 0:
             assert json.loads(capsys.readouterr().out)["n2"] == 1 + 3 * 171
 
+    def test_plan_takes_no_seed(self, capsys):
+        # a plan draws nothing; --seed was accepted and never read
+        with pytest.raises(SystemExit) as exc:
+            run(["plan", "--r", "5", "--M", "10", "--d", "5", "--eps", "0.1", "--seed", "1"])
+        assert exc.value.code == 2
+
     def test_missing_config_file(self, capsys):
         assert run(["search", "--config", "/nonexistent.json",
                     "--strategy", "single"]) == 2

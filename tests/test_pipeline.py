@@ -324,7 +324,7 @@ class TestPhase1Strategies:
          lambda o, s: search_uniform_multi(o, 2, s)),
         (BOX, "det", "support_class_deterministic",
          lambda o, s: search_deterministic(
-             o, uniform_pointset(n_disp_upper(0.3, 2, "behw"), 2, s))),
+             o, uniform_pointset(n_disp_upper(0.3, 2), 2, s))),
         (TRIVIAL, "subset", "trivial_M_small",
          lambda o, s: search_subset(o, SubsetSearchParams.from_problem(2, 1.5, 0.8),
                                     20, s)),

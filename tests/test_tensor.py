@@ -139,6 +139,15 @@ class TestBox:
         with pytest.raises(DomainError):
             Box(lower=np.array(lower), upper=np.array(upper))
 
+    def test_corners_are_copied(self):
+        # a box once kept the caller's arrays: lo[0] = -3.0 after the check
+        # gave a volume of 1.4
+        lo, hi = np.array([0.1, 0.2]), np.array([0.5, 0.9])
+        b = Box(lower=lo, upper=hi)
+        lo[0], hi[1] = -3.0, 0.3
+        assert b.lower.tolist() == [0.1, 0.2] and b.upper.tolist() == [0.5, 0.9]
+        assert b.volume == pytest.approx(0.28)
+
 
 class TestRankOneTensor:
     def test_value_is_product(self):
