@@ -165,6 +165,8 @@ def fool_randomized(strategy: SeededStrategy, d: int, r: int, n: int,
     sqrt(2)/2 for any strategy.
     """
     family = FoolingFamily(d=d, r=r)
+    if d > 64:  # each trial draws its orthant index as one 64-bit integer
+        raise ParameterError(f"the randomized harness needs d <= 64, got d = {d}")
     if n > 2 ** (d - 1):
         raise ParameterError(f"n = {n} exceeds 2^(d-1) = {2 ** (d - 1)}")
     if trials < 1:
@@ -172,7 +174,7 @@ def fool_randomized(strategy: SeededStrategy, d: int, r: int, n: int,
     errors = np.empty(trials)
     for t in range(trials):
         g = rng.spawn(seed, t)
-        k = int(g.integers(family.size))
+        k = int(g.integers(0, family.size, dtype=np.uint64))
         sign = 1 if g.integers(2) else -1
         hidden = family.member(k, sign)
         oracle = QueryOracle(hidden, budget=n)

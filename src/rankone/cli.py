@@ -29,7 +29,7 @@ from .errors import (BudgetExhaustedError, BudgetTooSmallError, ConfigError,
 from .pipeline import ExperimentConfig, convergence_sweep, fit_order, run_pipeline
 from .recovery import RecoveryConfig, min_budget, recover
 from .search import (STRATEGIES, SubsetSearchParams, plan, run_search,
-                     search_deterministic, search_uniform_multi)
+                     search_uniform_multi)
 from .specs import approximant_to_dict, tensor_from_spec
 from .tensor import QueryOracle, sup_distance_bound
 
@@ -99,7 +99,7 @@ def cmd_search(args) -> int:
     params = (SubsetSearchParams.from_problem(tensor.r, tensor.M, args.eps)
               if args.strategy == "subset" else None)
     oracle = QueryOracle(tensor)
-    outcome = run_search(args.strategy, oracle, args.n1, args.seed, params, args.pointset)
+    outcome = run_search(args.strategy, oracle, args.n1, args.seed, params)
     _emit({"found": outcome.found,
            "z_star": None if outcome.z_star is None else outcome.z_star.tolist(),
            "value": outcome.value,
@@ -167,7 +167,7 @@ def _zero(oracle, seed):
 
 
 def _halton_scan(oracle, seed):
-    search_deterministic(oracle, halton(oracle.budget, oracle.d))
+    run_search("det", oracle, oracle.budget, seed)
     return None  # a scan that never recovers: the output is zero
 
 
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n1", type=int, default=1)
     p.add_argument("--eps", type=float, default=0.1,
                    help="target accuracy (subset strategy parameters)")
-    p.add_argument("--pointset", choices=["halton", "uniform"], default="halton")
     common(p)
 
     p = sub.add_parser("recover", help="phase 2 from a known nonzero point")

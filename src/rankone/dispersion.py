@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -50,6 +51,7 @@ class PointSet:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float) + 0.0)
         if pts.size == 0:
             pts = pts.reshape(0, pts.shape[1] if pts.ndim == 2 and pts.shape[1] else 1)
+        pts.flags.writeable = False  # so the checks below hold for its life
         object.__setattr__(self, "points", pts)
         if not np.all(np.isfinite(pts)) or np.any(pts < 0) or np.any(pts > 1):
             raise ParameterError("all coordinates must be finite and lie in [0, 1]")
@@ -91,14 +93,18 @@ def _positive_ints(**counts):
             raise ParameterError(f"{name} must be a positive integer, got {v!r}")
 
 
-def radical_inverse(index: int, base: int) -> float:
-    """Van der Corput radical inverse of ``index`` in the given base."""
-    f, r = 1.0, 0.0
-    while index > 0:
+def radical_inverse(index, base: int):
+    """Van der Corput radical inverse of ``index``, a nonnegative int or
+    integer array, in the given base.  An index that reaches 0 before
+    the others adds f * 0 = 0.0 per further step, so each value has the
+    bits of the scalar loop."""
+    i = np.asarray(index)
+    f, r = 1.0, np.zeros(i.shape)
+    while np.any(i > 0):
         f /= base
-        r += f * (index % base)
-        index //= base
-    return r
+        r += f * (i % base)
+        i = i // base
+    return r[()]
 
 
 def halton(n: int, d: int) -> PointSet:
@@ -106,8 +112,8 @@ def halton(n: int, d: int) -> PointSet:
     _positive_ints(n=n, d=d)
     if d > len(_PRIMES):
         raise ParameterError(f"Halton prime table covers d <= {len(_PRIMES)}")
-    pts = np.array([[radical_inverse(i, _PRIMES[j]) for j in range(d)]
-                    for i in range(1, n + 1)])
+    i = np.arange(1, n + 1)
+    pts = np.stack([radical_inverse(i, p) for p in _PRIMES[:d]], axis=1)
     return PointSet(points=pts, provenance="halton")
 
 
@@ -422,8 +428,9 @@ def disp_probability_bound(n: int, d: int, V: float) -> float:
 
 def n_disp_upper(V: float, d: int) -> int:
     """Points sufficient for dispersion <= V: ceil(16 d log2(13/V) / V),
-    the VC bound for boxes (BEHW), an existence count via random points."""
+    the VC bound for boxes (BEHW), an existence count via random points.
+    Past the float range it saturates at the largest finite float."""
     if not 0 < V < 1:
         raise ParameterError("V must lie in (0, 1)")
     _positive_ints(d=d)
-    return math.ceil(16.0 * d * math.log2(13.0 / V) / V)
+    return math.ceil(min(16.0 * d * math.log2(13.0 / V) / V, sys.float_info.max))

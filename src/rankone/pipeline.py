@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -85,9 +85,8 @@ def triangle_factor(support_lo: float, support_hi: float, peak: float,
         return peak * (1.0 - abs(t - mid) / half) if support_lo < t < support_hi else 0.0
 
     ts = [0.0] + [t for t in (support_lo, mid, support_hi) if 0.0 < t < 1.0] + [1.0]
-    f = table_factor(ts, [spike(t) for t in ts], sup_bound=peak,
-                     deriv_bound=peak / half, r=r)
-    return replace(f, support=(max(support_lo, 0.0), min(support_hi, 1.0)))
+    return table_factor(ts, [spike(t) for t in ts], sup_bound=peak,
+                        deriv_bound=peak / half, r=r)
 
 
 def family_shifted_smooth(d: int, r: int, M: float, gen: np.random.Generator,

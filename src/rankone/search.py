@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .dispersion import PointSet, halton, n_disp_upper, uniform_pointset
+from .dispersion import PointSet, halton, n_disp_upper
 from .errors import ParameterError
 from .recovery import required_n2
 from .tensor import QueryOracle
@@ -164,10 +164,10 @@ def search_deterministic(oracle: QueryOracle, ps: PointSet) -> SearchOutcome:
 
 
 def run_search(strategy: str, oracle: QueryOracle, n1: int, seed: int,
-               params: Optional[SubsetSearchParams] = None,
-               pointset: str = "uniform") -> SearchOutcome:
+               params: Optional[SubsetSearchParams] = None) -> SearchOutcome:
     """Run the phase-1 strategy named ``strategy``, one of STRATEGIES.  "subset"
-    needs ``params``; "det" scans ``pointset``: "uniform" (from ``seed``) or "halton"."""
+    needs ``params``; "det" scans the first n1 Halton points, whatever the
+    seed, and needs d <= 32."""
     if strategy == "single":
         return search_uniform_single(oracle, seed)
     if strategy == "multi":
@@ -177,9 +177,7 @@ def run_search(strategy: str, oracle: QueryOracle, n1: int, seed: int,
             raise ParameterError("the subset strategy needs SubsetSearchParams")
         return search_subset(oracle, params, n1, seed)
     if strategy == "det":
-        ps = (halton(n1, oracle.d) if pointset == "halton"
-              else uniform_pointset(n1, oracle.d, seed))
-        return search_deterministic(oracle, ps)
+        return search_deterministic(oracle, halton(n1, oracle.d))
     raise ParameterError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
 

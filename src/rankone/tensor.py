@@ -41,8 +41,9 @@ class Box:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.array(self.lower, dtype=float)  # copies, not the caller's arrays
-        hi = np.array(self.upper, dtype=float)
+        lo = np.array(self.lower, dtype=float)  # copies, not the caller's arrays,
+        hi = np.array(self.upper, dtype=float)  # read-only so the checks below hold
+        lo.flags.writeable = hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or lo.ndim != 1:

@@ -78,9 +78,6 @@ class UnivariateFactor:
     numpy arrays.  ``sup_bound`` and ``deriv_bound`` are declared bounds
     on the sup-norm of the function and of its r-th derivative; they are
     supplied analytically at construction, never estimated.
-    ``support`` optionally records the closure of {f != 0} when it is
-    known to be an interval (None means nonzero almost everywhere or
-    unknown).
     """
 
     fn: Optional[Callable[[np.ndarray], np.ndarray]]
@@ -88,7 +85,6 @@ class UnivariateFactor:
     deriv_bound: float
     r: int
     kind: str
-    support: Optional[Tuple[float, float]] = None
     params: Tuple[float, ...] = ()
 
     def __call__(self, t):
@@ -106,20 +102,12 @@ class UnivariateFactor:
             deriv_bound=abs(c) * self.deriv_bound,
             r=self.r,
             kind=self.kind,
-            support=self.support,
         )
 
 
 def constant_factor(c: float, r: int) -> UnivariateFactor:
     """The factor identically equal to c."""
-    return UnivariateFactor(
-        fn=lambda t: np.full_like(np.asarray(t, dtype=float), c),
-        sup_bound=abs(c),
-        deriv_bound=0.0,
-        r=r,
-        kind="polynomial-piecewise",
-        support=None if c != 0 else (0.0, 0.0),
-    )
+    return polynomial_factor([c], r)
 
 
 def polynomial_factor(coeffs: Sequence[float], r: int) -> UnivariateFactor:
@@ -165,7 +153,6 @@ def table_factor(ts: Sequence[float], vals: Sequence[float], sup_bound: float,
         deriv_bound=float(deriv_bound),
         r=r,
         kind="explicit-table",
-        support=None,
     )
 
 
@@ -198,12 +185,10 @@ def make_bump(r: int, orientation: str, interval: Tuple[float, float] = (0.0, 1.
         def fn(t, a=a, m=m, h=h, r=r):
             t = np.asarray(t, dtype=float)
             return np.where((t >= a) & (t < m), np.maximum(0.0, (m - t) / h) ** r, 0.0)
-        support = (a, m)
     else:
         def fn(t, b=b, m=m, h=h, r=r):
             t = np.asarray(t, dtype=float)
             return np.where((t > m) & (t <= b), np.maximum(0.0, (t - m) / h) ** r, 0.0)
-        support = (m, b)
 
     return UnivariateFactor(
         fn=fn,
@@ -211,7 +196,6 @@ def make_bump(r: int, orientation: str, interval: Tuple[float, float] = (0.0, 1.
         deriv_bound=math.factorial(r) / h ** r,
         r=r,
         kind="bump",
-        support=support,
     )
 
 

@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 import time
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from rankone.adversary import FoolingFamily
 from rankone.cli import _adversary_strategy, main
-from rankone.dispersion import halton, uniform_pointset
+from rankone.dispersion import halton
 from rankone.search import (SubsetSearchParams, search_deterministic,
                             search_subset, search_uniform_multi)
 from rankone.specs import tensor_from_spec
@@ -43,6 +45,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["plan", "--r", "5", "--M", "10", "--d", "5", "--eps", "0.1", "--seed", "1"])
         assert exc.value.code == 2
+
+    def test_det_plan_past_the_float_range(self, tmp_path, capsys):
+        # n_disp_upper once took math.ceil(inf): an OverflowError traceback
+        argv = ["--r", "1", "--M", "3", "--d", "100000", "--eps", "0.1", "--V", "1e-300"]
+        assert run(["plan", *argv, "--deterministic"]) == 0
+        assert json.loads(capsys.readouterr().out)["n1"] == math.ceil(sys.float_info.max)
+        # so an approx run refuses that plan, before trial 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 1, "M": 3.0, "d": 100000, "eps": 0.1, "V": 1e-300,
+                                   "family": "box_support", "strategy": "det"}))
+        assert run(["approx", "--config", str(cfg)]) == 3
+        assert "past MAX_PLANNED_N1" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert run(["search", "--config", "/nonexistent.json",
@@ -455,6 +469,15 @@ class TestOutputs:
         lines = (out / "adversary_trials.csv").read_text().splitlines()
         assert lines[0] == "trial,error" and lines[1:] == [f"{t},1.0" for t in range(30)]
 
+    def test_adversary_ran_up_to_d_64(self, capsys):
+        # d = 64 once exited 2 with numpy's "high is out of bounds for
+        # int64", from drawing the orthant index 0 <= k < 2^64
+        argv = ["adversary", "--mode", "ran", "--n", "4", "--trials", "3"]
+        assert run(argv + ["--d", "64"]) == 0
+        assert json.loads(capsys.readouterr().out)["rms_error"] == 1.0
+        assert run(argv + ["--d", "65"]) == 3
+        assert "needs d <= 64" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n", [0, -1])
     @pytest.mark.parametrize("mode", ["det", "ran"])
     @pytest.mark.parametrize("strategy", ["zero", "halton-scan", "uniform-recover"])
@@ -518,11 +541,9 @@ class TestSearchStrategies:
         (["--strategy", "subset"],
          lambda o: search_subset(o, SubsetSearchParams.from_problem(1, 1.9, 0.2),
                                  100, 5)),
-        (["--strategy", "det", "--pointset", "halton"],
+        (["--strategy", "det"],
          lambda o: search_deterministic(o, halton(100, 4))),
-        (["--strategy", "det", "--pointset", "uniform"],
-         lambda o: search_deterministic(o, uniform_pointset(100, 4, 5))),
-    ], ids=["multi", "subset", "det-halton", "det-uniform"])
+    ], ids=["multi", "subset", "det-halton"])
     def test_matches_direct_call(self, tmp_path, capsys, argv, direct):
         spec = tmp_path / "t.json"
         spec.write_text(json.dumps(BUMP_SPEC))
@@ -536,3 +557,13 @@ class TestSearchStrategies:
         assert out["value"] == expected.value
         assert out["queries_used"] == oracle.query_count
         assert out["iterations"] == expected.iterations
+
+    def test_pointset_option_refused(self, tmp_path, capsys):
+        # det scans the Halton prefix only; --pointset uniform once scanned
+        # a set drawn from --seed
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps(BUMP_SPEC))
+        with pytest.raises(SystemExit) as exc:
+            run(["search", "--config", str(spec), "--strategy", "det",
+                 "--pointset", "uniform"])
+        assert exc.value.code == 2

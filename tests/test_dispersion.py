@@ -15,8 +15,23 @@ from rankone import dispersion, rng
 from rankone.dispersion import (PointSet, disp_probability_bound,
                                 dispersion_lower_estimate, exact_dispersion,
                                 halton, n_disp_upper, radical_inverse,
-                                uniform_pointset)
+                                uniform_pointset, _PRIMES)
 from rankone.errors import InstanceTooLargeError, ParameterError
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def scalar_radical_inverse(i: int, base: int) -> float:
+    """The scalar loop that halton once ran for each coordinate, kept as
+    its bit-for-bit reference."""
+    f, r = 1.0, 0.0
+    while i > 0:
+        f /= base
+        r += f * (i % base)
+        i //= base
+    return r
 
 
 def brute_force_dispersion(pts: np.ndarray) -> float:
@@ -214,6 +229,23 @@ class TestHalton:
         np.testing.assert_array_equal(halton(np.int64(3), np.int32(2)).points,
                                       halton(3, 2).points)
 
+    @pytest.mark.parametrize("n", [1, 2, 580, 10_000])
+    @pytest.mark.parametrize("d", [1, 2, 10, 32])
+    def test_halton_is_the_scalar_loop_bitwise(self, n, d):
+        # one array radical inverse per axis, in place of n d scalar calls
+        want = [[scalar_radical_inverse(i, _PRIMES[j]) for j in range(d)]
+                for i in range(1, n + 1)]
+        assert bits(halton(n, d).points).tolist() == bits(np.array(want)).tolist()
+
+    @pytest.mark.parametrize("base", [2, 3, 61, 131])
+    def test_array_radical_inverse_is_its_scalar_calls_bitwise(self, base):
+        # 0 and an index whose digits run out early sit next to long ones
+        idx = np.r_[0, 1, base - 1, base, base ** 3 + 1, 2 ** 40 + 7, 10 ** 12]
+        got = radical_inverse(idx, base)
+        want = [radical_inverse(int(i), base) for i in idx]
+        assert bits(got).tolist() == bits(np.array(want)).tolist()
+        assert want == [scalar_radical_inverse(int(i), base) for i in idx]
+
 
 class TestPointSet:
     def test_csv_roundtrip(self, tmp_path):
@@ -231,6 +263,14 @@ class TestPointSet:
     def test_non_finite_coordinates_rejected(self, bad):
         with pytest.raises(ParameterError):
             PointSet(points=np.array([[0.2, 0.3], [0.5, bad]]), provenance="x")
+
+    def test_points_are_read_only(self):
+        # a write through ps.points once got past the [0, 1] check, and
+        # exact_dispersion then raised a DomainError from Box
+        ps = PointSet(points=[[0.2, 0.3], [0.6, 0.8]], provenance="x")
+        with pytest.raises(ValueError, match="read-only"):
+            ps.points[0, 0] = 7.0
+        assert ps.points.tolist() == [[0.2, 0.3], [0.6, 0.8]]
 
     def test_points_are_copied(self):
         # a point set once kept the caller's array: a[0, 0] = 0.9 after the
@@ -912,6 +952,11 @@ class TestCostBounds:
 
     def test_behw_reference_value(self):
         assert n_disp_upper(0.5, 2) == 301
+
+    @pytest.mark.parametrize("V, d", [(1e-308, 5), (1e-300, 100_000)])
+    def test_saturates_past_the_float_range(self, V, d):
+        # math.ceil(inf) raised OverflowError
+        assert n_disp_upper(V, d) == math.ceil(sys.float_info.max)
 
     def test_invalid(self):
         with pytest.raises(ParameterError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rankone import pipeline
-from rankone.dispersion import n_disp_upper, uniform_pointset
+from rankone.dispersion import halton, n_disp_upper
 from rankone.errors import ConfigError, DomainError, InstanceTooLargeError, ParameterError
 from rankone.pipeline import (ExperimentConfig, convergence_sweep,
                               family_box_support, family_offcenter_triangle,
@@ -117,23 +117,28 @@ class TestFamilies:
         assert check_membership(t, "F").ok
 
     def test_box_support_measure(self):
-        # the nonzero set is a product of intervals of length V^(1/d)
+        # the nonzero set is a product of intervals (lo, lo + V^(1/d)), lo
+        # the family's draw for each factor in turn
         t = family_box_support(6, 1, 0.3, rng.spawn(2))
-        widths = [f.support[1] - f.support[0] for f in t.factors]
-        assert np.prod(widths) == pytest.approx(0.3)
+        gen, width = rng.spawn(2), 0.3 ** (1.0 / 6)
         for f in t.factors:
-            lo, hi = f.support
-            assert float(f((lo + hi) / 2)) > 0
-            eps = 1e-9
-            if lo > eps:
-                assert float(f(lo - eps)) == 0.0
-            if hi < 1 - eps:
-                assert float(f(hi + eps)) == 0.0
+            lo = gen.random() * (1.0 - width)
+            ts = np.clip(np.r_[GRID, lo + np.array([-1e-9, 0.0, 1e-9]),
+                               lo + width + np.array([-1e-9, 0.0, 1e-9])], 0.0, 1.0)
+            assert nonzero_exactly_on(f, lo, lo + width, ts)
 
     def test_offcenter_triangle_slope_within_class(self):
         t = family_offcenter_triangle(8, 1, 1.9, 0.2, rng.spawn(3))
         assert check_membership(t, "F").ok
         assert sup_norm(t) >= 0.2
+
+
+GRID = np.linspace(0.0, 1.0, 20_001)
+
+
+def nonzero_exactly_on(f, lo, hi, ts=GRID):
+    """Whether f != 0 at the points of ts inside (lo, hi), and only there."""
+    return np.array_equal(f(ts) != 0.0, (ts > lo) & (ts < hi))
 
 
 def _measured_slope(f, n=20001):
@@ -149,18 +154,18 @@ class TestTriangleFactor:
         assert float(f(0.0)) == pytest.approx(1.0 - 0.15 / 0.35, rel=1e-14)
         assert float(f(0.15)) == 1.0 and float(f(0.5)) == 0.0
         assert _measured_slope(f) <= f.deriv_bound * (1 + 1e-9)
-        assert f.support == (0.0, 0.5)
+        assert nonzero_exactly_on(f, -0.2, 0.5)
         g = pipeline.triangle_factor(0.6, 1.3, 1.0, 1)
         assert float(g(1.0)) == pytest.approx(1.0 - 0.05 / 0.35, rel=1e-14)
         assert _measured_slope(g) <= g.deriv_bound * (1 + 1e-9)
-        assert g.support == (0.6, 1.0)
+        assert nonzero_exactly_on(g, 0.6, 1.3)
 
     def test_spike_inside_the_cube_unchanged(self):
         f = pipeline.triangle_factor(0.25, 0.75, 0.8, 1)
         ts = np.linspace(0.0, 1.0, 1001)
         assert np.array_equal(f(ts), np.interp(ts, [0.0, 0.25, 0.5, 0.75, 1.0],
                                                 [0.0, 0.0, 0.8, 0.0, 0.0]))
-        assert f.support == (0.25, 0.75) and f.deriv_bound == 0.8 / 0.25
+        assert nonzero_exactly_on(f, 0.25, 0.75) and f.deriv_bound == 0.8 / 0.25
 
     @pytest.mark.parametrize("d", [32, 64])
     def test_offcenter_triangle_within_declared_bounds(self, d):
@@ -319,12 +324,11 @@ class TestPhase1Strategies:
          lambda o, s: search_subset(o, SubsetSearchParams.from_problem(1, 1.9, 0.2),
                                     300, s)),
         (OFFCENTER, "det", "subset_search",
-         lambda o, s: search_deterministic(o, uniform_pointset(300, 6, s))),
+         lambda o, s: search_deterministic(o, halton(300, 6))),
         (BOX, "plan", "support_class_random",
          lambda o, s: search_uniform_multi(o, 2, s)),
         (BOX, "det", "support_class_deterministic",
-         lambda o, s: search_deterministic(
-             o, uniform_pointset(n_disp_upper(0.3, 2), 2, s))),
+         lambda o, s: search_deterministic(o, halton(n_disp_upper(0.3, 2), 2))),
         (TRIVIAL, "subset", "trivial_M_small",
          lambda o, s: search_subset(o, SubsetSearchParams.from_problem(2, 1.5, 0.8),
                                     20, s)),
@@ -355,6 +359,21 @@ class TestPhase1Strategies:
         assert len(centers) == len(expected_centers)
         for z, expected in zip(centers, expected_centers):
             np.testing.assert_array_equal(z, expected)
+
+
+def test_det_phase1_does_not_depend_on_the_seed():
+    # det scans the Halton prefix; the pipeline once scanned a uniform set
+    # drawn from each trial's seed
+    spec = {"d": 2, "r": 1, "M": 2.0, "V": 0.2, "replicate": True,
+            "factor": {"kind": "bump", "orientation": "right"}}
+    runs = []
+    for seed in (0, 7):
+        rows, summary = run_pipeline(ExperimentConfig.from_dict(dict(
+            r=1, M=2.0, d=2, eps=0.5, V=0.2, tensor_spec=spec, strategy="det",
+            trials=3, seed=seed, grid=801, samples=500)))
+        assert summary["plan"]["regime"] == "support_class_deterministic"
+        runs.append([{k: v for k, v in row.items() if k != "seed"} for row in rows])
+    assert runs[0] == runs[1] and all(row["found"] for row in runs[0])
 
 
 class TestConvergenceSweep:

@@ -121,6 +121,14 @@ def reference_lower(t, lines, scale, grid, samples, seed):
     return max(at_x, reference_sampled_lower(t, lines, scale, samples, seed))
 
 
+def nonzero_midpoint(f, default):
+    """Midpoint of the grid points where f != 0, or ``default`` if f has
+    no zero on the grid: a point where a factor with a support is nonzero."""
+    ts = np.linspace(0.0, 1.0, 4001)
+    nz = ts[f(ts) != 0.0]
+    return default if nz.size == ts.size else 0.5 * (nz[0] + nz[-1])
+
+
 class TestBox:
     def test_volume(self):
         b = Box(lower=np.array([0.0, 0.25]), upper=np.array([0.5, 0.75]))
@@ -147,6 +155,15 @@ class TestBox:
         lo[0], hi[1] = -3.0, 0.3
         assert b.lower.tolist() == [0.1, 0.2] and b.upper.tolist() == [0.5, 0.9]
         assert b.volume == pytest.approx(0.28)
+
+    def test_corners_are_read_only(self):
+        # a write through b.lower once got past the check: lower[0] = -3.0
+        # gave a volume of 1.95
+        b = Box(lower=np.array([0.5, 0.25]), upper=np.array([0.9, 0.75]))
+        for corner in (b.lower, b.upper):
+            with pytest.raises(ValueError, match="read-only"):
+                corner[0] = -3.0
+        assert b.volume == pytest.approx(0.2)
 
 
 class TestRankOneTensor:
@@ -374,7 +391,7 @@ class TestSupDistanceBound:
             t = ExperimentConfig(r=r, M=10.0, d=d, eps=0.1, family=family).make_tensor(k)
             z = np.random.default_rng(d).random(d)
             if t.value(z) == 0.0:  # support families: start from a nonzero
-                z = np.array([0.5 * sum(f.support or (0.5, 0.5)) for f in t.factors])
+                z = np.array([nonzero_midpoint(f, 0.5) for f in t.factors])
             nodes = block_chebyshev_nodes(7 * r, r)
             near = nodes[np.argmin(np.abs(nodes - z[:, None]), axis=1)]
             on_nodes = np.array([x if f(x) != 0.0 else zi
@@ -397,8 +414,7 @@ class TestSupDistanceBound:
 
     def test_mixed_kinds_match_reference_bitwise(self):
         t = mixed_tensor(1)
-        z = np.array([0.37 if f.support is None else 0.5 * sum(f.support)
-                      for f in t.factors])
+        z = np.array([nonzero_midpoint(f, 0.37) for f in t.factors])
         ap = recover(QueryOracle(t), z, RecoveryConfig(r=1, budget_n2=1 + 9 * t.d))
         args = (t, ap.line_interpolants, ap.center_value, 777, 1500, 5)
         up, lo = sup_distance_bound(*args)
@@ -410,8 +426,7 @@ class TestSupDistanceBound:
         # whatever bound it declares; its lower end once reached 388 times
         # the upper (box_support, r = 3)
         t = mixed_tensor(3)
-        z = np.array([0.37 if f.support is None else 0.5 * sum(f.support)
-                      for f in t.factors])
+        z = np.array([nonzero_midpoint(f, 0.37) for f in t.factors])
         ap = recover(QueryOracle(t), z, RecoveryConfig(r=3, budget_n2=1 + 9 * t.d))
         with pytest.raises(DomainError, match="factor 3: a piecewise-linear table.*factor 9"):
             sup_distance_bound(t, ap.line_interpolants, ap.center_value, 777, 1500, 5)
