@@ -37,10 +37,12 @@ class FoolingFamily:
     def __post_init__(self):
         if self.d < 1 or self.r < 1:
             raise ParameterError("d and r must be positive")
+        make_bump(self.r, "left")  # M: InstanceTooLargeError from r = 151
 
     @property
     def M(self) -> float:
-        return float(2 ** self.r * math.factorial(self.r))
+        """2^r r!, the bumps' r-th derivative bound."""
+        return make_bump(self.r, "left").deriv_bound
 
     @property
     def size(self) -> int:

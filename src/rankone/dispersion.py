@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import rng
-from .errors import InstanceTooLargeError, ParameterError
-from .tensor import Box
+from .errors import FLOAT_MAX, InstanceTooLargeError, ParameterError
+from .tensor import Box, _row_blocks
 
 # d >= 3 sweeps up to (n+2)^(2(d-2)) slabs of O((n+2)^2) work each
 SLAB_GUARD = 10 ** 9
@@ -107,14 +106,20 @@ def radical_inverse(index, base: int):
     return r[()]
 
 
-def halton(n: int, d: int) -> PointSet:
-    """First n Halton points in dimension d (bases: first d primes, index from 1)."""
-    _positive_ints(n=n, d=d)
+def halton_rows(start: int, size: int, d: int) -> np.ndarray:
+    """Rows start, ..., start + size - 1 of the Halton sequence in
+    dimension d (bases: first d primes, index from 1), shape (size, d);
+    a row has the same bits whatever rows come with it."""
     if d > len(_PRIMES):
         raise ParameterError(f"Halton prime table covers d <= {len(_PRIMES)}")
-    i = np.arange(1, n + 1)
-    pts = np.stack([radical_inverse(i, p) for p in _PRIMES[:d]], axis=1)
-    return PointSet(points=pts, provenance="halton")
+    i = np.arange(start + 1, start + size + 1)
+    return np.stack([radical_inverse(i, p) for p in _PRIMES[:d]], axis=1)
+
+
+def halton(n: int, d: int) -> PointSet:
+    """First n Halton points in dimension d: ``halton_rows(0, n, d)``."""
+    _positive_ints(n=n, d=d)
+    return PointSet(points=halton_rows(0, n, d), provenance="halton")
 
 
 def uniform_pointset(n: int, d: int, seed: int) -> PointSet:
@@ -391,10 +396,9 @@ def dispersion_lower_estimate(ps: PointSet, boxes: int = 10_000,
     _positive_ints(boxes=boxes)
     g = rng.spawn(seed, 0xD15)
     pts = ps.points
-    step = max(1, _BLOCK_CELLS // max(1, pts.size))
     best = 0.0
-    for start in range(0, boxes, step):
-        lo, u = g.random((min(step, boxes - start), 2, ps.d)).transpose(1, 0, 2)
+    for rows in _row_blocks(boxes, max(1, pts.size), _BLOCK_CELLS):
+        lo, u = g.random((rows.stop - rows.start, 2, ps.d)).transpose(1, 0, 2)
         hi = lo + u * (1.0 - lo)
         vol = np.prod(hi - lo, axis=1)
         # only a box larger than the best so far can change it
@@ -433,4 +437,4 @@ def n_disp_upper(V: float, d: int) -> int:
     if not 0 < V < 1:
         raise ParameterError("V must lie in (0, 1)")
     _positive_ints(d=d)
-    return math.ceil(min(16.0 * d * math.log2(13.0 / V) / V, sys.float_info.max))
+    return math.ceil(min(16.0 * d * math.log2(13.0 / V) / V, FLOAT_MAX))

@@ -1,4 +1,11 @@
-"""Shared exception types."""
+"""Shared exception types, and the float range that InstanceTooLargeError guards."""
+
+import math
+import sys
+
+FLOAT_MAX = sys.float_info.max
+# below this, exp(x) is finite even after rounding of the logs that give x
+LOG_FLOAT_MAX = math.log(FLOAT_MAX) - 1e-9
 
 
 class DomainError(ValueError):
@@ -27,3 +34,10 @@ class InstanceTooLargeError(ValueError):
 
 class NonzeroCenterError(ValueError):
     """Reconstruction requires a point where the function does not vanish."""
+
+
+def check_float_range(log_value: float, what: str) -> None:
+    """InstanceTooLargeError unless exp(log_value), the size of ``what``,
+    is in the float range."""
+    if not log_value < LOG_FLOAT_MAX:  # so that NaN fails
+        raise InstanceTooLargeError(f"{what} is past the float range")

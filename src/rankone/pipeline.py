@@ -17,7 +17,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, DomainError, InstanceTooLargeError, ParameterError
+from .errors import (ConfigError, DomainError, InstanceTooLargeError, ParameterError,
+                     check_float_range)
 from .recovery import RecoveryConfig, recover
 from .search import (REGIME_STRATEGY, STRATEGIES, BudgetPlan, SubsetSearchParams,
                      plan, run_search)
@@ -98,7 +99,9 @@ def family_shifted_smooth(d: int, r: int, M: float, gen: np.random.Generator,
     Each factor is monotone on [0, 1], so these bounds are declared
     rather than found from roots: sup 1 = p(0), and the r-th derivative
     is the constant c_r r!, multiplied up as r, r-1, ..., 1 in that
-    order, which gives the bits of polyder(c, r)[0]."""
+    order, which gives the bits of polyder(c, r)[0].  Needs r! in the
+    float range (r <= 170); InstanceTooLargeError otherwise."""
+    check_float_range(math.lgamma(r + 1), f"r! of shifted_smooth at r = {r}")
     amax = min(0.1, 0.5 * M) if r == 1 else 0.1
     bmax = amax if r == 1 else min(M / math.factorial(r), 0.1)
     ab = gen.random((d, 2))  # (a, b) per factor, drawn in factor order
@@ -119,8 +122,9 @@ def family_shifted_smooth(d: int, r: int, M: float, gen: np.random.Generator,
 def family_trig_smooth(d: int, r: int, M: float, gen: np.random.Generator,
                        ) -> RankOneTensor:
     """Factors a + b sin(2 pi t + phi): genuinely non-polynomial, bounded
-    away from zero, derivative bound b (2 pi)^r <= M."""
-    b = min(0.2, M / (2 * np.pi) ** r)
+    away from zero, derivative bound b (2 pi)^r <= M.  Needs (2 pi)^r in
+    the float range (r <= 386); InstanceTooLargeError otherwise."""
+    b = min(0.2, M / trig_factor(1.0, 1.0, 0.0, 0.0, r).deriv_bound)  # (2 pi)^r
     factors = []
     for _ in range(d):
         phi = 2 * np.pi * gen.random()

@@ -17,15 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BudgetTooSmallError, InstanceTooLargeError, NonzeroCenterError,
-                     ParameterError)
-from .tensor import QueryOracle
+from .errors import (BudgetTooSmallError, NonzeroCenterError, ParameterError,
+                     check_float_range)
+from .tensor import _GRID_CELLS, QueryOracle, _row_blocks
 from .univariate import (PiecewisePolynomial, block_chebyshev_nodes, interpolate_line,
                          log_block_remainder)
-
-# cells (lines x m x d) of one query slab in recover: 2 MiB of points
-_BLOCK_CELLS = 1 << 18
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -73,8 +69,7 @@ def required_n2(d: int, r: int, M: float, eps: float) -> int:
     u = math.exp(log_u)
     log_e = log_u + (math.log(math.expm1(u) / u) if u else 0.0)
     log_k = (math.log(M) + log_block_remainder(1, r) - log_e) / r
-    if math.log(d * r) + max(log_k, 0.0) >= _LOG_FLOAT_MAX:
-        raise InstanceTooLargeError("phase-2 budget n2 past the float range")
+    check_float_range(math.log(d * r) + max(log_k, 0.0), "the phase-2 budget n2")
     # the slack keeps a tie (a whole k in exact arithmetic) from rounding up
     return max(1 + d * r * math.ceil(math.exp(log_k) * (1 - 1e-12)), min_budget(d, r))
 
@@ -105,17 +100,15 @@ def recover(oracle: QueryOracle, z_star, cfg: RecoveryConfig) -> RankOneApproxim
         raise NonzeroCenterError("f(z*) = 0: recovery requires a nonzero center")
 
     # the d axis lines, queried in axis-major order as (lines, m, d) slabs
-    # of at most _BLOCK_CELLS cells once the budget is known to cover
+    # of at most _GRID_CELLS cells once the budget is known to cover
     # them all; a node equal to z*_i reuses f(z*) instead of a query
     nodes = block_chebyshev_nodes(m, cfg.r)
     query = nodes != z[:, None]
     oracle.require(int(query.sum()))
     vals = np.full(query.shape, center)
-    step = max(1, _BLOCK_CELLS // (len(nodes) * d))
-    for start in range(0, d, step):
-        lines = slice(start, min(start + step, d))
-        axes = np.arange(lines.stop - start)
+    for lines in _row_blocks(d, len(nodes) * d, _GRID_CELLS):
+        axes = np.arange(lines.stop - lines.start)
         points = np.tile(z, (len(axes), len(nodes), 1))
-        points[axes, :, start + axes] = nodes
+        points[axes, :, lines.start + axes] = nodes
         vals[lines][query[lines]] = oracle.evaluate_batch(points[query[lines]])
     return RankOneApproximant(interpolate_line(vals, cfg.r), center)

@@ -13,20 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import rng
-from .dispersion import PointSet, halton, n_disp_upper
-from .errors import ParameterError
+from .dispersion import PointSet, halton_rows, n_disp_upper
+from .errors import FLOAT_MAX, LOG_FLOAT_MAX, ParameterError
 from .recovery import required_n2
 from .tensor import QueryOracle
 
 _CHUNK_CAP = 4096
-_FLOAT_MAX = float(np.finfo(float).max)
-# below this, exp(x) is finite even after rounding of the logs that give x
-_LOG_FLOAT_MAX = math.log(_FLOAT_MAX) - 1e-9
 
 STRATEGIES = ("single", "multi", "subset", "det")
 # the search the paper runs in each regime of ``plan``
@@ -53,15 +50,15 @@ class SubsetSearchParams:
             raise ParameterError("eps must lie in (0, 1)")
         if not 0 < M < 2 ** r * rf:
             raise ParameterError(f"subset search requires 0 < M < 2^r r! = {2 ** r * rf}")
-        if 2 ** (r + 1) * rf > _FLOAT_MAX:  # the constants below need it as a float
+        if 2 ** (r + 1) * rf > FLOAT_MAX:  # the constants below need it as a float
             raise ParameterError(f"subset search needs r <= 150, got r = {r}")
         delta = (1.0 / 2 ** (r + 1) + rf / (2.0 * M)) ** (1.0 / r) - 0.5
         d_star = max(1, math.ceil(
             math.log(1.0 / eps) / math.log(1.0 / (M / (2 ** (r + 1) * rf) + 0.5))))
         alpha = 1.0 + 2 ** (r + 1) * rf * math.log(1.0 / eps) / (2 ** r * rf - M)
         base = 3 ** r * M / (rf * eps)
-        c_prob = (base ** (alpha / r) if alpha / r * math.log(base) < _LOG_FLOAT_MAX
-                  else _FLOAT_MAX)
+        c_prob = (base ** (alpha / r) if alpha / r * math.log(base) < LOG_FLOAT_MAX
+                  else FLOAT_MAX)
         return cls(delta_star=delta, d_star=d_star, alpha=alpha, c_prob=c_prob)
 
 
@@ -176,21 +173,32 @@ def run_search(strategy: str, oracle: QueryOracle, n1: int, seed: int,
         if params is None:
             raise ParameterError("the subset strategy needs SubsetSearchParams")
         return search_subset(oracle, params, n1, seed)
-    if strategy == "det":
-        return search_deterministic(oracle, halton(n1, oracle.d))
+    if strategy == "det":  # chunk by chunk: a hit stops the scan before the rest is built
+        if n1 < 1:
+            raise ParameterError("n1 must be positive")
+        return _scan(oracle, n1, lambda start, size: halton_rows(start, size, oracle.d))
     raise ParameterError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+
+
+def repeated_draws(q: float, *, n: Optional[int] = None,
+                   p: Optional[float] = None) -> Tuple[int, float]:
+    """n independent draws, each hitting with probability q: n and the
+    probability 1 - (1 - q)^n that one of them hits.  Given p instead of
+    n, n is the least with failure (1 - q)^n <= p, ceil(log p / log1p(-q)),
+    saturated at FLOAT_MAX.  Both go through log1p(-q): 1 - q would round
+    a q below float epsilon away, and loses digits of every other."""
+    log_miss = math.log1p(-q)
+    if n is None:
+        n = math.ceil(min(math.log(p) / log_miss, FLOAT_MAX))
+    return n, -math.expm1(n * log_miss)
 
 
 def subset_success_bound(params: SubsetSearchParams, d: int, n1: int) -> float:
     """Success probability lower bound 1 - (1 - d^-alpha / C)^n1 of the
     subset search."""
     # a saturated c_prob stands for a C past the float range
-    q = d ** (-params.alpha) / params.c_prob if params.c_prob < _FLOAT_MAX else 0.0
-    q = min(max(q, 0.0), 1.0)
-    if q == 1.0:
-        return 1.0
-    # log-space: q can be far below float epsilon while n1*q is moderate
-    return -math.expm1(n1 * math.log1p(-q))
+    q = d ** (-params.alpha) / params.c_prob if params.c_prob < FLOAT_MAX else 0.0
+    return repeated_draws(q, n=n1)[1]  # q < 1: d^-alpha <= 1 < c_prob
 
 
 def plan(r: int, M: float, d: int, eps: float, V: Optional[float] = None,
@@ -224,9 +232,9 @@ def plan(r: int, M: float, d: int, eps: float, V: Optional[float] = None,
         return BudgetPlan(n1=1, n2=n2, success_prob_lower=1.0, regime="trivial_M_small")
     if M < 2 ** r * rf:
         params = SubsetSearchParams.from_problem(r, M, eps)
-        n1 = _FLOAT_MAX  # unless each factor and the product are in range
-        if params.c_prob < _FLOAT_MAX and params.alpha * math.log(d) < _LOG_FLOAT_MAX:
-            n1 = min(params.c_prob * d ** params.alpha * math.log(1.0 / p), _FLOAT_MAX)
+        n1 = FLOAT_MAX  # unless each factor and the product are in range
+        if params.c_prob < FLOAT_MAX and params.alpha * math.log(d) < LOG_FLOAT_MAX:
+            n1 = min(params.c_prob * d ** params.alpha * math.log(1.0 / p), FLOAT_MAX)
         n1 = math.ceil(n1)
         return BudgetPlan(n1=n1, n2=n2,
                           success_prob_lower=subset_success_bound(params, d, n1),
@@ -235,12 +243,7 @@ def plan(r: int, M: float, d: int, eps: float, V: Optional[float] = None,
         if prefer_deterministic:
             return BudgetPlan(n1=n_disp_upper(V, d), n2=n2, success_prob_lower=1.0,
                               regime="support_class_deterministic")
-        if 1.0 - V < 1.0:
-            n1 = max(1, math.ceil(math.log(p) / math.log(1.0 - V)))
-            success = 1.0 - (1.0 - V) ** n1
-        else:  # 1 - V rounds to 1.0: only the log1p form sees V
-            n1 = math.ceil(min(math.log(p) / math.log1p(-V), _FLOAT_MAX))
-            success = -math.expm1(n1 * math.log1p(-V))
+        n1, success = repeated_draws(V, p=p)
         return BudgetPlan(n1=n1, n2=n2, success_prob_lower=success,
                           regime="support_class_random")
     # curse of dimensionality: 2^d sentinel

@@ -8,12 +8,11 @@ the class parameters.
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Dict
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import FLOAT_MAX, ConfigError
 from .tensor import Box, RankOneTensor
 from .univariate import (UnivariateFactor, make_bump, polynomial_factor,
                          table_factor, trig_factor)
@@ -43,7 +42,7 @@ def _real(value) -> bool:
 
 
 def _finite(value) -> bool:
-    return _real(value) and abs(value) <= sys.float_info.max
+    return _real(value) and abs(value) <= FLOAT_MAX
 
 
 # float() and np.asarray would read "0.05" as 0.05 and true as 1.0

@@ -29,7 +29,7 @@ _BLOCK_CELLS = 2048
 # the bracket, and of the bracket's samples: at most 2 MiB per (points,
 # d, r) temporary of the lines' evaluation, so a grid of 801 points at
 # r = 5 is one block up to d = 65, and a sample block holds 26 rows at
-# d = 2000
+# d = 2000; also the cells (lines x m x d) of one of recover's query slabs
 _GRID_CELLS = 1 << 18
 
 

@@ -15,22 +15,29 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import InstanceTooLargeError, ParameterError, check_float_range
 
 
 def interp_error_bound(M: float, a: float, b: float, r: int) -> float:
     """Sup-norm bound M (b-a)^r / r! for a function with r zeros in [a, b].
 
     Also bounds the error of degree-(r-1) interpolation at r nodes inside
-    [a, b] of a function whose r-th derivative is bounded by M.
+    [a, b] of a function whose r-th derivative is bounded by M.  Raises
+    InstanceTooLargeError if the bound, r! or (b-a)^r is past the float range.
     """
     if r < 1:
         raise ParameterError("smoothness order r must be a positive integer")
     if not a < b:
         raise ParameterError(f"need a < b, got a={a}, b={b}")
-    if M < 0:
+    if not M >= 0:  # so that NaN fails
         raise ParameterError("derivative bound M must be nonnegative")
-    return M * (b - a) ** r / math.factorial(r)
+    try:
+        bound = M * (b - a) ** r / math.factorial(r)
+    except OverflowError:  # (b - a)^r or r! past the float range
+        bound = math.inf
+    if not bound < math.inf:
+        raise InstanceTooLargeError("M (b-a)^r / r! or a factor of it is past the float range")
+    return bound
 
 
 def support_lower_bound(eps: float, M: float, r: int) -> float:
@@ -38,13 +45,20 @@ def support_lower_bound(eps: float, M: float, r: int) -> float:
 
     Holds for any g on [0,1] with sup-norm at least ``eps`` and r-th
     derivative bounded by ``M``.  A return value above 1 means no such g
-    exists; the caller must treat it accordingly.
+    exists; the caller must treat it accordingly.  Raises
+    InstanceTooLargeError if r! or r! eps / M is past the float range.
     """
     if r < 1:
         raise ParameterError("smoothness order r must be a positive integer")
-    if eps <= 0 or M <= 0:
+    if not (eps > 0 and M > 0):  # so that NaN fails
         raise ParameterError("eps and M must be positive")
-    return (math.factorial(r) * eps / M) ** (1.0 / r)
+    try:
+        ratio = math.factorial(r) * eps / M
+    except OverflowError:  # r! past the float range
+        ratio = math.inf
+    if not ratio < math.inf:
+        raise InstanceTooLargeError("r! eps / M or r! is past the float range")
+    return ratio ** (1.0 / r)
 
 
 def _horner(X, P, r):
@@ -130,12 +144,19 @@ def polynomial_factor(coeffs: Sequence[float], r: int) -> UnivariateFactor:
 
 def trig_factor(amplitude: float, frequency: float, phase: float, offset: float,
                 r: int) -> UnivariateFactor:
-    """Factor a*sin(2*pi*k*t + phi) + c with the analytic derivative bound."""
+    """Factor a*sin(2*pi*k*t + phi) + c with the analytic derivative bound
+    |a| (2 pi |k|)^r; InstanceTooLargeError if that or (2 pi |k|)^r is
+    past the float range."""
     a, k, phi, c = float(amplitude), float(frequency), float(phase), float(offset)
+    w = abs(2 * np.pi * k)
+    if w:
+        check_float_range(r * math.log(w) + math.log(max(abs(a), 1.0)),
+                          f"the derivative bound |a| (2 pi |k|)^r of a trig factor "
+                          f"at k = {k!r}, r = {r}")
     return UnivariateFactor(
         fn=None,
         sup_bound=abs(a) + abs(c),
-        deriv_bound=abs(a) * (2 * np.pi * k) ** r,
+        deriv_bound=abs(a) * w ** r,
         r=r,
         kind="trig",
         params=(a, k, phi, c),
@@ -166,20 +187,24 @@ def make_bump(r: int, orientation: str, interval: Tuple[float, float] = (0.0, 1.
     General intervals rescale affinely; the factor is defined as 0
     outside ``interval``.  The peak end must be the cube's (a = 0 for
     "left", b = 1 for "right"): inside (0, 1) the bump would jump from 0
-    to 1 there, and no r-th derivative bound would hold.
+    to 1 there, and no r-th derivative bound would hold.  A bound r!/h^r
+    (h the half-width) past the float range raises InstanceTooLargeError.
     """
     if r < 1:
         raise ParameterError("smoothness order r must be a positive integer")
     a, b = float(interval[0]), float(interval[1])
-    if not a < b:
+    m = 0.5 * (a + b)
+    h = m - a  # half-width; support has measure h
+    if not h > 0:  # a < b, with a float between them
         raise ParameterError(f"degenerate interval [{a}, {b}]")
     if orientation not in ("left", "right"):
         raise ParameterError(f"orientation must be 'left' or 'right', got {orientation!r}")
     if (orientation == "left" and a != 0.0) or (orientation == "right" and b != 1.0):
         raise ParameterError(f"a {orientation} bump on [{a}, {b}] jumps at its peak end; "
                              "it must lie at the cube's end, 0 or 1")
-    m = 0.5 * (a + b)
-    h = m - a  # half-width; support has measure h
+    # |log h|: r! and h^r, which deriv_bound computes first, must be in range too
+    check_float_range(math.lgamma(r + 1) + r * abs(math.log(h)),
+                      f"the derivative bound r!/h^r of a bump of half-width h = {h!r} at r = {r}")
 
     if orientation == "left":
         def fn(t, a=a, m=m, h=h, r=r):

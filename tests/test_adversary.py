@@ -8,7 +8,7 @@ from rankone.adversary import (FoolingFamily, find_untouched_orthant,
                                fool_deterministic, fool_randomized,
                                orthants_touched)
 from rankone.dispersion import halton
-from rankone.errors import ParameterError
+from rankone.errors import InstanceTooLargeError, ParameterError
 from rankone.search import search_deterministic
 from rankone.tensor import QueryOracle, check_membership
 
@@ -55,6 +55,12 @@ class TestFoolingFamily:
         fam = FoolingFamily(d=2, r=1)
         X = np.random.default_rng(1).random((50, 2))
         assert np.all(fam.zero_member().value_batch(X) == 0.0)
+
+    def test_class_bound_past_the_float_range(self):
+        # float(2^r r!) once raised OverflowError from r = 151
+        assert FoolingFamily(3, 150).M == float(2 ** 150 * math.factorial(150))
+        with pytest.raises(InstanceTooLargeError):
+            FoolingFamily(3, 151)
 
     def test_invalid_index(self):
         fam = FoolingFamily(d=2, r=1)

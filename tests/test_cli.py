@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import sys
@@ -304,6 +305,46 @@ class TestExitCodes:
                     "--budget", "81"]) == 3
         assert "peak end" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, spec", [
+        (["search", "--strategy", "single"],
+         {"d": 2, "r": 200, "M": 1.0, "replicate": True,
+          "factor": {"kind": "bump", "orientation": "left"}}),
+        (["search", "--strategy", "single"],
+         {"d": 2, "r": 2, "M": 1.0, "replicate": True,
+          "factor": {"kind": "bump", "orientation": "left", "interval": [0.0, 1e-200]}}),
+        (["search", "--strategy", "single"],
+         {"d": 2, "r": 2, "M": 1.0, "replicate": True,
+          "factor": {"kind": "trig", "amplitude": 0.3, "frequency": 1e300, "offset": 0.6}}),
+        (["recover", "--z", "0.3,0.6", "--budget", "21"],
+         {"d": 2, "r": 2, "M": 1.0, "replicate": True,
+          "factor": {"kind": "trig", "amplitude": 0.3, "frequency": 1e300, "offset": 0.6}}),
+    ], ids=["bump-r200", "bump-h-underflow", "trig-search", "trig-recover"])
+    def test_spec_bounds_past_the_float_range(self, tmp_path, capsys, command, spec):
+        # r!/h^r and (2 pi k)^r once ended in OverflowError or
+        # ZeroDivisionError tracebacks (exit 1)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(spec))
+        assert run([command[0], "--config", str(path), *command[1:]]) == 3
+        err = capsys.readouterr().err
+        assert "past the float range" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["ran", "det"])
+    def test_adversary_past_the_float_range(self, capsys, mode):
+        # M = 2^r r! leaves the float range at r = 151
+        argv = ["adversary", "--mode", mode, "--d", "3", "--n", "3", "--trials", "2"]
+        assert run(argv + ["--r", "150"]) == 0
+        assert run(argv + ["--r", "151"]) == 3
+        assert "past the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, r", [("shifted_smooth", 171), ("trig_smooth", 400)])
+    def test_families_past_the_float_range(self, tmp_path, capsys, family, r):
+        # M / r! and (2 pi)^r once raised OverflowError
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": r, "M": 10.0, "eps": 0.1, "d": 3, "family": family,
+                                   "trials": 2, "seed": 3}))
+        assert run(["approx", "--config", str(cfg)]) == 3
+        assert "float range" in capsys.readouterr().err
+
     def test_budget_error(self, tmp_path, capsys):
         spec = tmp_path / "t.json"
         spec.write_text(json.dumps({
@@ -557,6 +598,25 @@ class TestSearchStrategies:
         assert out["value"] == expected.value
         assert out["queries_used"] == oracle.query_count
         assert out["iterations"] == expected.iterations
+
+    def test_det_past_any_buildable_prefix(self, tmp_path, capsys):
+        # the scan builds its chunks as it goes: n1 = 10^12 once asked for
+        # all 10^12 points up front (7.3 TiB) and hit at iteration 47
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps(BUMP_SPEC))
+        assert run(["search", "--config", str(spec), "--strategy", "det",
+                    "--n1", "1000000000000"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["found"] and out["iterations"] == 47
+        assert out["queries_used"] == 63  # the chunks of 1, 2, ..., 32 points
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 1, "M": 1.9, "eps": 0.1, "d": 4, "tensor_spec": BUMP_SPEC,
+                                   "strategy": "det", "n1": 10 ** 12, "trials": 1,
+                                   "grid": 801, "samples": 200}))
+        assert run(["approx", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "trials.csv") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["found"] == "true" and row["queries_phase1"] == "63"
 
     def test_pointset_option_refused(self, tmp_path, capsys):
         # det scans the Halton prefix only; --pointset uniform once scanned

@@ -361,6 +361,18 @@ class TestPhase1Strategies:
             np.testing.assert_array_equal(z, expected)
 
 
+@pytest.mark.parametrize("family, r_max", [(family_shifted_smooth, 170),
+                                            (family_trig_smooth, 386)],
+                         ids=["shifted_smooth", "trig_smooth"])
+def test_families_past_the_float_range(family, r_max):
+    # r! and (2 pi)^r once raised OverflowError at r = 171 and r = 387
+    gen = np.random.default_rng(0)
+    t = family(2, r_max, 10.0, gen)
+    assert all(0 <= f.deriv_bound <= 10.0 for f in t.factors)
+    with pytest.raises(InstanceTooLargeError):
+        family(2, r_max + 1, 10.0, gen)
+
+
 def test_det_phase1_does_not_depend_on_the_seed():
     # det scans the Halton prefix; the pipeline once scanned a uniform set
     # drawn from each trial's seed

@@ -275,7 +275,7 @@ class TestBlockedLines:
     @pytest.mark.parametrize("d", [1, 3, 37])
     def test_matches_unblocked_construction(self, d, block_cells, monkeypatch):
         if block_cells is not None:  # one line per slab, or a few
-            monkeypatch.setattr(recovery, "_BLOCK_CELLS", block_cells)
+            monkeypatch.setattr(recovery, "_GRID_CELLS", block_cells)
         for r in (1, 3, 5):
             t = family_shifted_smooth(d, r, 10.0, np.random.default_rng(d + r))
             z = np.random.default_rng(r).random(d)
@@ -291,7 +291,7 @@ class TestBlockedLines:
                 assert np.array_equal(x, y) and v == w
 
     def test_budget_checked_before_any_line_query(self, monkeypatch):
-        monkeypatch.setattr(recovery, "_BLOCK_CELLS", 1)
+        monkeypatch.setattr(recovery, "_GRID_CELLS", 1)
         t = poly_tensor(4, 2, [0.5, 0.2])
         o = QueryOracle(t, budget=20)  # the center and 19 of 24 line queries
         with pytest.raises(BudgetExhaustedError):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from rankone.dispersion import halton, uniform_pointset
 from rankone.errors import ParameterError
 from rankone.pipeline import family_offcenter_triangle
 from rankone.recovery import required_n2
-from rankone.search import (SubsetSearchParams, plan, search_deterministic,
-                            search_subset, search_uniform_multi,
+from rankone.search import (SubsetSearchParams, plan, repeated_draws, run_search,
+                            search_deterministic, search_subset, search_uniform_multi,
                             search_uniform_single, subset_success_bound)
+from rankone.specs import tensor_from_spec
 from rankone.tensor import QueryOracle, RankOneTensor
 from rankone.univariate import constant_factor, make_bump, polynomial_factor
 
@@ -203,6 +205,24 @@ class TestDeterministicScan:
         with pytest.raises(ParameterError):
             search_deterministic(QueryOracle(const_tensor(3)), halton(5, 2))
 
+    def test_det_builds_only_the_scanned_prefix(self):
+        # nonzero where every coordinate exceeds 1/2: Halton point 47 is
+        # the first such; all 10^12 points were once built first (7.3 TiB)
+        spec = {"d": 4, "r": 1, "M": 1.9, "replicate": True,
+                "factor": {"kind": "bump", "orientation": "right"}}
+        outs = [run_search("det", QueryOracle(tensor_from_spec(spec)), n1, 0)
+                for n1 in (100, 10 ** 12)]
+        assert outs[0].iterations == outs[1].iterations == 47
+        np.testing.assert_array_equal(outs[1].z_star, halton(47, 4).points[-1])
+        assert outs[0].value == outs[1].value
+
+    @pytest.mark.parametrize("d, n1", [(2, 0), (33, 5)])
+    def test_det_refused_before_any_query(self, d, n1):
+        o = QueryOracle(const_tensor(d))
+        with pytest.raises(ParameterError):
+            run_search("det", o, n1, 0)
+        assert o.query_count == 0
+
     def test_zero_function_scans_all(self):
         ps = uniform_pointset(9, 2, seed=1)
         o = QueryOracle(const_tensor(2, c=0.0))
@@ -259,16 +279,36 @@ class TestPlanner:
         assert bp.success_prob_lower == pytest.approx(1 - 0.7 ** bp.n1)
         assert bp.success_prob_lower >= 0.9 - 1e-12
 
-    @pytest.mark.parametrize("V", [1e-17, 2.0 ** -54, 5e-324])
+    @pytest.mark.parametrize("V", [1e-17, 2.0 ** -54, 5e-324,
+                                   1.7e-16, 1e-15, 3e-12, 1e-6, 0.1, 0.3])
     def test_support_class_random_tiny_V(self, V):
-        # 1 - V rounds to 1.0, so log(1 - V) is 0; the log1p form sees V
-        bp = plan(1, 4.0, 2, 0.5, V=V)
-        assert bp.regime == "support_class_random"
-        assert 1 <= bp.n1 <= SATURATED_N1
-        assert 0.0 < bp.success_prob_lower <= 1.0
+        # 1 - V rounds to 1.0 below float epsilon, and loses digits of V
+        # above it; the log1p form sees all of V.  At V = 1.7e-16, p = 0.5
+        # the 1 - V form planned n1 = 3,121,657,384,082,679 and printed 0.5
+        # for a true 0.4118
+        for p in (0.5, 0.1):
+            bp = plan(1, 4.0, 2, 0.5, V=V, p=p)
+            assert bp.regime == "support_class_random"
+            assert 1 <= bp.n1 <= SATURATED_N1
+            assert 0.0 < bp.success_prob_lower <= 1.0
+            with localcontext() as ctx:
+                # 60 digits past those of V, so that 1 - V keeps all of V
+                ctx.prec = 60 - math.floor(math.log10(V))
+                exact = 1 - (1 - Decimal(V)) ** bp.n1
+                assert abs(Decimal(bp.success_prob_lower) - exact) <= Decimal(1e-15) * exact
         if V == 1e-17:
+            bp = plan(1, 4.0, 2, 0.5, V=V)
             assert bp.n1 == math.ceil(math.log(0.5) / math.log1p(-1e-17))
             assert bp.success_prob_lower == pytest.approx(0.5)
+        if V == 1.7e-16:
+            assert plan(1, 4.0, 2, 0.5, V=V).n1 == 4_077_336_356_234_972
+
+    def test_repeated_draws_edges(self):
+        # a least n, a sure miss, and a least n past the float range
+        assert repeated_draws(0.75, p=0.1) == (2, 0.9375)
+        assert repeated_draws(0.0, n=10 ** 6) == (10 ** 6, 0.0)
+        n, success = repeated_draws(5e-324, p=0.5)
+        assert n == SATURATED_N1 and 0.0 < success < 1e-15
 
     def test_support_class_deterministic(self):
         bp = plan(1, 4.0, 2, 0.5, V=0.5, prefer_deterministic=True)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankone.errors import ParameterError
+from rankone.errors import InstanceTooLargeError, ParameterError
 from rankone.univariate import (_node_sum, block_chebyshev_nodes, interp_error_bound,
                                 interpolate_line, make_bump, polynomial_factor,
                                 support_lower_bound, table_factor, trig_factor)
@@ -99,6 +99,15 @@ class TestInterpErrorBound:
         b2 = interp_error_bound(M, a, a + 2 * w, r)
         assert b2 >= b1
 
+    @pytest.mark.parametrize("M, b, r", [(1.0, 0.5, 200), (1.0, 1e200, 2),
+                                         (1e300, 1e10, 2)])
+    def test_past_the_float_range(self, M, b, r):
+        # r! and (b - a)^r once raised OverflowError; the direct form is
+        # kept wherever it is finite
+        assert interp_error_bound(1.0, 0.0, 0.5, 170) == 0.5 ** 170 / math.factorial(170)
+        with pytest.raises(InstanceTooLargeError):
+            interp_error_bound(M, 0.0, b, r)
+
     def test_bump_is_extremal(self):
         # the one-sided bump has r zeros on [1/2, 1] and attains the
         # bound at the left end of [0, 1/2]
@@ -114,6 +123,13 @@ class TestSupportLowerBound:
         assert support_lower_bound(0.5, 1.0, 1) == pytest.approx(0.5)
         assert support_lower_bound(0.1, 10.0, 5) == pytest.approx(
             (120 * 0.1 / 10) ** 0.2)
+
+    @pytest.mark.parametrize("eps, M, r", [(0.1, 1.0, 200), (1e300, 1e-300, 1)])
+    def test_past_the_float_range(self, eps, M, r):
+        # r! past the float range once raised OverflowError
+        assert support_lower_bound(0.1, 1.0, 170) == (math.factorial(170) * 0.1) ** (1 / 170)
+        with pytest.raises(InstanceTooLargeError):
+            support_lower_bound(eps, M, r)
 
     def test_above_one_means_infeasible(self):
         # eps > M / r! forces a support bound above 1
@@ -137,6 +153,27 @@ class TestSupportLowerBound:
 
 
 class TestFactors:
+    def test_bounds_past_the_float_range(self):
+        # r!/h^r and (2 pi k)^r once raised OverflowError, and h^r
+        # underflowed to a ZeroDivisionError
+        assert make_bump(150, "left").deriv_bound == math.factorial(150) / 0.5 ** 150
+        for r, interval in ((151, (0.0, 1.0)), (200, (0.0, 1.0)), (2, (0.0, 1e-200))):
+            with pytest.raises(InstanceTooLargeError):
+                make_bump(r, "left", interval)
+        with pytest.raises(ParameterError, match="degenerate"):
+            make_bump(1, "left", (0.0, 5e-324))  # no float between the ends
+        with pytest.raises(InstanceTooLargeError):
+            trig_factor(0.3, 1e300, 0.0, 0.6, 2)
+        with pytest.raises(InstanceTooLargeError):
+            trig_factor(1e300, 1e10, 0.0, 0.0, 1)
+        assert trig_factor(0.0, 0.0, 0.0, 0.5, 400).deriv_bound == 0.0
+
+    def test_trig_bound_of_a_negative_frequency(self):
+        # (2 pi k)^r was negative at k < 0 and odd r
+        for r in (1, 2, 3):
+            assert (trig_factor(0.3, -2.0, 0.1, 0.5, r).deriv_bound
+                    == trig_factor(0.3, 2.0, 0.1, 0.5, r).deriv_bound > 0)
+
     def test_bump_left(self):
         f = make_bump(3, "left")
         assert float(f(0.0)) == pytest.approx(1.0)
