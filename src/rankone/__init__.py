@@ -15,16 +15,13 @@ from .pipeline import (ExperimentConfig, convergence_sweep, fit_order,
 from .recovery import (RankOneApproximant, RecoveryConfig, min_budget, recover,
                        required_n2)
 from .search import (BudgetPlan, SearchOutcome, SubsetSearchParams, plan,
-                     run_search, search_deterministic, search_subset,
-                     search_uniform_multi, search_uniform_single,
-                     subset_success_bound)
+                     run_search, search_subset, search_uniform_multi,
+                     search_uniform_single, subset_success_bound)
 from .specs import approximant_to_dict, factor_from_spec, tensor_from_spec
 from .tensor import (Box, MembershipResult, QueryOracle, RankOneTensor,
                      check_membership, sup_distance_bound, sup_norm)
 from .univariate import (PiecewisePolynomial, UnivariateFactor,
-                         block_chebyshev_nodes, constant_factor,
-                         interp_error_bound, interpolate_line, make_bump,
-                         polynomial_factor, support_lower_bound, table_factor,
-                         trig_factor)
+                         block_chebyshev_nodes, interpolate_line, make_bump,
+                         polynomial_factor, table_factor, trig_factor)
 
 __version__ = "0.1.0"

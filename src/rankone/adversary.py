@@ -132,7 +132,7 @@ def fool_deterministic(strategy: Strategy, d: int, r: int, n: int,
         raise ParameterError(f"n = {n} >= 2^d = {family.size}: no untouched orthant is guaranteed")
     oracle = QueryOracle(family.zero_member(), budget=n, log=True)
     output = strategy(oracle)
-    k = find_untouched_orthant([q for q, _ in oracle.query_log], d)
+    k = find_untouched_orthant(oracle.query_log, d)
     if k is None:
         raise AssertionError(
             "no untouched orthant despite n < 2^d; queries sit on boundaries "

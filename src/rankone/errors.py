@@ -4,6 +4,8 @@ import math
 import sys
 
 FLOAT_MAX = sys.float_info.max
+# the least normal float: a bound below it has lost significant bits, or is 0.0
+FLOAT_MIN = sys.float_info.min
 # below this, exp(x) is finite even after rounding of the logs that give x
 LOG_FLOAT_MAX = math.log(FLOAT_MAX) - 1e-9
 

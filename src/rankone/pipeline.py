@@ -17,8 +17,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import rng
-from .errors import (ConfigError, DomainError, InstanceTooLargeError, ParameterError,
-                     check_float_range)
+from .errors import (FLOAT_MAX, FLOAT_MIN, ConfigError, DomainError, InstanceTooLargeError,
+                     ParameterError, check_float_range)
 from .recovery import RecoveryConfig, recover
 from .search import (REGIME_STRATEGY, STRATEGIES, BudgetPlan, SubsetSearchParams,
                      plan, run_search)
@@ -279,10 +279,13 @@ def run_trial(cfg: ExperimentConfig, bp: BudgetPlan, trial: int) -> Dict[str, An
             grid=cfg.grid, samples=cfg.samples, seed=rng._mix(cfg.seed, trial, 2))
         row["error_upper"], row["error_lower"] = upper, lower
     else:  # zero output: the error is sup|f|, between its grid max and prod_i s_i
-        upper = math.prod(f.sup_bound for f in tensor.factors)
+        sups = [f.sup_bound for f in tensor.factors]
+        upper = math.prod(sups)
         lower = sup_norm(tensor, grid=cfg.grid)
-        if not math.isfinite(upper):
-            raise InstanceTooLargeError("the bound prod_i sup_bound_i is past the float range")
+        # 0.0 is exact only if a factor is zero
+        if not upper <= FLOAT_MAX or (upper < FLOAT_MIN and all(sups)):
+            raise InstanceTooLargeError(f"the bound prod_i sup_bound_i = {upper!r} is "
+                                        "outside the normal float range")
         if not lower <= upper:
             raise DomainError(f"error bracket inverted ({lower!r} > {upper!r}): "
                               "the declared sup bounds are false")

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import rng
-from .dispersion import PointSet, halton_rows, n_disp_upper
+from .dispersion import halton_rows, n_disp_upper
 from .errors import FLOAT_MAX, LOG_FLOAT_MAX, ParameterError
 from .recovery import required_n2
 from .tensor import QueryOracle
@@ -150,14 +150,6 @@ def search_subset(oracle: QueryOracle, params: SubsetSearchParams, n1: int,
             x[subset] = z[subset]
         return X
     return _scan(oracle, n1, batch)
-
-
-def search_deterministic(oracle: QueryOracle, ps: PointSet) -> SearchOutcome:
-    """Scan the point set in order; if disp(ps) <= V and f is nonzero on
-    a box of volume > V, a nonzero is guaranteed to be found."""
-    if ps.d != oracle.d:
-        raise ParameterError(f"point set dimension {ps.d} != oracle dimension {oracle.d}")
-    return _scan(oracle, ps.n, lambda start, size: ps.points[start:start + size])
 
 
 def run_search(strategy: str, oracle: QueryOracle, n1: int, seed: int,

@@ -15,7 +15,8 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from . import rng
-from .errors import BudgetExhaustedError, DomainError, InstanceTooLargeError
+from .errors import (FLOAT_MAX, FLOAT_MIN, BudgetExhaustedError, DomainError,
+                     InstanceTooLargeError)
 from .univariate import (KERNELS, PiecewisePolynomial, UnivariateFactor,
                          log_block_remainder)
 
@@ -145,7 +146,8 @@ class RankOneTensor:
 
 
 class QueryOracle:
-    """Evaluation wrapper that counts and optionally logs queries.
+    """Evaluation wrapper that counts queries and, with ``log``, keeps a
+    copy of each queried point, in order, in ``query_log``.
 
     Single-owner mutable state: not shareable between threads, but
     transferable.  Exceeding the budget raises instead of answering.
@@ -156,7 +158,7 @@ class QueryOracle:
         self.target = target
         self.budget = budget
         self.query_count = 0
-        self.query_log: Optional[List[Tuple[np.ndarray, float]]] = [] if log else None
+        self.query_log: Optional[List[np.ndarray]] = [] if log else None
 
     @property
     def d(self) -> int:
@@ -190,7 +192,7 @@ class QueryOracle:
         self.query_count += len(X)
         vals = self.target.value_batch(X)
         if self.query_log is not None:
-            self.query_log.extend((row.copy(), float(v)) for row, v in zip(X, vals))
+            self.query_log.extend(row.copy() for row in X)
         return vals
 
 
@@ -293,7 +295,7 @@ def sup_distance_bound(t: RankOneTensor,
     another r, a table factor at r >= 2 (it has no bounded r-th
     derivative) and lower > upper (the lines are not recover's
     interpolants of t, or t's bounds are false); InstanceTooLargeError
-    for a bound past the float range.
+    for an upper end past the float range or below its normal range.
     """
     d, r = t.d, t.r
     n, k, q = lines.values.shape
@@ -312,8 +314,9 @@ def sup_distance_bound(t: RankOneTensor,
         before, after = _prefix_suffix(np.stack((s + e, s)))
         upper = (float(np.sum(e * before[0] * after[1]))
                  + 8 * d * (r + 1) * 2.0 ** -53 * float(np.prod(s + e)))
-    if not math.isfinite(upper):
-        raise InstanceTooLargeError("the error bound is past the float range")
+    if not FLOAT_MIN <= upper <= FLOAT_MAX:  # so that NaN fails
+        raise InstanceTooLargeError(f"the error bound {upper!r} is outside the normal "
+                                    "float range")
 
     # f_i and g_i / scale as rows of (d, grid) arrays, filled by blocks of
     # grid columns; then, in place, row i becomes |f - A| on the line i of y

@@ -1,10 +1,8 @@
 """Univariate factors and piecewise polynomial interpolation.
 
 The one-dimensional building blocks: evaluable factors with declared
-sup-norm and derivative bounds, block-Chebyshev interpolation of axis
-lines, and the two elementary inequalities that control everything else
-(sup-norm of a function with r zeros, and the measure of the support of
-a function with large sup-norm).
+sup-norm and derivative bounds, and block-Chebyshev interpolation of
+axis lines with its remainder bound.
 """
 
 from __future__ import annotations
@@ -15,50 +13,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InstanceTooLargeError, ParameterError, check_float_range
-
-
-def interp_error_bound(M: float, a: float, b: float, r: int) -> float:
-    """Sup-norm bound M (b-a)^r / r! for a function with r zeros in [a, b].
-
-    Also bounds the error of degree-(r-1) interpolation at r nodes inside
-    [a, b] of a function whose r-th derivative is bounded by M.  Raises
-    InstanceTooLargeError if the bound, r! or (b-a)^r is past the float range.
-    """
-    if r < 1:
-        raise ParameterError("smoothness order r must be a positive integer")
-    if not a < b:
-        raise ParameterError(f"need a < b, got a={a}, b={b}")
-    if not M >= 0:  # so that NaN fails
-        raise ParameterError("derivative bound M must be nonnegative")
-    try:
-        bound = M * (b - a) ** r / math.factorial(r)
-    except OverflowError:  # (b - a)^r or r! past the float range
-        bound = math.inf
-    if not bound < math.inf:
-        raise InstanceTooLargeError("M (b-a)^r / r! or a factor of it is past the float range")
-    return bound
-
-
-def support_lower_bound(eps: float, M: float, r: int) -> float:
-    """Guaranteed measure (r! eps / M)^(1/r) of {g != 0}.
-
-    Holds for any g on [0,1] with sup-norm at least ``eps`` and r-th
-    derivative bounded by ``M``.  A return value above 1 means no such g
-    exists; the caller must treat it accordingly.  Raises
-    InstanceTooLargeError if r! or r! eps / M is past the float range.
-    """
-    if r < 1:
-        raise ParameterError("smoothness order r must be a positive integer")
-    if not (eps > 0 and M > 0):  # so that NaN fails
-        raise ParameterError("eps and M must be positive")
-    try:
-        ratio = math.factorial(r) * eps / M
-    except OverflowError:  # r! past the float range
-        ratio = math.inf
-    if not ratio < math.inf:
-        raise InstanceTooLargeError("r! eps / M or r! is past the float range")
-    return ratio ** (1.0 / r)
+from .errors import ParameterError, check_float_range
 
 
 def _horner(X, P, r):
@@ -119,11 +74,6 @@ class UnivariateFactor:
         )
 
 
-def constant_factor(c: float, r: int) -> UnivariateFactor:
-    """The factor identically equal to c."""
-    return polynomial_factor([c], r)
-
-
 def polynomial_factor(coeffs: Sequence[float], r: int) -> UnivariateFactor:
     """Factor given by polynomial coefficients (ascending order).
 
@@ -144,10 +94,13 @@ def polynomial_factor(coeffs: Sequence[float], r: int) -> UnivariateFactor:
 
 def trig_factor(amplitude: float, frequency: float, phase: float, offset: float,
                 r: int) -> UnivariateFactor:
-    """Factor a*sin(2*pi*k*t + phi) + c with the analytic derivative bound
-    |a| (2 pi |k|)^r; InstanceTooLargeError if that or (2 pi |k|)^r is
-    past the float range."""
+    """Factor a*sin(2*pi*k*t + phi) + c with the analytic sup bound |a| + |c|
+    and derivative bound |a| (2 pi |k|)^r; InstanceTooLargeError if either
+    bound or (2 pi |k|)^r is past the float range."""
     a, k, phi, c = float(amplitude), float(frequency), float(phase), float(offset)
+    sup = abs(a) + abs(c)
+    check_float_range(math.log(max(sup, 1.0)),
+                      f"the sup bound |a| + |c| of a trig factor at a = {a!r}, c = {c!r}")
     w = abs(2 * np.pi * k)
     if w:
         check_float_range(r * math.log(w) + math.log(max(abs(a), 1.0)),
@@ -155,7 +108,7 @@ def trig_factor(amplitude: float, frequency: float, phase: float, offset: float,
                           f"at k = {k!r}, r = {r}")
     return UnivariateFactor(
         fn=None,
-        sup_bound=abs(a) + abs(c),
+        sup_bound=sup,
         deriv_bound=abs(a) * w ** r,
         r=r,
         kind="trig",

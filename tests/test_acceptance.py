@@ -20,11 +20,10 @@ from rankone.pipeline import (ExperimentConfig, convergence_sweep,
                               family_box_support, family_offcenter_triangle,
                               fit_order, run_pipeline)
 from rankone.recovery import RecoveryConfig, min_budget, recover
-from rankone.search import (SubsetSearchParams, plan, search_deterministic,
-                            search_subset, search_uniform_multi,
-                            subset_success_bound)
+from rankone.search import (SubsetSearchParams, plan, run_search, search_subset,
+                            search_uniform_multi, subset_success_bound)
 from rankone.tensor import QueryOracle
-from rankone.univariate import make_bump, support_lower_bound
+from rankone.univariate import make_bump
 
 from test_dispersion import brute_force_dispersion
 
@@ -42,12 +41,11 @@ def test_criterion_01_deterministic_strategies_fooled():
         return None
 
     def halton_scan(oracle):
-        search_deterministic(oracle, halton(oracle.budget, oracle.d))
+        run_search("det", oracle, oracle.budget, 0)
         return None
 
     def uniform_scan(oracle):
-        search_deterministic(oracle,
-                             uniform_pointset(oracle.budget, oracle.d, seed=0))
+        oracle.evaluate_batch(uniform_pointset(oracle.budget, oracle.d, seed=0).points)
         return None
 
     errors = []
@@ -226,7 +224,7 @@ def test_criterion_09_univariate_inequalities():
         sup_ab = float(vals[sel].max())
         ok = ok and sup_ab <= M * (b - a) ** r / math.factorial(r) + 1e-9
         eps = float(vals.max())
-        ok = ok and support_measure >= support_lower_bound(eps, M, r) - 1e-9
+        ok = ok and support_measure >= (math.factorial(r) * eps / M) ** (1 / r) - 1e-9
     verdict(9, ok, "500 random admissible g satisfy the sup-norm and "
                    "support-measure inequalities (slack 1e-9)")
 

@@ -7,9 +7,8 @@ import pytest
 from rankone.adversary import (FoolingFamily, find_untouched_orthant,
                                fool_deterministic, fool_randomized,
                                orthants_touched)
-from rankone.dispersion import halton
 from rankone.errors import InstanceTooLargeError, ParameterError
-from rankone.search import search_deterministic
+from rankone.search import run_search
 from rankone.tensor import QueryOracle, check_membership
 
 
@@ -110,7 +109,7 @@ class TestFoolDeterministic:
 
     def test_halton_scan_strategy_fooled(self):
         def scan(oracle):
-            search_deterministic(oracle, halton(oracle.budget, oracle.d))
+            run_search("det", oracle, oracle.budget, 0)
             return None
         err, _ = fool_deterministic(scan, 4, 1, 15)
         assert err >= 1.0

@@ -9,9 +9,8 @@ import pytest
 
 from rankone.adversary import FoolingFamily
 from rankone.cli import _adversary_strategy, main
-from rankone.dispersion import halton
-from rankone.search import (SubsetSearchParams, search_deterministic,
-                            search_subset, search_uniform_multi)
+from rankone.search import (SubsetSearchParams, run_search, search_subset,
+                            search_uniform_multi)
 from rankone.specs import tensor_from_spec
 from rankone.tensor import QueryOracle
 
@@ -318,10 +317,14 @@ class TestExitCodes:
         (["recover", "--z", "0.3,0.6", "--budget", "21"],
          {"d": 2, "r": 2, "M": 1.0, "replicate": True,
           "factor": {"kind": "trig", "amplitude": 0.3, "frequency": 1e300, "offset": 0.6}}),
-    ], ids=["bump-r200", "bump-h-underflow", "trig-search", "trig-recover"])
+        (["search", "--strategy", "single"],
+         {"d": 2, "r": 1, "M": 1.0, "replicate": True,
+          "factor": {"kind": "trig", "amplitude": 1e308, "frequency": 0.0, "offset": 1e308}}),
+    ], ids=["bump-r200", "bump-h-underflow", "trig-search", "trig-recover", "trig-sup-bound"])
     def test_spec_bounds_past_the_float_range(self, tmp_path, capsys, command, spec):
         # r!/h^r and (2 pi k)^r once ended in OverflowError or
-        # ZeroDivisionError tracebacks (exit 1)
+        # ZeroDivisionError tracebacks (exit 1); a sup bound |a| + |c| of inf
+        # once let search print "value": Infinity, which is not JSON, and exit 0
         path = tmp_path / "t.json"
         path.write_text(json.dumps(spec))
         assert run([command[0], "--config", str(path), *command[1:]]) == 3
@@ -344,6 +347,53 @@ class TestExitCodes:
                                    "trials": 2, "seed": 3}))
         assert run(["approx", "--config", str(cfg)]) == 3
         assert "float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", [2500, 2600])
+    def test_subnormal_upper_end_refused(self, tmp_path, capsys, d):
+        # f(z*) is subnormal: d = 2500 exited 0 with an upper end of 7.07e-314,
+        # d = 2600 exited 2 with "error bracket inverted (5e-324 > 0.0)"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 5, "M": 10.0, "eps": 0.1, "d": d,
+                                   "family": "trig_smooth", "trials": 1, "grid": 101,
+                                   "samples": 1, "seed": 0}))
+        assert run(["approx", "--config", str(cfg)]) == 3
+        assert "outside the normal float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offset, code", [(1e-170, 3), (1e-160, 3), (0.0, 0)],
+                             ids=["miss", "hit", "zero"])
+    def test_upper_end_of_constant_factors(self, tmp_path, capsys, offset, code):
+        # f = offset^2: at 1e-170 it rounds to 0.0 and phase 1 misses, at
+        # 1e-160 it is subnormal and phase 1 hits; both once exited 0 with an
+        # upper end of 0.0.  An identically zero f has the exact upper end 0.0
+        spec = {"d": 2, "r": 1, "M": 0.01, "replicate": True,
+                "factor": {"kind": "trig", "amplitude": 0.0, "frequency": 1.0,
+                           "offset": offset}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 1, "M": 0.01, "eps": 0.1, "d": 2, "trials": 2,
+                                   "tensor_spec": spec}))
+        out = tmp_path / "out"
+        assert run(["approx", "--config", str(cfg), "--out", str(out)]) == code
+        if code:
+            assert "outside the normal float range" in capsys.readouterr().err
+        else:
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["found"] == 0 and summary["max_error_upper"] == 0.0
+
+    @pytest.mark.parametrize("zero_at", [0, 2])
+    def test_a_zero_factor_makes_the_upper_end_exact(self, tmp_path, zero_at):
+        # prod_i sup_bound_i is 0.0 because a factor is zero, not because
+        # tiny factors underflowed: the zero output is exact, and exits 0
+        factors = [{"kind": "trig", "amplitude": 0.0, "frequency": 1.0, "offset": 1e-200}
+                   for _ in range(3)]
+        factors[zero_at]["offset"] = 0.0
+        spec = {"d": 3, "r": 1, "M": 0.01, "factors": factors}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 1, "M": 0.01, "eps": 0.1, "d": 3, "trials": 2,
+                                   "tensor_spec": spec}))
+        out = tmp_path / "out"
+        assert run(["approx", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["found"] == 0 and summary["max_error_upper"] == 0.0
 
     def test_budget_error(self, tmp_path, capsys):
         spec = tmp_path / "t.json"
@@ -536,7 +586,7 @@ class TestOutputs:
         for strategy in (det, lambda oracle: ran(oracle, 0)):
             oracle = QueryOracle(FoolingFamily(d=4, r=1).zero_member(), budget=15, log=True)
             assert strategy(oracle) is None
-            logs.append(np.array([q for q, _ in oracle.query_log]))
+            logs.append(np.array(oracle.query_log))
         assert len(logs[0]) == 7
         np.testing.assert_array_equal(logs[0], logs[1])
 
@@ -574,7 +624,7 @@ BUMP_SPEC = {"d": 4, "r": 1, "M": 1.9, "replicate": True,
 
 
 class TestSearchStrategies:
-    """`rankone search` reports what the matching search_* call returns."""
+    """`rankone search` reports what the matching direct call returns."""
 
     @pytest.mark.parametrize("argv, direct", [
         (["--strategy", "multi"],
@@ -583,7 +633,7 @@ class TestSearchStrategies:
          lambda o: search_subset(o, SubsetSearchParams.from_problem(1, 1.9, 0.2),
                                  100, 5)),
         (["--strategy", "det"],
-         lambda o: search_deterministic(o, halton(100, 4))),
+         lambda o: run_search("det", o, 100, 5)),
     ], ids=["multi", "subset", "det-halton"])
     def test_matches_direct_call(self, tmp_path, capsys, argv, direct):
         spec = tmp_path / "t.json"

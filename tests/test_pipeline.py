@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from rankone import pipeline
-from rankone.dispersion import halton, n_disp_upper
+from rankone.dispersion import n_disp_upper
 from rankone.errors import ConfigError, DomainError, InstanceTooLargeError, ParameterError
 from rankone.pipeline import (ExperimentConfig, convergence_sweep,
                               family_box_support, family_offcenter_triangle,
                               family_shifted_smooth, family_trig_smooth,
                               fit_order, run_pipeline, wilson_interval)
-from rankone.search import (SubsetSearchParams, search_deterministic,
-                            search_subset, search_uniform_multi,
-                            search_uniform_single)
+from rankone.search import (SubsetSearchParams, run_search, search_subset,
+                            search_uniform_multi, search_uniform_single)
 from rankone.tensor import QueryOracle, check_membership, sup_norm
 from rankone.univariate import polynomial_factor
 from rankone import rng
@@ -315,7 +314,7 @@ TRIVIAL = dict(r=2, M=1.5, d=4, eps=0.8, family="shifted_smooth", n1=20,
 
 
 class TestPhase1Strategies:
-    """Each trial's phase 1 is the matching search_* call, seeded with
+    """Each trial's phase 1 is the matching search call, seeded with
     rng._mix(seed, trial, 1)."""
 
     @pytest.mark.parametrize("base, strategy, regime, search", [
@@ -324,11 +323,11 @@ class TestPhase1Strategies:
          lambda o, s: search_subset(o, SubsetSearchParams.from_problem(1, 1.9, 0.2),
                                     300, s)),
         (OFFCENTER, "det", "subset_search",
-         lambda o, s: search_deterministic(o, halton(300, 6))),
+         lambda o, s: run_search("det", o, 300, s)),
         (BOX, "plan", "support_class_random",
          lambda o, s: search_uniform_multi(o, 2, s)),
         (BOX, "det", "support_class_deterministic",
-         lambda o, s: search_deterministic(o, halton(n_disp_upper(0.3, 2), 2))),
+         lambda o, s: run_search("det", o, n_disp_upper(0.3, 2), s)),
         (TRIVIAL, "subset", "trivial_M_small",
          lambda o, s: search_subset(o, SubsetSearchParams.from_problem(2, 1.5, 0.8),
                                     20, s)),

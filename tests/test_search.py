@@ -11,20 +11,20 @@ from hypothesis import strategies as st
 
 from rankone import rng
 from rankone.cli import main
-from rankone.dispersion import halton, uniform_pointset
+from rankone.dispersion import halton
 from rankone.errors import ParameterError
 from rankone.pipeline import family_offcenter_triangle
 from rankone.recovery import required_n2
 from rankone.search import (SubsetSearchParams, plan, repeated_draws, run_search,
-                            search_deterministic, search_subset, search_uniform_multi,
-                            search_uniform_single, subset_success_bound)
+                            search_subset, search_uniform_multi, search_uniform_single,
+                            subset_success_bound)
 from rankone.specs import tensor_from_spec
 from rankone.tensor import QueryOracle, RankOneTensor
-from rankone.univariate import constant_factor, make_bump, polynomial_factor
+from rankone.univariate import make_bump, polynomial_factor
 
 
 def const_tensor(d, c=1.0, r=1):
-    return RankOneTensor(factors=tuple(constant_factor(c, r) for _ in range(d)),
+    return RankOneTensor(factors=tuple(polynomial_factor([c], r) for _ in range(d)),
                          r=r, M=1.0)
 
 
@@ -110,7 +110,7 @@ class TestSubsetSearch:
         assert params.d_star < d
         o = QueryOracle(const_tensor(d), log=True)
         search_subset(o, params, n1=1, seed=3)
-        [(x, _)] = o.query_log
+        [x] = o.query_log
         delta = params.delta_star
         near = np.abs(x - 0.5) <= delta + 1e-12
         assert near.sum() >= d - params.d_star
@@ -127,7 +127,7 @@ class TestSubsetSearch:
         assert params.delta_star > 0.5
         o = QueryOracle(const_tensor(10, c=0.0), log=True)
         search_subset(o, params, n1=200, seed=1)
-        X = np.array([x for x, _ in o.query_log])
+        X = np.array(o.query_log)
         assert X.shape == (200, 10)
         assert np.all((X >= 0.0) & (X <= 1.0))
         # the squeezed window is the whole cube: some coordinate outside
@@ -195,15 +195,11 @@ class TestDeterministicScan:
         f = make_bump(1, "left")  # nonzero on [0, 1/2)
         t = RankOneTensor(factors=(f, f), r=1, M=2.0)
         ps = halton(20, 2)
-        out = search_deterministic(QueryOracle(t), ps)
+        out = run_search("det", QueryOracle(t), 20, 0)
         assert out.found
         hits = [i for i, p in enumerate(ps.points) if t.value(p) != 0]
         assert out.iterations == hits[0] + 1
         np.testing.assert_array_equal(out.z_star, ps.points[hits[0]])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ParameterError):
-            search_deterministic(QueryOracle(const_tensor(3)), halton(5, 2))
 
     def test_det_builds_only_the_scanned_prefix(self):
         # nonzero where every coordinate exceeds 1/2: Halton point 47 is
@@ -223,10 +219,21 @@ class TestDeterministicScan:
             run_search("det", o, n1, 0)
         assert o.query_count == 0
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_det_scans_the_halton_prefix_of_the_oracle_dimension(self, d):
+        # the point set follows the oracle's d, so no dimension can mismatch,
+        # and the seed changes nothing
+        logs = []
+        for seed in (0, 7):
+            o = QueryOracle(const_tensor(d, c=0.0), log=True)
+            assert not run_search("det", o, 11, seed).found
+            logs.append(np.array(o.query_log))
+        np.testing.assert_array_equal(logs[0], halton(11, d).points)
+        np.testing.assert_array_equal(logs[0], logs[1])
+
     def test_zero_function_scans_all(self):
-        ps = uniform_pointset(9, 2, seed=1)
         o = QueryOracle(const_tensor(2, c=0.0))
-        out = search_deterministic(o, ps)
+        out = run_search("det", o, 9, 0)
         assert not out.found and o.query_count == 9
 
 

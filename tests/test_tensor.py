@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from rankone.search import plan
 from rankone.tensor import (Box, QueryOracle, RankOneTensor, check_membership,
                             sup_distance_bound, sup_norm)
 from rankone.univariate import (PiecewisePolynomial, block_chebyshev_nodes,
-                                constant_factor, interpolate_line, make_bump,
-                                polynomial_factor, table_factor, trig_factor)
+                                interpolate_line, make_bump, polynomial_factor,
+                                table_factor, trig_factor)
 
 
 def product_tensor(d=3, r=2):
@@ -53,7 +54,7 @@ def mixed_tensor(r=3):
         elif kind == 4:
             f = polynomial_factor([0.9, -0.1], r)  # a second polynomial degree
         else:
-            f = constant_factor(0.75, r)
+            f = polynomial_factor([0.75], r)
         if i in (2, 7, 8):
             f = f.scaled(-0.5)
         fs.append(f)
@@ -212,8 +213,8 @@ class TestRankOneTensor:
 
     def test_mismatched_r_rejected(self):
         with pytest.raises(DomainError):
-            RankOneTensor(factors=(constant_factor(1.0, 1),
-                                   constant_factor(1.0, 2)), r=1, M=1.0)
+            RankOneTensor(factors=(polynomial_factor([1.0], 1),
+                                   polynomial_factor([1.0], 2)), r=1, M=1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -260,13 +261,35 @@ class TestQueryOracle:
         assert o.query_count == 0 and o.query_log == []
         assert len(o.evaluate_batch(np.empty((0, 3)))) == 0
 
-    def test_log(self):
+    def test_log_off_by_default(self):
+        o = QueryOracle(product_tensor())
+        o.evaluate(np.array([0.2, 0.4, 0.6]))
+        o.evaluate_batch(np.full((2, 3), 0.5))
+        assert o.query_log is None and o.query_count == 3
+
+    def test_refused_query_not_logged(self):
+        o = QueryOracle(product_tensor(), budget=2, log=True)
+        o.evaluate(np.array([0.2, 0.4, 0.6]))
+        with pytest.raises(BudgetExhaustedError):
+            o.evaluate_batch(np.full((2, 3), 0.5))
+        o.evaluate(np.array([0.1, 0.1, 0.1]))
+        with pytest.raises(BudgetExhaustedError):
+            o.evaluate(np.array([0.3, 0.3, 0.3]))
+        np.testing.assert_array_equal(o.query_log, [[0.2, 0.4, 0.6], [0.1, 0.1, 0.1]])
+
+    def test_log_holds_the_queried_rows(self):
+        # one copy of each queried point, in order, and nothing else: the
+        # values were once logged beside them, and no code read them
         o = QueryOracle(product_tensor(), log=True)
         x = np.array([0.2, 0.4, 0.6])
-        v = o.evaluate(x)
-        assert len(o.query_log) == 1
-        np.testing.assert_array_equal(o.query_log[0][0], x)
-        assert o.query_log[0][1] == v
+        X = np.array([[0.1, 0.5, 0.9], [0.3, 0.3, 0.3]])
+        o.evaluate(x)
+        o.evaluate_batch(X)
+        x[:] = X[:] = 0.0  # the log keeps copies, not the caller's arrays
+        assert len(o.query_log) == o.query_count == 3
+        assert all(type(q) is np.ndarray and q.shape == (3,) for q in o.query_log)
+        np.testing.assert_array_equal(o.query_log, [[0.2, 0.4, 0.6], [0.1, 0.5, 0.9],
+                                                    [0.3, 0.3, 0.3]])
 
 
 class TestSupNorm:
@@ -480,6 +503,20 @@ class TestSupDistanceBound:
                      RecoveryConfig(r=1, budget_n2=1 + 300 * 2))
         with pytest.raises(InstanceTooLargeError):
             sup_distance_bound(t, ap.line_interpolants, ap.center_value, 101, 10)
+
+    @pytest.mark.parametrize("c, refused", [(1e-150, True), (1e-100, False)])
+    def test_upper_end_below_the_normal_range(self, c, refused):
+        # f = c^2 is interpolated exactly, and the upper end is the rounding
+        # allowance 32 * 2^-53 c^2 alone: at c = 1e-150 it is subnormal, with
+        # few significant bits, and is refused; at 1e-100 it is a normal float
+        t = RankOneTensor(factors=(polynomial_factor([c], 1),) * 2, r=1, M=1.0)
+        ap = self._recover(t, 5)
+        if refused:
+            with pytest.raises(InstanceTooLargeError, match="outside the normal float range"):
+                sup_distance_bound(t, ap.line_interpolants, ap.center_value, 101, 10)
+        else:
+            up, lo = sup_distance_bound(t, ap.line_interpolants, ap.center_value, 101, 10)
+            assert sys.float_info.min <= up < 1e-210 and 0.0 <= lo <= up
 
     def test_lines_off_recovers_layout_rejected(self):
         # the remainder bound is for blocks of r = t.r nodes: lines of

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankone.errors import InstanceTooLargeError, ParameterError
-from rankone.univariate import (_node_sum, block_chebyshev_nodes, interp_error_bound,
-                                interpolate_line, make_bump, polynomial_factor,
-                                support_lower_bound, table_factor, trig_factor)
+from rankone.univariate import (_node_sum, block_chebyshev_nodes, interpolate_line,
+                                make_bump, polynomial_factor, table_factor, trig_factor)
 
 EPS = np.finfo(float).eps
 
@@ -75,83 +74,6 @@ def at(g, t):
     return g(np.asarray(t, dtype=float)[..., None])[..., 0]
 
 
-class TestInterpErrorBound:
-    def test_value(self):
-        assert interp_error_bound(2.0, 0.0, 1.0, 2) == pytest.approx(1.0)
-        assert interp_error_bound(6.0, 0.25, 0.75, 3) == pytest.approx(0.125)
-
-    def test_zero_m(self):
-        assert interp_error_bound(0.0, 0.0, 1.0, 4) == 0.0
-
-    def test_invalid(self):
-        with pytest.raises(ParameterError):
-            interp_error_bound(1.0, 1.0, 0.0, 1)
-        with pytest.raises(ParameterError):
-            interp_error_bound(1.0, 0.0, 1.0, 0)
-        with pytest.raises(ParameterError):
-            interp_error_bound(-1.0, 0.0, 1.0, 1)
-
-    @given(st.floats(0.01, 100), st.floats(0, 0.9), st.floats(0.001, 0.1),
-           st.integers(1, 6))
-    def test_monotone_in_width(self, M, a, w, r):
-        # widening the interval never shrinks the bound
-        b1 = interp_error_bound(M, a, a + w, r)
-        b2 = interp_error_bound(M, a, a + 2 * w, r)
-        assert b2 >= b1
-
-    @pytest.mark.parametrize("M, b, r", [(1.0, 0.5, 200), (1.0, 1e200, 2),
-                                         (1e300, 1e10, 2)])
-    def test_past_the_float_range(self, M, b, r):
-        # r! and (b - a)^r once raised OverflowError; the direct form is
-        # kept wherever it is finite
-        assert interp_error_bound(1.0, 0.0, 0.5, 170) == 0.5 ** 170 / math.factorial(170)
-        with pytest.raises(InstanceTooLargeError):
-            interp_error_bound(M, 0.0, b, r)
-
-    def test_bump_is_extremal(self):
-        # the one-sided bump has r zeros on [1/2, 1] and attains the
-        # bound at the left end of [0, 1/2]
-        for r in range(1, 5):
-            f = make_bump(r, "left")
-            M = f.deriv_bound
-            assert float(f(0.0)) == pytest.approx(
-                interp_error_bound(M, 0.0, 0.5, r))
-
-
-class TestSupportLowerBound:
-    def test_values(self):
-        assert support_lower_bound(0.5, 1.0, 1) == pytest.approx(0.5)
-        assert support_lower_bound(0.1, 10.0, 5) == pytest.approx(
-            (120 * 0.1 / 10) ** 0.2)
-
-    @pytest.mark.parametrize("eps, M, r", [(0.1, 1.0, 200), (1e300, 1e-300, 1)])
-    def test_past_the_float_range(self, eps, M, r):
-        # r! past the float range once raised OverflowError
-        assert support_lower_bound(0.1, 1.0, 170) == (math.factorial(170) * 0.1) ** (1 / 170)
-        with pytest.raises(InstanceTooLargeError):
-            support_lower_bound(eps, M, r)
-
-    def test_above_one_means_infeasible(self):
-        # eps > M / r! forces a support bound above 1
-        assert support_lower_bound(0.9, 0.5, 1) > 1.0
-
-    @given(st.floats(1e-6, 1.0), st.floats(1e-3, 1e3), st.integers(1, 6))
-    def test_monotone_in_eps(self, eps, M, r):
-        assert (support_lower_bound(eps, M, r)
-                <= support_lower_bound(min(1.0, eps * 2), M, r) + 1e-15)
-
-    @given(st.floats(1e-6, 1.0), st.floats(1e-3, 1e3), st.integers(1, 6))
-    def test_antitone_in_m(self, eps, M, r):
-        assert (support_lower_bound(eps, 2 * M, r)
-                <= support_lower_bound(eps, M, r) + 1e-15)
-
-    def test_invalid(self):
-        with pytest.raises(ParameterError):
-            support_lower_bound(0.0, 1.0, 1)
-        with pytest.raises(ParameterError):
-            support_lower_bound(0.1, 1.0, 0)
-
-
 class TestFactors:
     def test_bounds_past_the_float_range(self):
         # r!/h^r and (2 pi k)^r once raised OverflowError, and h^r
@@ -167,6 +89,9 @@ class TestFactors:
         with pytest.raises(InstanceTooLargeError):
             trig_factor(1e300, 1e10, 0.0, 0.0, 1)
         assert trig_factor(0.0, 0.0, 0.0, 0.5, 400).deriv_bound == 0.0
+        with pytest.raises(InstanceTooLargeError):  # |a| + |c| was inf
+            trig_factor(1e308, 0.0, 0.0, 1e308, 1)
+        assert trig_factor(1e308, 0.0, 0.0, -1e307, 1).sup_bound == 1e308 + 1e307
 
     def test_trig_bound_of_a_negative_frequency(self):
         # (2 pi k)^r was negative at k < 0 and odd r
@@ -182,6 +107,39 @@ class TestFactors:
         assert f.deriv_bound == pytest.approx(2 ** 3 * math.factorial(3))
         ts = np.linspace(0.0, 1.0, 1001)  # nonzero exactly on [0, 1/2)
         assert np.array_equal(f(ts) != 0.0, ts < 0.5)
+
+    def test_bump_is_extremal(self):
+        # the one-sided bump has r zeros on [1/2, 1] and attains the
+        # sup-norm bound M (b-a)^r / r! at the left end of [0, 1/2]
+        for r in range(1, 5):
+            f = make_bump(r, "left")
+            M = f.deriv_bound
+            assert float(f(0.0)) == pytest.approx(M * 0.5 ** r / math.factorial(r))
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("orientation, interval", [("left", (0.0, 0.5)),
+                                                       ("right", (0.2, 1.0))])
+    def test_support_measure_inequality_is_tight_for_bumps(self, r, orientation, interval):
+        # a g with sup|g| >= eps and |g^(r)| <= M is nonzero on a set of
+        # measure at least (r! eps / M)^(1/r); a bump meets it with equality
+        f = make_bump(r, orientation, interval)
+        ts = np.linspace(0.0, 1.0, 8001)
+        vals = f(ts)
+        measure = np.count_nonzero(vals) / (len(ts) - 1)
+        bound = (math.factorial(r) * float(np.max(np.abs(vals))) / f.deriv_bound) ** (1 / r)
+        assert bound == pytest.approx(0.5 * (interval[1] - interval[0]))
+        assert measure >= bound - 2 / (len(ts) - 1)
+
+    @pytest.mark.parametrize("sa, sc", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_trig_sup_bound_of_any_sign(self, sa, sc):
+        # the sup bound is |a| + |c| whatever the signs, and it is refused
+        # past the float range whatever the signs
+        f = trig_factor(sa * 0.3, 2.0, 0.1, sc * 0.5, 2)
+        assert f.sup_bound == 0.8
+        ts = np.linspace(0.0, 1.0, 1001)
+        assert np.max(np.abs(f(ts))) <= f.sup_bound
+        with pytest.raises(InstanceTooLargeError, match="sup bound"):
+            trig_factor(sa * 1e308, 0.0, 0.0, sc * 1e308, 1)
 
     def test_bump_right(self):
         f = make_bump(2, "right")
@@ -416,7 +374,7 @@ class TestInterpolateLine:
         g = one_line(f(nodes), r)
         ts = np.linspace(0, 1, 2001)
         err = np.max(np.abs(at(g, ts) - f(ts)))
-        assert err <= interp_error_bound(M, 0.0, 1.0 / blocks, r) + 1e-12
+        assert err <= M * (1.0 / blocks) ** r / math.factorial(r) + 1e-12
 
 
 class TestBlockChebyshevNodes:
