@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import rng
-from .errors import (FLOAT_MAX, FLOAT_MIN, ConfigError, DomainError, InstanceTooLargeError,
+from .errors import (FLOAT_MIN, ConfigError, DomainError, InstanceTooLargeError,
                      ParameterError, check_float_range)
 from .recovery import RecoveryConfig, recover
 from .search import (REGIME_STRATEGY, STRATEGIES, BudgetPlan, SubsetSearchParams,
@@ -28,8 +28,8 @@ from .univariate import UnivariateFactor, table_factor, trig_factor
 
 
 # The largest planned n1 that run_pipeline runs with n1 unset: 10^10
-# subset-search iterations of about 25 us (d = 10 to 100, shared 2-core
-# Xeon host) are some 2.5 10^5 s when f vanishes where the search looks.
+# subset-search iterations of 0.7 to 4 us (d = 10 to 100, shared 2-core
+# Xeon host) are 2 to 11 hours when f vanishes where the search looks.
 MAX_PLANNED_N1 = 10 ** 10
 
 
@@ -220,7 +220,7 @@ class ExperimentConfig:
         if self.tensor_spec is None and self.family is None:
             raise ConfigError("config needs either 'tensor_spec' or 'family'")
         # the run is planned with the config's values, so a spec must agree
-        for name in ("d", "r", "M"):
+        for name in ("d", "r", "M", "V"):
             spec_value = (self.tensor_spec or {}).get(name, getattr(self, name))
             if spec_value != getattr(self, name):
                 raise ConfigError(f"tensor_spec {name} = {spec_value!r} differs from "
@@ -282,8 +282,8 @@ def run_trial(cfg: ExperimentConfig, bp: BudgetPlan, trial: int) -> Dict[str, An
         sups = [f.sup_bound for f in tensor.factors]
         upper = math.prod(sups)
         lower = sup_norm(tensor, grid=cfg.grid)
-        # 0.0 is exact only if a factor is zero
-        if not upper <= FLOAT_MAX or (upper < FLOAT_MIN and all(sups)):
+        # RankOneTensor keeps it finite; 0.0 is exact only if a factor is zero
+        if upper < FLOAT_MIN and all(sups):
             raise InstanceTooLargeError(f"the bound prod_i sup_bound_i = {upper!r} is "
                                         "outside the normal float range")
         if not lower <= upper:

@@ -112,13 +112,3 @@ def _philox4x64(k0: int, k1: np.ndarray, ctr: np.ndarray) -> np.ndarray:
         p, q = _mulhi(m_lo, m_hi, x) ^ q ^ key, x * m
     return np.stack((p[0], q[0], p[1], q[1]), axis=-1).reshape(len(k1), -1)
 
-
-def floyd_sample(gen: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """Uniform random k-subset of {0, ..., n-1} via Floyd's algorithm."""
-    if not 0 <= k <= n:
-        raise ValueError(f"cannot sample {k} items from {n}")
-    chosen: set[int] = set()
-    for j in range(n - k, n):
-        t = int(gen.integers(0, j + 1))
-        chosen.add(t if t not in chosen else j)
-    return np.array(sorted(chosen), dtype=np.intp)

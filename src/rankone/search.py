@@ -21,7 +21,7 @@ from . import rng
 from .dispersion import halton_rows, n_disp_upper
 from .errors import FLOAT_MAX, LOG_FLOAT_MAX, ParameterError
 from .recovery import required_n2
-from .tensor import QueryOracle
+from .tensor import _GRID_CELLS, QueryOracle, _row_blocks
 
 _CHUNK_CAP = 4096
 
@@ -124,11 +124,13 @@ def search_uniform_multi(oracle: QueryOracle, n1: int, seed: int) -> SearchOutco
 
 def search_subset(oracle: QueryOracle, params: SubsetSearchParams, n1: int,
                   seed: int) -> SearchOutcome:
-    """Coordinate-subset search: per iteration, a uniform subset I of
-    min(d*, d) coordinates is drawn free in [0,1]; the rest are drawn
-    uniformly in [1/2 - h, 1/2 + h] with h = min(delta*, 1/2), which
-    keeps the queries in the cube and still covers the window the
-    success bound counts on.
+    """Coordinate-subset search.  Iteration i takes row i of one seeded
+    stream, drawn row-major so that the points do not depend on how
+    ``_scan`` chunks them: d keys, then d uniforms z.  The k = min(d*, d)
+    coordinates with the smallest keys, a uniform k-subset, are free and
+    take z; the rest take 1/2 + h (2z - 1), uniform in [1/2 - h, 1/2 + h]
+    with h = min(delta*, 1/2), which keeps the queries in the cube and
+    still covers the window the success bound counts on.
 
     The theory assumes d >= d*; for d < d* the subset is clamped to all
     coordinates, which degenerates to plain uniform search (the printed
@@ -143,11 +145,11 @@ def search_subset(oracle: QueryOracle, params: SubsetSearchParams, n1: int,
 
     def batch(start: int, size: int) -> np.ndarray:
         X = np.empty((size, d))
-        for x in X:  # one iteration's draws per row, in the order of the rows
-            subset = rng.floyd_sample(g, d, k)
-            z = g.random(d)
-            x[:] = 0.5 + half * (2.0 * z - 1.0)
-            x[subset] = z[subset]
+        for rows in _row_blocks(size, 2 * d, _GRID_CELLS):  # bounds the temporaries
+            keys, z = g.random((rows.stop - rows.start, 2, d)).transpose(1, 0, 2)
+            free = np.argpartition(keys, k - 1, axis=1)[:, :k]
+            X[rows] = 0.5 + half * (2.0 * z - 1.0)
+            np.put_along_axis(X[rows], free, np.take_along_axis(z, free, axis=1), axis=1)
         return X
     return _scan(oracle, n1, batch)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng
 from .errors import (FLOAT_MAX, FLOAT_MIN, BudgetExhaustedError, DomainError,
-                     InstanceTooLargeError)
+                     InstanceTooLargeError, check_float_range)
 from .univariate import (KERNELS, PiecewisePolynomial, UnivariateFactor,
                          log_block_remainder)
 
@@ -81,6 +81,12 @@ class RankOneTensor:
             raise DomainError("all factors must share the same smoothness order r")
         if self.support_volume is not None and not 0 < self.support_volume < 1:
             raise DomainError("support volume V must lie in (0, 1)")
+        log_partial = 0.0  # of the sup bounds: value_batch multiplies in factor order
+        for f in self.factors:
+            if f.sup_bound == 0:  # the products are 0 from here on
+                break
+            log_partial += math.log(abs(f.sup_bound))
+            check_float_range(log_partial, "a product of the factors' sup bounds")
         object.__setattr__(self, "_functions_only",
                            all(f.fn is not None for f in self.factors))
 

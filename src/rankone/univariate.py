@@ -79,13 +79,18 @@ def polynomial_factor(coeffs: Sequence[float], r: int) -> UnivariateFactor:
 
     deriv_bound is the exact sup of the r-th derivative on [0,1],
     computed from the differentiated coefficients via critical points.
+    InstanceTooLargeError if either bound is past the float range.
     """
     c = np.asarray(coeffs, dtype=float)
     poly = np.polynomial.Polynomial(c)
+    with np.errstate(over="ignore", invalid="ignore"):  # a bound past the range is refused below
+        sup, deriv = _poly_abs_max(poly), _poly_abs_max(poly.deriv(r))
+    for bound, what in ((sup, "sup bound"), (deriv, f"bound on the {r}-th derivative")):
+        check_float_range(math.log(max(bound, 1.0)), f"the {what} of a polynomial factor")
     return UnivariateFactor(
         fn=None,
-        sup_bound=_poly_abs_max(poly),
-        deriv_bound=_poly_abs_max(poly.deriv(r)),
+        sup_bound=sup,
+        deriv_bound=deriv,
         r=r,
         kind="polynomial-piecewise",
         params=tuple(c.tolist()),
@@ -177,16 +182,12 @@ def make_bump(r: int, orientation: str, interval: Tuple[float, float] = (0.0, 1.
     )
 
 
-def _poly_abs_max(poly: np.polynomial.Polynomial, lo: float = 0.0,
-                  hi: float = 1.0) -> float:
-    """Exact max of |p| on [lo, hi] via the critical points of p."""
-    cand = [lo, hi]
+def _poly_abs_max(poly: np.polynomial.Polynomial) -> float:
+    """Exact max of |p| on [0, 1] via the critical points of p."""
+    cand = [0.0, 1.0]
     dp = poly.deriv()
-    if dp.degree() >= 1 or (dp.degree() == 0 and dp.coef[0] != 0):
-        roots = dp.roots() if dp.degree() >= 1 else []
-        for z in np.atleast_1d(roots):
-            if abs(z.imag) < 1e-12 and lo <= z.real <= hi:
-                cand.append(float(z.real))
+    if dp.degree() >= 1:
+        cand += [float(z.real) for z in dp.roots() if abs(z.imag) < 1e-12 and 0 <= z.real <= 1]
     return float(max(abs(poly(t)) for t in cand))
 
 
@@ -215,8 +216,9 @@ class PiecewisePolynomial:
         self.nodes = nodes = block_chebyshev_nodes(k * r, r).reshape(k, r)
         inner = 0.5 * (nodes[:-1, -1] + nodes[1:, 0])
         self.breakpoints = np.concatenate(([0.0], inner, [1.0]))
-        # w_i = 1 / prod_{l != i} (x_i - x_l); the identity fills the diagonal
-        diff = nodes[:, :, None] - nodes[:, None, :] + np.eye(r)
+        # w_i = 1 / prod_{l != i} (x_i - x_l) times a power of two, which cancels in the
+        # ratio and keeps 1/prod in range at large k and r; the identity fills the diagonal
+        diff = np.ldexp(nodes[:, :, None] - nodes[:, None, :], k.bit_length() + 1) + np.eye(r)
         self.weights = 1.0 / diff.prod(axis=-1)
 
     @property

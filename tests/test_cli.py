@@ -320,11 +320,20 @@ class TestExitCodes:
         (["search", "--strategy", "single"],
          {"d": 2, "r": 1, "M": 1.0, "replicate": True,
           "factor": {"kind": "trig", "amplitude": 1e308, "frequency": 0.0, "offset": 1e308}}),
-    ], ids=["bump-r200", "bump-h-underflow", "trig-search", "trig-recover", "trig-sup-bound"])
+        (["search", "--strategy", "single"],
+         {"d": 2, "r": 1, "M": 1.0, "replicate": True,
+          "factor": {"kind": "trig", "amplitude": 0.0, "frequency": 0.0, "offset": 1e200}}),
+        (["search", "--strategy", "single"],
+         {"d": 2, "r": 1, "M": 1.0, "replicate": True,
+          "factor": {"kind": "polynomial-piecewise", "coefficients": [1e308, 1e308]}}),
+    ], ids=["bump-r200", "bump-h-underflow", "trig-search", "trig-recover", "trig-sup-bound",
+            "sup-bound-product", "polynomial-sup-bound"])
     def test_spec_bounds_past_the_float_range(self, tmp_path, capsys, command, spec):
         # r!/h^r and (2 pi k)^r once ended in OverflowError or
-        # ZeroDivisionError tracebacks (exit 1); a sup bound |a| + |c| of inf
-        # once let search print "value": Infinity, which is not JSON, and exit 0
+        # ZeroDivisionError tracebacks (exit 1); a sup bound |a| + |c| of inf,
+        # a product of in-range sup bounds past the range, and a polynomial's
+        # sup bound of inf once let search print "value": Infinity, which is
+        # not JSON, and exit 0
         path = tmp_path / "t.json"
         path.write_text(json.dumps(spec))
         assert run([command[0], "--config", str(path), *command[1:]]) == 3
@@ -347,6 +356,28 @@ class TestExitCodes:
                                    "trials": 2, "seed": 3}))
         assert run(["approx", "--config", str(cfg)]) == 3
         assert "float range" in capsys.readouterr().err
+
+    def test_many_small_pieces_at_high_order(self, tmp_path):
+        # r = 160 on 625 pieces: the barycentric weights 1/prod (x_i - x_l)
+        # once overflowed, and the bracket came out NaN (exit 2)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 160, "M": 10.0, "eps": 0.1, "d": 2,
+                                   "family": "trig_smooth", "trials": 1, "n2": 100000,
+                                   "grid": 801, "samples": 200}))
+        out = tmp_path / "out"
+        assert run(["approx", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["max_error_upper"] == pytest.approx(1.6087131626818518e-13, rel=1e-6)
+
+    def test_spec_support_volume_must_match_config(self, tmp_path, capsys):
+        # the run was planned with the config's V = 0.3 and exited 0
+        spec = {"d": 2, "r": 1, "M": 3.0, "V": 0.04, "replicate": True,
+                "factor": {"kind": "bump", "orientation": "left", "interval": [0.0, 0.4]}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 1, "M": 3.0, "eps": 0.1, "d": 2, "V": 0.3,
+                                   "trials": 1, "tensor_spec": spec}))
+        assert run(["approx", "--config", str(cfg)]) == 2
+        assert "tensor_spec V = 0.04" in capsys.readouterr().err
 
     @pytest.mark.parametrize("d", [2500, 2600])
     def test_subnormal_upper_end_refused(self, tmp_path, capsys, d):

@@ -192,7 +192,7 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"r": 1, "M": 1.0, "d": 2, "eps": 0.1,
                                         "family": "nope"})
 
-    @pytest.mark.parametrize("field, value", [("d", 3), ("r", 2), ("M", 2.5)])
+    @pytest.mark.parametrize("field, value", [("d", 3), ("r", 2), ("M", 2.5), ("V", 0.04)])
     def test_tensor_spec_must_match_config(self, field, value):
         # equal numbers of another type agree: d 2 and 2.0, M 1 and 1.0
         spec = {"d": 2.0, "r": 1, "M": 1.0, "replicate": True,

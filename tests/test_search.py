@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankone import rng
+from rankone import rng, search
 from rankone.cli import main
 from rankone.dispersion import halton
 from rankone.errors import ParameterError
@@ -148,8 +148,8 @@ def reference_subset_search(oracle, params, n1, seed):
     half = min(params.delta_star, 0.5)
     g = rng.spawn(seed)
     for i in range(n1):
-        subset = rng.floyd_sample(g, d, k)
-        z = g.random(d)
+        keys, z = g.random(d), g.random(d)
+        subset = np.argsort(keys, kind="stable")[:k]
         x = 0.5 + half * (2.0 * z - 1.0)
         x[subset] = z[subset]
         v = oracle.evaluate(x)
@@ -180,6 +180,37 @@ class TestSubsetSearchMatchesPerIterationLoop:
             assert out.z_star.tobytes() == z.tobytes()
             # chunks of 1, 2, 4, ...: whole chunks, 1, 3, 7, 15, ... up to n1
             assert o.query_count == min((1 << iterations.bit_length()) - 1, n1)
+
+    @pytest.mark.parametrize("d", [3, 40])
+    def test_chunks_over_several_row_blocks(self, d, monkeypatch):
+        # 2 d * 5 cells: a block of 5 rows, so chunks of 8 to 256 rows
+        # fill X over several blocks, the last one partial
+        monkeypatch.setattr(search, "_GRID_CELLS", 2 * d * 5)
+        t = const_tensor(d, c=0.0, r=2)
+        n1 = 300
+        want, got = QueryOracle(t, log=True), QueryOracle(t, log=True)
+        assert reference_subset_search(want, self.PARAMS, n1, 7)[2] == n1
+        out = search_subset(got, self.PARAMS, n1, 7)
+        assert not out.found and out.iterations == n1
+        assert np.array(got.query_log).tobytes() == np.array(want.query_log).tobytes()
+
+    @pytest.mark.parametrize("d", [8, 40])
+    def test_share_outside_the_window(self, d):
+        # only the k free coordinates leave [1/2 - h, 1/2 + h], each with
+        # probability 1 - 2h: over n iterations the share of the n d
+        # coordinates outside is (k/d)(1 - 2h), with the binomial spread
+        n = 20_000
+        k, half = min(self.PARAMS.d_star, d), self.PARAMS.delta_star
+        assert k < d and half < 0.5
+        o = QueryOracle(const_tensor(d, c=0.0, r=2), log=True)
+        search_subset(o, self.PARAMS, n, seed=11)
+        outside = np.abs(np.array(o.query_log) - 0.5) > half
+        q = 1.0 - 2.0 * half
+        sigma = math.sqrt(n * k * q * (1.0 - q)) / (n * d)
+        assert abs(outside.mean() - k / d * q) < 5 * sigma
+        # each coordinate is free with probability k/d
+        column_sigma = math.sqrt(n * (k / d * q) * (1.0 - k / d * q)) / n
+        assert np.all(np.abs(outside.mean(axis=0) - k / d * q) < 5 * column_sigma)
 
     def test_hits_past_the_first_chunk_are_covered(self):
         # the comparison above means little if every search hits at once

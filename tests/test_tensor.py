@@ -220,6 +220,21 @@ class TestRankOneTensor:
         with pytest.raises(DomainError):
             RankOneTensor(factors=(), r=1, M=1.0)
 
+    @pytest.mark.parametrize("offsets, ok", [
+        ([1e200, 1e-200, 1e200], True),   # every partial product in range
+        ([1e200, 1e200, 1e-200], False),  # 1e400 before the small factor
+        ([0.0, 1e200, 1e200], True),      # 0 from the first factor on
+        ([1e200, 1e200, 0.0], False),     # inf * 0 would be NaN
+    ])
+    def test_partial_products_of_sup_bounds_in_range(self, offsets, ok):
+        factors = tuple(trig_factor(0.0, 0.0, 0.0, c, 1) for c in offsets)
+        if not ok:
+            with pytest.raises(InstanceTooLargeError, match="product of the factors"):
+                RankOneTensor(factors=factors, r=1, M=1.0)
+            return
+        t = RankOneTensor(factors=factors, r=1, M=1.0)
+        assert math.isfinite(t.value(np.full(3, 0.5)))
+
 
 class TestQueryOracle:
     def test_counts_every_query(self):

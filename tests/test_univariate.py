@@ -251,6 +251,19 @@ class TestInterpolateLine:
             one_line(vals, 3)
         assert one_line(vals[:6], 3).pieces == 2
 
+    @pytest.mark.parametrize("r, k", [(1, 3), (3, 5), (6, 40), (9, 555)])
+    def test_weights_scaled_by_one_power_of_two(self, r, k):
+        # the stored weights are 1/prod (x_i - x_l) times one power of two,
+        # which cancels: the unscaled weights give the same bits
+        g = one_line(np.sin(7 * block_chebyshev_nodes(k * r, r)), r)
+        diff = g.nodes[:, :, None] - g.nodes[:, None, :] + np.eye(r)
+        plain = 1.0 / diff.prod(axis=-1)
+        np.testing.assert_array_equal(g.weights, np.ldexp(plain, (k.bit_length() + 1) * (1 - r)))
+        ts = np.random.default_rng(r).random(1000)
+        want = at(g, ts)
+        g.weights = plain
+        assert np.array_equal(bits(at(g, ts)), bits(want))
+
     def test_dense_layout(self):
         # the nodes, weights and breakpoints follow from the values' shape
         ts = block_chebyshev_nodes(9, 3)
