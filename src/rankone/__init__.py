@@ -18,8 +18,8 @@ from .search import (BudgetPlan, SearchOutcome, SubsetSearchParams, plan,
                      run_search, search_subset, search_uniform_multi,
                      search_uniform_single, subset_success_bound)
 from .specs import approximant_to_dict, factor_from_spec, tensor_from_spec
-from .tensor import (Box, MembershipResult, QueryOracle, RankOneTensor,
-                     check_membership, sup_distance_bound, sup_norm)
+from .tensor import (Box, QueryOracle, RankOneTensor, check_membership,
+                     sup_distance_bound, sup_norm)
 from .univariate import (PiecewisePolynomial, UnivariateFactor,
                          block_chebyshev_nodes, interpolate_line, make_bump,
                          polynomial_factor, table_factor, trig_factor)

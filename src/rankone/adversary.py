@@ -21,10 +21,9 @@ from .errors import ParameterError
 from .tensor import Box, QueryOracle, RankOneTensor
 from .univariate import make_bump
 
-# A strategy receives an oracle and returns an evaluable approximant
-# (callable on (k, d) arrays) or None, meaning the zero output.
-Strategy = Callable[[QueryOracle], Optional[Callable[[np.ndarray], np.ndarray]]]
-SeededStrategy = Callable[[QueryOracle, int], Optional[Callable[[np.ndarray], np.ndarray]]]
+# strategy(oracle, seed) returns an evaluable approximant (callable on
+# (k, d) arrays) or None, the zero output; a deterministic one runs at seed 0.
+Strategy = Callable[[QueryOracle, int], Optional[Callable[[np.ndarray], np.ndarray]]]
 
 
 @dataclass(frozen=True)
@@ -37,12 +36,13 @@ class FoolingFamily:
     def __post_init__(self):
         if self.d < 1 or self.r < 1:
             raise ParameterError("d and r must be positive")
-        make_bump(self.r, "left")  # M: InstanceTooLargeError from r = 151
+        # left and right bump (bit 0 and 1 of k); InstanceTooLargeError from r = 151
+        object.__setattr__(self, "_bumps", (make_bump(self.r, "left"), make_bump(self.r, "right")))
 
     @property
     def M(self) -> float:
         """2^r r!, the bumps' r-th derivative bound."""
-        return make_bump(self.r, "left").deriv_bound
+        return self._bumps[0].deriv_bound
 
     @property
     def size(self) -> int:
@@ -54,12 +54,9 @@ class FoolingFamily:
             raise ParameterError(f"orthant index {k} out of range")
         if sign not in (1, -1):
             raise ParameterError("sign must be +1 or -1")
-        factors = []
-        for i in range(self.d):
-            f = make_bump(self.r, "right" if (k >> i) & 1 else "left")
-            if i == 0 and sign == -1:
-                f = f.scaled(-1.0)
-            factors.append(f)
+        factors = [self._bumps[(k >> i) & 1] for i in range(self.d)]
+        if sign == -1:
+            factors[0] = factors[0].scaled(-1.0)
         return RankOneTensor(factors=tuple(factors), r=self.r, M=self.M)
 
     def corner(self, k: int) -> np.ndarray:
@@ -72,7 +69,7 @@ class FoolingFamily:
 
     def zero_member(self) -> RankOneTensor:
         """The zero tensor, also a member of the class."""
-        zero = make_bump(self.r, "left").scaled(0.0)
+        zero = self._bumps[0].scaled(0.0)
         return RankOneTensor(factors=(zero,) * self.d, r=self.r, M=self.M)
 
 
@@ -122,16 +119,16 @@ def fool_deterministic(strategy: Strategy, d: int, r: int, n: int,
                        ) -> Tuple[float, Tuple[int, RankOneTensor, RankOneTensor]]:
     """Certify error >= 1 for a deterministic strategy with n < 2^d queries.
 
-    Runs the strategy against the zero function to extract its query set,
-    finds an orthant no query touches, and returns the certified error
-    together with (orthant index, +member, -member): the strategy cannot
-    distinguish the three inputs, so its error on the pair is at least 1.
+    Runs strategy(oracle, 0) on the zero function to extract its query
+    set, finds an orthant k no query touches, and returns the measured
+    error with (k, +member, -member): the three inputs look alike to the
+    strategy, and |f| = 1 at member k's corner, so the error is >= 1.
     """
     family = FoolingFamily(d=d, r=r)
     if n >= family.size:
         raise ParameterError(f"n = {n} >= 2^d = {family.size}: no untouched orthant is guaranteed")
     oracle = QueryOracle(family.zero_member(), budget=n, log=True)
-    output = strategy(oracle)
+    output = strategy(oracle, 0)
     k = find_untouched_orthant(oracle.query_log, d)
     if k is None:
         raise AssertionError(
@@ -142,7 +139,7 @@ def fool_deterministic(strategy: Strategy, d: int, r: int, n: int,
     gen = rng.spawn(0, k)
     err = max(_support_error(plus, family, k, output, gen),
               _support_error(minus, family, k, output, gen))
-    return max(err, 1.0) if output is None else err, (k, plus, minus)
+    return err, (k, plus, minus)
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,7 @@ class RandomizedFoolReport:
         return self.rms_error >= self.theorem_floor - self.ci_halfwidth
 
 
-def fool_randomized(strategy: SeededStrategy, d: int, r: int, n: int,
+def fool_randomized(strategy: Strategy, d: int, r: int, n: int,
                     trials: int, seed: int = 0) -> RandomizedFoolReport:
     """Average-case harness: random signed member, black-box strategy run.
 

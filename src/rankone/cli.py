@@ -116,9 +116,8 @@ def cmd_recover(args) -> int:
     approx = recover(oracle, z, RecoveryConfig(r=tensor.r, budget_n2=args.budget))
     upper, lower = sup_distance_bound(tensor, approx.line_interpolants,
                                       approx.center_value, seed=args.seed)
-    _emit(approximant_to_dict(approx), args.out, "approximant.json")
-    if args.out is None:
-        print(f"error_upper={upper!r} error_lower={lower!r} queries={oracle.query_count}")
+    _emit({**approximant_to_dict(approx), "error_upper": upper, "error_lower": lower,
+           "queries": oracle.query_count}, args.out, "approximant.json")
     _write_csv(args.out, "error.csv", [{"error_upper": upper, "error_lower": lower,
                                         "queries": oracle.query_count}],
                ["error_upper", "error_lower", "queries"])
@@ -129,8 +128,6 @@ def cmd_approx(args) -> int:
     raw = _load_json(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
-    if args.trials is not None:
-        raw["trials"] = args.trials
     cfg = ExperimentConfig.from_dict(raw)
     rows, summary = run_pipeline(cfg)
     _write_csv(args.out, "trials.csv", rows,
@@ -190,7 +187,8 @@ ADVERSARY_STRATEGIES = {"zero": _zero, "halton-scan": _halton_scan,
 
 
 def _adversary_strategy(name: str, d: int):
-    """(det, ran) forms of a built-in strategy: det runs ran at seed 0."""
+    """(det, ran) forms of a built-in strategy: det(oracle) is ran(oracle, 0).
+    No command calls it; the benchmark's workloads do, so it keeps its unread d."""
     ran = ADVERSARY_STRATEGIES[name]
     return (lambda oracle: ran(oracle, 0)), ran
 
@@ -198,15 +196,15 @@ def _adversary_strategy(name: str, d: int):
 def cmd_adversary(args) -> int:
     if args.n < 1:  # the zero strategy asks for no query, so no budget refuses it
         raise ParameterError(f"--n must be positive, got {args.n}")
-    det, ran = _adversary_strategy(args.strategy, args.d)
+    strategy = ADVERSARY_STRATEGIES[args.strategy]
     if args.mode == "det":
-        err, (k, plus, minus) = fool_deterministic(det, args.d, args.r, args.n)
+        err, (k, plus, minus) = fool_deterministic(strategy, args.d, args.r, args.n)
         out = {"mode": "det", "certified_error_lower": err,
                "untouched_orthant": k, "n": args.n, "d": args.d, "r": args.r,
                "theorem_floor": 1.0}
         _emit(out, args.out, "adversary.json")
         return 0
-    report = fool_randomized(ran, args.d, args.r, args.n, args.trials, args.seed)
+    report = fool_randomized(strategy, args.d, args.r, args.n, args.trials, args.seed)
     _write_csv(args.out, "adversary_trials.csv",
                [{"trial": t, "error": float(e)} for t, e in enumerate(report.trial_errors)],
                ["trial", "error"])
@@ -278,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", help="full pipeline over repeated trials")
     p.add_argument("--config", required=True, help="experiment config JSON file")
-    p.add_argument("--trials", type=int, default=None)
     common(p, seed_default=None)
 
     p = sub.add_parser("dispersion", help="dispersion of a point set")

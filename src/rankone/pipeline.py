@@ -231,7 +231,7 @@ class ExperimentConfig:
         if self.strategy != "plan" and self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.trials < 0:
-            raise ParameterError("trials must be nonnegative")
+            raise ConfigError("trials must be nonnegative")
         # the bracket measures nothing on fewer points
         for name, least in (("grid", 2), ("samples", 1)):
             if getattr(self, name) < least:

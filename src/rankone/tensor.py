@@ -221,26 +221,17 @@ def sup_norm(t: RankOneTensor, grid: int = DEFAULT_GRID) -> float:
     return float(np.prod(fmax))
 
 
-@dataclass(frozen=True)
-class MembershipResult:
-    ok: bool
-    failures: Tuple[str, ...] = ()
+def check_membership(t: RankOneTensor) -> Tuple[str, ...]:
+    """The conditions t fails, as messages; () when t lies in every class
+    it declares.  Never raises.  Compare the result with (), not as a
+    bool: a nonempty tuple, truthy, means t fails.
 
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_membership(t: RankOneTensor, cls: str = "F", grid: int = DEFAULT_GRID,
-                     ) -> MembershipResult:
-    """Verify class membership; returns the failing conditions, never raises.
-
-    cls="F" checks the plain class (factor sup-norms <= 1, r-th derivative
-    bounds <= M, no table factor at r >= 2); cls="FV" additionally checks
-    the declared witness box: volume strictly above V and every factor
-    nonzero on its interval of the box (1-D grid check).
+    Always checks the plain class F: factor sup bounds <= 1, r-th
+    derivative bounds <= M, no table factor at r >= 2.  When t declares a
+    support volume V or a witness box, also checks the support class F_V:
+    both are declared, the box has volume strictly above V, and every
+    factor is nonzero on its interval of the box (1,000 grid points).
     """
-    if cls not in ("F", "FV"):
-        return MembershipResult(False, (f"unknown class tag {cls!r}",))
     failures = []
     for i, f in enumerate(t.factors):
         if f.sup_bound > 1.0 + 1e-12:
@@ -248,24 +239,22 @@ def check_membership(t: RankOneTensor, cls: str = "F", grid: int = DEFAULT_GRID,
         if f.deriv_bound > t.M + 1e-12:
             failures.append(f"factor {i}: derivative bound {f.deriv_bound} exceeds M={t.M}")
     failures += _table_failures(t)
-    if cls == "FV":
-        if t.support_volume is None or t.witness_box is None:
-            failures.append("support class requires a declared V and witness box")
-        else:
-            box = t.witness_box
-            if box.lower.shape != (t.d,):
-                failures.append("witness box dimension mismatch")
-            elif box.volume <= t.support_volume:
+    if t.support_volume is None and t.witness_box is None:
+        return tuple(failures)
+    box = t.witness_box
+    if t.support_volume is None or box is None:
+        failures.append("support class requires a declared V and witness box")
+    elif box.lower.shape != (t.d,):
+        failures.append("witness box dimension mismatch")
+    elif box.volume <= t.support_volume:
+        failures.append(f"witness volume {box.volume} <= V={t.support_volume}")
+    else:
+        for i, f in enumerate(t.factors):
+            lo, hi = box.lower[i], box.upper[i]
+            if np.any(f(np.linspace(lo, hi, 1000)) == 0.0):
                 failures.append(
-                    f"witness volume {box.volume} <= V={t.support_volume}")
-            else:
-                for i, f in enumerate(t.factors):
-                    lo, hi = box.lower[i], box.upper[i]
-                    ts = np.linspace(lo, hi, max(2, grid // 10))
-                    if np.any(f(ts) == 0.0):
-                        failures.append(
-                            f"factor {i} vanishes inside witness interval [{lo}, {hi}]")
-    return MembershipResult(not failures, tuple(failures))
+                    f"factor {i} vanishes inside witness interval [{lo}, {hi}]")
+    return tuple(failures)
 
 
 def sup_distance_bound(t: RankOneTensor,

@@ -183,9 +183,14 @@ def make_bump(r: int, orientation: str, interval: Tuple[float, float] = (0.0, 1.
 
 
 def _poly_abs_max(poly: np.polynomial.Polynomial) -> float:
-    """Exact max of |p| on [0, 1] via the critical points of p."""
+    """Exact max of |p| on [0, 1] via the critical points of p; inf for
+    a coefficient that is not finite, a bound past the float range."""
+    c = poly.coef
+    if not np.all(np.isfinite(c)):
+        return math.inf
     cand = [0.0, 1.0]
-    dp = poly.deriv()
+    # p' of p scaled by 2^-e, e the exponent of max|c|: same roots, no overflow
+    dp = np.polynomial.Polynomial(np.ldexp(c, -math.frexp(np.max(np.abs(c)))[1])).deriv()
     if dp.degree() >= 1:
         cand += [float(z.real) for z in dp.roots() if abs(z.imag) < 1e-12 and 0 <= z.real <= 1]
     return float(max(abs(poly(t)) for t in cand))

@@ -37,15 +37,15 @@ def verdict(num, ok, detail):
 def test_criterion_01_deterministic_strategies_fooled():
     # d=4, r=1, M=2^1*1!=2, every implemented deterministic strategy with
     # n <= 15 queries incurs error >= 1 (tolerance 0)
-    def zero_strategy(oracle):
+    def zero_strategy(oracle, seed):
         return None
 
-    def halton_scan(oracle):
-        run_search("det", oracle, oracle.budget, 0)
+    def halton_scan(oracle, seed):
+        run_search("det", oracle, oracle.budget, seed)
         return None
 
-    def uniform_scan(oracle):
-        oracle.evaluate_batch(uniform_pointset(oracle.budget, oracle.d, seed=0).points)
+    def uniform_scan(oracle, seed):
+        oracle.evaluate_batch(uniform_pointset(oracle.budget, oracle.d, seed=seed).points)
         return None
 
     errors = []

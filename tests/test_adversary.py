@@ -27,7 +27,7 @@ class TestFoolingFamily:
         assert fam.M == 2 ** 2 * math.factorial(2)
         for k in (0, 3, 7):
             for sign in (1, -1):
-                assert check_membership(fam.member(k, sign), "F").ok
+                assert check_membership(fam.member(k, sign)) == ()
 
     def test_disjoint_supports_grid(self):
         # on a grid avoiding the boundary, at most one member is nonzero
@@ -99,23 +99,23 @@ class TestOrthants:
 
 class TestFoolDeterministic:
     def test_zero_strategy_certified(self):
-        err, (k, plus, minus) = fool_deterministic(lambda o: None, 3, 1, 7)
+        err, (k, plus, minus) = fool_deterministic(lambda o, s: None, 3, 1, 7)
         assert err >= 1.0
         assert plus.value(FoolingFamily(3, 1).corner(k)) == pytest.approx(1.0)
 
     def test_no_queries_d1(self):
-        err, (k, _, _) = fool_deterministic(lambda o: None, 1, 1, 0)
+        err, (k, _, _) = fool_deterministic(lambda o, s: None, 1, 1, 0)
         assert err >= 1.0 and k == 0
 
     def test_halton_scan_strategy_fooled(self):
-        def scan(oracle):
-            run_search("det", oracle, oracle.budget, 0)
+        def scan(oracle, seed):
+            run_search("det", oracle, oracle.budget, seed)
             return None
         err, _ = fool_deterministic(scan, 4, 1, 15)
         assert err >= 1.0
 
     def test_budget_enforced_on_strategy(self):
-        def greedy(oracle):
+        def greedy(oracle, seed):
             for i in range(oracle.budget + 5):
                 oracle.evaluate(np.full(oracle.d, 0.3))
             return None
@@ -123,9 +123,22 @@ class TestFoolDeterministic:
         with pytest.raises(BudgetExhaustedError):
             fool_deterministic(greedy, 2, 1, 3)
 
+    @pytest.mark.parametrize("r", [1, 4, 150])
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_zero_output_certifies_exactly_one(self, d, r):
+        # |f| = 1 at member k's corner and nowhere more, so the measured
+        # error of the zero output is 1.0 itself, with no clamp
+        err, _ = fool_deterministic(lambda o, s: None, d, r, 2 ** d - 1)
+        assert err == 1.0
+
+    def test_strategy_runs_at_seed_0(self):
+        seeds = []
+        fool_deterministic(lambda o, s: seeds.append(s), 3, 1, 7)
+        assert seeds == [0]
+
     def test_guard_at_two_to_the_d(self):
         with pytest.raises(ParameterError):
-            fool_deterministic(lambda o: None, 2, 1, 4)
+            fool_deterministic(lambda o, s: None, 2, 1, 4)
 
 
 class TestFoolRandomized:

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from rankone.adversary import FoolingFamily
-from rankone.cli import _adversary_strategy, main
+from rankone.cli import ADVERSARY_STRATEGIES, _adversary_strategy, main
+from rankone.dispersion import dispersion_lower_estimate, exact_dispersion, uniform_pointset
 from rankone.search import (SubsetSearchParams, run_search, search_subset,
                             search_uniform_multi)
 from rankone.specs import tensor_from_spec
-from rankone.tensor import QueryOracle
+from rankone.tensor import QueryOracle, RankOneTensor
+from rankone.univariate import polynomial_factor
 
 
 def run(args):
@@ -71,14 +73,34 @@ class TestExitCodes:
         # adversary det with n >= 2^d violates the theorem's hypothesis
         assert run(["adversary", "--mode", "det", "--d", "2", "--n", "4"]) == 3
 
-    @pytest.mark.parametrize("extra", [{"bogus": 1}, {"strategy": "nope"}],
-                             ids=["unknown-field", "unknown-strategy"])
+    @pytest.mark.parametrize("extra", [{"bogus": 1}, {"strategy": "nope"}, {"trials": -1}],
+                             ids=["unknown-field", "unknown-strategy", "negative-trials"])
     def test_malformed_experiment_config(self, tmp_path, capsys, extra):
+        # a negative trials once exited 3, the only bad config field that did
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"r": 5, "M": 10.0, "d": 3, "eps": 0.1,
                                    "family": "shifted_smooth", **extra}))
         assert run(["approx", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["r", "M", "d", "eps"])
+    def test_experiment_config_missing_a_field(self, tmp_path, capsys, missing):
+        raw = {"r": 5, "M": 10.0, "d": 3, "eps": 0.1, "family": "shifted_smooth"}
+        del raw[missing]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert run(["approx", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{missing}'" in err
+
+    def test_approx_takes_no_trials_option(self, tmp_path, capsys):
+        # the config's "trials" is the one place to set it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 5, "M": 10.0, "d": 3, "eps": 0.1,
+                                   "family": "shifted_smooth"}))
+        with pytest.raises(SystemExit) as exc:
+            run(["approx", "--config", str(cfg), "--trials", "1"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("extra", [
         {"grid": 0, "samples": 0}, {"grid": 1}, {"samples": 0}, {"grid": 801.0},
@@ -326,14 +348,23 @@ class TestExitCodes:
         (["search", "--strategy", "single"],
          {"d": 2, "r": 1, "M": 1.0, "replicate": True,
           "factor": {"kind": "polynomial-piecewise", "coefficients": [1e308, 1e308]}}),
+        (["search", "--strategy", "single"],
+         {"d": 2, "r": 1, "M": 1.0, "replicate": True,
+          "factor": {"kind": "polynomial-piecewise", "coefficients": [0, 0, 1e308, 1e308]}}),
+        (["search", "--strategy", "single"],
+         {"d": 2, "r": 1, "M": 1.0, "replicate": True,
+          "factor": {"kind": "polynomial-piecewise",
+                     "coefficients": [0, 1e308, -1e308, 1e308]}}),
     ], ids=["bump-r200", "bump-h-underflow", "trig-search", "trig-recover", "trig-sup-bound",
-            "sup-bound-product", "polynomial-sup-bound"])
+            "sup-bound-product", "polynomial-sup-bound", "polynomial-derivative-overflows",
+            "polynomial-derivative-bound"])
     def test_spec_bounds_past_the_float_range(self, tmp_path, capsys, command, spec):
         # r!/h^r and (2 pi k)^r once ended in OverflowError or
         # ZeroDivisionError tracebacks (exit 1); a sup bound |a| + |c| of inf,
         # a product of in-range sup bounds past the range, and a polynomial's
         # sup bound of inf once let search print "value": Infinity, which is
-        # not JSON, and exit 0
+        # not JSON, and exit 0; a polynomial whose derivative's coefficients
+        # overflow once exited 2 with numpy's LinAlgError
         path = tmp_path / "t.json"
         path.write_text(json.dumps(spec))
         assert run([command[0], "--config", str(path), *command[1:]]) == 3
@@ -537,6 +568,43 @@ class TestOutputs:
         axes = json.loads(outs[0][0])["axes"]
         assert len(axes) == 3 and all(len(a["coefficients"]) == 10 for a in axes)
 
+    def test_recover_prints_one_json_object(self, tmp_path, capsys):
+        # stdout once ended in a text line after the JSON, so json.load of it
+        # failed with "Extra data"; the bracket and query count now sit in the
+        # object, with the values error.csv holds under --out
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({"d": 2, "r": 1, "M": 1.0, "replicate": True,
+                                    "factor": {"kind": "polynomial-piecewise",
+                                               "coefficients": [0.5, 0.2]}}))
+        argv = ["recover", "--config", str(spec), "--z", "0.3,0.6", "--budget", "11"]
+        assert run(argv) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert list(obj) == ["center_value", "axes", "error_upper", "error_lower", "queries"]
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert json.loads((out / "approximant.json").read_text()) == obj
+        with open(out / "error.csv") as fh:
+            row, = csv.DictReader(fh)
+        assert row == {k: repr(obj[k]) for k in ("error_upper", "error_lower", "queries")}
+        assert obj["queries"] == 11 and 0 <= obj["error_lower"] <= obj["error_upper"]
+
+    @pytest.mark.parametrize("n, d, seed", [(40, 2, 0), (20, 3, 5)])
+    def test_dispersion_of_uniform_points(self, capsys, n, d, seed):
+        argv = ["dispersion", "--generator", "uniform", "--n", str(n), "--d", str(d),
+                "--seed", str(seed)]
+        ps = uniform_pointset(n, d, seed)
+        assert run(argv) == 0
+        res = exact_dispersion(ps)
+        assert json.loads(capsys.readouterr().out) == {
+            "dispersion": res.value, "n": n, "d": d,
+            "witness_box": {"lower": res.witness_box.lower.tolist(),
+                            "upper": res.witness_box.upper.tolist()}}
+        assert run(argv + ["--estimate", "--boxes", "500"]) == 0
+        value = dispersion_lower_estimate(ps, boxes=500, seed=seed)
+        assert json.loads(capsys.readouterr().out) == {
+            "dispersion_lower_estimate": value, "n": n, "d": d}
+        assert 0 < value <= res.value
+
     def test_dispersion_export_roundtrip(self, tmp_path, capsys):
         exported = tmp_path / "pts.csv"
         assert run(["dispersion", "--generator", "halton", "--n", "10",
@@ -620,6 +688,17 @@ class TestOutputs:
             logs.append(np.array(oracle.query_log))
         assert len(logs[0]) == 7
         np.testing.assert_array_equal(logs[0], logs[1])
+
+    @pytest.mark.parametrize("budget", [3, 5, 6])
+    def test_uniform_recover_needs_a_phase_2_budget(self, budget):
+        # the search hits at its first query on a nonzero constant; the
+        # budget - 1 queries left recover only if they reach min_budget(2, 1) = 5,
+        # otherwise the output is zero
+        t = RankOneTensor(factors=(polynomial_factor([0.5], 1),) * 2, r=1, M=1.0)
+        oracle = QueryOracle(t, budget=budget)
+        out = ADVERSARY_STRATEGIES["uniform-recover"](oracle, 0)
+        assert (out is None) == (budget - 1 < 5)
+        assert oracle.query_count == (1 if out is None else budget)
 
     @pytest.mark.parametrize("argv, files", [
         (["curves", "--d", "2", "--r", "2", "--budgets", "12,24,48,96"],

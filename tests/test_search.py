@@ -140,6 +140,17 @@ class TestSubsetSearch:
         out = search_subset(o, params, n1=13, seed=0)
         assert not out.found and o.query_count == 13
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda o, p: search_subset(o, p, n1=0, seed=0), "n1 must be positive"),
+        (lambda o, p: run_search("subset", o, 5, 0), "needs SubsetSearchParams"),
+        (lambda o, p: run_search("nope", o, 5, 0, p), "unknown strategy 'nope'"),
+    ], ids=["n1-0", "subset-without-params", "unknown-strategy"])
+    def test_refused_before_any_query(self, call, message):
+        o = QueryOracle(const_tensor(3))
+        with pytest.raises(ParameterError, match=message):
+            call(o, SubsetSearchParams.from_problem(1, 1.0, 0.5))
+        assert o.query_count == 0
+
 
 def reference_subset_search(oracle, params, n1, seed):
     """The subset search as one query per iteration: (z*, f(z*), iterations)."""
@@ -167,7 +178,8 @@ class TestSubsetSearchMatchesPerIterationLoop:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 2 ** 63 - 1])
     @pytest.mark.parametrize("tensor", ["offcenter_triangle", "zero"])
     def test_bit_identical_and_charged_in_whole_chunks(self, d, seed, tensor):
-        t = (family_offcenter_triangle(d, 2, 4.0, 0.3, rng.spawn(seed))
+        # the tensor's own stream, so that its spikes are not the search's draws
+        t = (family_offcenter_triangle(d, 2, 4.0, 0.3, rng.spawn(seed, 1))
              if tensor == "offcenter_triangle" else const_tensor(d, c=0.0, r=2))
         n1 = 300
         z, v, iterations = reference_subset_search(QueryOracle(t), self.PARAMS, n1, seed)
@@ -215,8 +227,8 @@ class TestSubsetSearchMatchesPerIterationLoop:
     def test_hits_past_the_first_chunk_are_covered(self):
         # the comparison above means little if every search hits at once
         found = [search_subset(QueryOracle(family_offcenter_triangle(
-                     d, 2, 4.0, 0.3, rng.spawn(seed))), self.PARAMS, 300, seed)
-                 for d in (3, 8) for seed in range(5)]
+                     d, 2, 4.0, 0.3, rng.spawn(seed, 1))), self.PARAMS, 300, seed)
+                 for d in (3, 8, 40) for seed in range(5)]
         assert sum(out.found and out.iterations > 7 for out in found) >= 5
         assert not all(out.found for out in found)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -266,6 +267,13 @@ class TestQueryOracle:
         with pytest.raises(DomainError):
             o.evaluate_batch(np.array([[0.1, -0.2, 0.3]]))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 4), (1, 3, 1)])
+    def test_batch_of_a_wrong_shape_refused(self, shape):
+        o = QueryOracle(product_tensor(), budget=10)
+        with pytest.raises(DomainError, match=r"expected shape \(k, 3\)"):
+            o.evaluate_batch(np.full(shape, 0.5))
+        assert o.query_count == 0
+
     def test_nan_refused_before_any_charge(self):
         # a NaN point once passed the cube check, answered nan and was charged
         o = QueryOracle(product_tensor(), budget=3, log=True)
@@ -321,38 +329,52 @@ class TestSupNorm:
 class TestMembership:
     def test_plain_class_pass(self):
         t = product_tensor()
-        assert check_membership(t, "F").ok
+        assert check_membership(t) == ()
 
     def test_sup_violation(self):
         f = polynomial_factor([1.5], 1)
         t = RankOneTensor(factors=(f,), r=1, M=1.0)
-        res = check_membership(t, "F")
-        assert not res.ok and "sup bound" in res.failures[0]
+        failures = check_membership(t)
+        assert failures and "sup bound" in failures[0]
 
     def test_deriv_violation(self):
         f = trig_factor(0.5, 3.0, 0.0, 0.5, 2)
         t = RankOneTensor(factors=(f,), r=2, M=1.0)
-        res = check_membership(t, "F")
-        assert not res.ok and "derivative bound" in res.failures[0]
+        failures = check_membership(t)
+        assert failures and "derivative bound" in failures[0]
 
     def test_support_class(self):
         f = make_bump(1, "left")
         box = Box(lower=np.array([0.1, 0.1]), upper=np.array([0.4, 0.4]))
         t = RankOneTensor(factors=(f, f), r=1, M=2.0,
                           support_volume=0.05, witness_box=box)
-        assert check_membership(t, "FV").ok
+        assert check_membership(t) == ()
 
     def test_support_class_vanishing_witness(self):
         f = make_bump(1, "left")
         box = Box(lower=np.array([0.1]), upper=np.array([0.9]))
         t = RankOneTensor(factors=(f,), r=1, M=2.0,
                           support_volume=0.5, witness_box=box)
-        res = check_membership(t, "FV")
-        assert not res.ok and any("vanishes" in m for m in res.failures)
+        assert any("vanishes" in m for m in check_membership(t))
 
-    def test_support_class_missing_declaration(self):
-        t = product_tensor()
-        assert not check_membership(t, "FV").ok
+    @pytest.mark.parametrize("declared", [
+        {"support_volume": 0.05},
+        {"witness_box": Box(lower=np.full(3, 0.1), upper=np.full(3, 0.9))},
+    ], ids=["V-without-box", "box-without-V"])
+    def test_support_class_missing_declaration(self, declared):
+        t = dataclasses.replace(product_tensor(), **declared)
+        assert check_membership(t) == ("support class requires a declared V and witness box",)
+
+    @pytest.mark.parametrize("lower, upper, V, message", [
+        ([0.1, 0.1], [0.4, 0.4], 0.01, "witness box dimension mismatch"),
+        ([0.0] * 3, [0.5] * 3, 0.125, "witness volume"),
+        ([0.1] * 3, [0.4] * 3, 0.5, "witness volume"),
+    ], ids=["dimension", "volume-equal-to-V", "volume-below-V"])
+    def test_support_class_witness_box_refused(self, lower, upper, V, message):
+        box = Box(lower=np.array(lower), upper=np.array(upper))
+        t = dataclasses.replace(product_tensor(), support_volume=V, witness_box=box)
+        failures = check_membership(t)
+        assert len(failures) == 1 and failures[0].startswith(message)
 
 
 class TestSupDistanceBound:
@@ -468,7 +490,7 @@ class TestSupDistanceBound:
         ap = recover(QueryOracle(t), z, RecoveryConfig(r=3, budget_n2=1 + 9 * t.d))
         with pytest.raises(DomainError, match="factor 3: a piecewise-linear table.*factor 9"):
             sup_distance_bound(t, ap.line_interpolants, ap.center_value, 777, 1500, 5)
-        assert [m.split(":")[0] for m in check_membership(t).failures
+        assert [m.split(":")[0] for m in check_membership(t)
                 if "table" in m] == ["factor 3", "factor 9"]
 
     def test_tiny_factor_scales_the_bracket_exactly(self):

@@ -93,6 +93,25 @@ class TestFactors:
             trig_factor(1e308, 0.0, 0.0, 1e308, 1)
         assert trig_factor(1e308, 0.0, 0.0, -1e307, 1).sup_bound == 1e308 + 1e307
 
+    @pytest.mark.parametrize("coeffs, what", [
+        ([0.0, 0.0, 1e308, 1e308], "the sup bound"),
+        ([0.0, 1e308, -1e308, 1e308], "the bound on the 1-th derivative"),
+    ], ids=["sup-bound", "derivative-bound"])
+    def test_polynomial_bounds_whose_derivative_overflows(self, coeffs, what):
+        # p' has coefficients past the float range, and the roots of p'
+        # once raised numpy's LinAlgError; the first p has sup 2e308, the
+        # second sup 1e308 (p' > 0) but p'(1) = 2e308
+        with pytest.raises(InstanceTooLargeError,
+                           match=f"^{what} of a polynomial factor is past the float range"):
+            polynomial_factor(coeffs, 1)
+
+    def test_critical_point_when_the_derivative_overflows(self):
+        # p = c t - c t^2 peaks at c/4, t = 1/2, where p' = c - 2c t has a
+        # coefficient of inf: the root is found on p scaled by 2^-e
+        c = 1.6e308
+        f = polynomial_factor([0.0, c, -c], 3)
+        assert f.sup_bound == c / 4 and f.deriv_bound == 0.0
+
     def test_trig_bound_of_a_negative_frequency(self):
         # (2 pi k)^r was negative at k < 0 and odd r
         for r in (1, 2, 3):
