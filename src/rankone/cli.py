@@ -14,7 +14,9 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
@@ -33,10 +35,20 @@ from .search import (STRATEGIES, SubsetSearchParams, plan, run_search,
 from .specs import approximant_to_dict, tensor_from_spec
 from .tensor import QueryOracle, sup_distance_bound
 
-_CONFIG_ERRORS = (KeyError, ValueError, FileNotFoundError)
+_CONFIG_ERRORS = (KeyError, ValueError, OSError)
 _PRECONDITION_ERRORS = (ParameterError, BudgetTooSmallError,
                         BudgetExhaustedError, InstanceTooLargeError,
                         NonzeroCenterError)
+
+
+def _write(out: Path, name: str, text: str):
+    """Write ``text`` over out/name in place, then cut it to length: on ext4,
+    closing a file that open(path, "w") truncated from nonzero size starts writeback."""
+    out.mkdir(parents=True, exist_ok=True)
+    with open(os.open(out / name, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as fh:
+        fh.write(text)
+        fh.truncate()
+    print(f"wrote {out / name}")
 
 
 def _write_csv(out: Optional[Path], name: str, rows: Sequence[Dict[str, Any]],
@@ -45,13 +57,11 @@ def _write_csv(out: Optional[Path], name: str, rows: Sequence[Dict[str, Any]],
     without --out."""
     if out is None:
         return
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / name, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(row.get(k)) for k in header])
-    print(f"wrote {out / name}")
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows([_fmt(row.get(k)) for k in header] for row in rows)
+    _write(out, name, buf.getvalue())
 
 
 def _fmt(v) -> str:
@@ -67,9 +77,7 @@ def _emit(obj: Dict[str, Any], out: Optional[Path], name: str):
     if out is None:
         print(text)
     else:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(text + "\n")
-        print(f"wrote {out / name}")
+        _write(out, name, text + "\n")
 
 
 def _load_json(path: str) -> Dict[str, Any]:
@@ -125,10 +133,7 @@ def cmd_recover(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    raw = _load_json(args.config)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    cfg = ExperimentConfig.from_dict(raw)
+    cfg = ExperimentConfig.from_dict(_load_json(args.config), seed=args.seed)
     rows, summary = run_pipeline(cfg)
     _write_csv(args.out, "trials.csv", rows,
                ["trial", "seed", "queries_phase1", "queries_phase2", "found",

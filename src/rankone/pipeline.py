@@ -199,7 +199,11 @@ class ExperimentConfig:
     samples: int = 20_000
 
     @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "ExperimentConfig":
+    def from_dict(cls, raw: Dict[str, Any], seed: Optional[int] = None) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(raw).__name__}")
+        if seed is not None:
+            raw = {**raw, "seed": seed}
         if unknown := set(raw) - {f.name for f in fields(cls)}:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:

@@ -21,6 +21,24 @@ def run(args):
     return main(args)
 
 
+# one short pipeline trial at d = 3, in the tractable regime
+APPROX_CONFIG = {"r": 5, "M": 10.0, "d": 3, "eps": 0.1, "family": "shifted_smooth",
+                 "trials": 1, "seed": 1, "grid": 801, "samples": 200}
+
+
+def _assert_rewrite_matches_fresh(tmp_path, longer, shorter, files):
+    """Files under --out are rewritten in place and cut to their new length:
+    a shorter run over a longer run's files leaves no stale tail."""
+    again, fresh = tmp_path / "again", tmp_path / "fresh"
+    assert run(longer + ["--out", str(again)]) == 0
+    old = (again / files[0]).read_bytes()
+    assert run(shorter + ["--out", str(again)]) == 0
+    assert run(shorter + ["--out", str(fresh)]) == 0
+    assert len(old) > len((fresh / files[0]).read_bytes())
+    for f in files:
+        assert (again / f).read_bytes() == (fresh / f).read_bytes()
+
+
 class TestExitCodes:
     def test_plan_success(self, capsys):
         assert run(["plan", "--r", "5", "--M", "10", "--d", "5",
@@ -68,6 +86,34 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run(["search", "--config", str(bad), "--strategy", "single"]) == 2
+
+    @pytest.mark.parametrize("case", ["out-is-a-file", "out-below-a-file",
+                                      "config-is-a-directory"])
+    def test_os_errors_exit_2(self, tmp_path, capsys, case):
+        # each once ended in a traceback (exit 1): FileExistsError after
+        # every trial had run, NotADirectoryError and IsADirectoryError
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(APPROX_CONFIG))
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        argv = {"out-is-a-file": ["--config", str(cfg), "--out", str(a_file)],
+                "out-below-a-file": ["--config", str(cfg), "--out", str(a_file / "sub")],
+                "config-is-a-directory": ["--config", str(tmp_path)]}[case]
+        assert run(["approx", *argv]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert a_file.read_text() == ""
+
+    @pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["no-seed", "seed"])
+    @pytest.mark.parametrize("raw", [[1, 2], "cfg", 5], ids=["list", "str", "int"])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, raw, seed):
+        # a list once ended in a TypeError traceback with --seed, and without
+        # it exited 2 with "unknown config fields: [1, 2]"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert run(["approx", "--config", str(cfg), *seed]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: a config must be a JSON object, got ")
+        assert type(raw).__name__ in err
 
     def test_precondition_error(self, capsys):
         # adversary det with n >= 2^d violates the theorem's hypothesis
@@ -547,6 +593,20 @@ class TestOutputs:
             run(["approx", "--config", str(cfg), "--out", str(out)])
             outs.append((out / "trials.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_approx_rewrite_over_a_longer_file(self, tmp_path, capsys):
+        argv = {}
+        for trials in (3, 1):
+            cfg = tmp_path / f"trials{trials}.json"
+            cfg.write_text(json.dumps({**APPROX_CONFIG, "trials": trials}))
+            argv[trials] = ["approx", "--config", str(cfg)]
+        _assert_rewrite_matches_fresh(tmp_path, argv[3], argv[1],
+                                      ["trials.csv", "summary.json"])
+
+    def test_adversary_rewrite_over_a_longer_file(self, tmp_path, capsys):
+        argv = ["adversary", "--mode", "ran", "--d", "4", "--n", "8", "--trials"]
+        _assert_rewrite_matches_fresh(tmp_path, argv + ["50"], argv + ["5"],
+                                      ["adversary_trials.csv", "adversary.json"])
 
     def test_recover_byte_identical_reruns(self, tmp_path, capsys):
         spec = tmp_path / "t.json"

@@ -183,6 +183,13 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"r": 1, "M": 1.0, "d": 2, "eps": 0.1,
                                         "family": "trig_smooth", "bogus": 1})
 
+    def test_seed_replaces_the_configs_own(self):
+        raw = {"r": 1, "M": 1.0, "d": 2, "eps": 0.1, "family": "trig_smooth", "seed": "x"}
+        assert ExperimentConfig.from_dict(raw, seed=3).seed == 3
+        assert raw["seed"] == "x"
+        with pytest.raises(ConfigError, match="seed must be"):
+            ExperimentConfig.from_dict(raw)
+
     def test_needs_tensor_or_family(self):
         with pytest.raises(ParameterError):
             ExperimentConfig.from_dict({"r": 1, "M": 1.0, "d": 2, "eps": 0.1})
