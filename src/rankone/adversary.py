@@ -6,6 +6,10 @@ and force a root-mean-square error of at least sqrt(2)/2 on randomized
 strategies with at most 2^(d-1) queries (averaging over the family).
 The harnesses here run arbitrary query strategies as black boxes over a
 counting oracle and certify those floors empirically.
+
+Member k is nonzero only on the open orthant of k's bits (x_i > 1/2
+where bit i is set, x_i < 1/2 where it is clear), so a query with a
+coordinate at exactly 1/2 reads 0 on every member.
 """
 
 from __future__ import annotations
@@ -48,23 +52,27 @@ class FoolingFamily:
     def size(self) -> int:
         return 2 ** self.d
 
-    def member(self, k: int, sign: int = 1) -> RankOneTensor:
-        """Tensor supported on orthant k (bit i set: right half on axis i)."""
+    def _bits(self, k: int) -> List[int]:
+        """Bit i of orthant index k: 1 for the right half on axis i."""
         if not 0 <= k < self.size:
             raise ParameterError(f"orthant index {k} out of range")
+        return [(k >> i) & 1 for i in range(self.d)]
+
+    def member(self, k: int, sign: int = 1) -> RankOneTensor:
+        """Tensor supported on orthant k (bit i set: right half on axis i)."""
         if sign not in (1, -1):
             raise ParameterError("sign must be +1 or -1")
-        factors = [self._bumps[(k >> i) & 1] for i in range(self.d)]
+        factors = [self._bumps[b] for b in self._bits(k)]
         if sign == -1:
             factors[0] = factors[0].scaled(-1.0)
         return RankOneTensor(factors=tuple(factors), r=self.r, M=self.M)
 
     def corner(self, k: int) -> np.ndarray:
         """The cube corner where member k attains magnitude 1."""
-        return np.array([1.0 if (k >> i) & 1 else 0.0 for i in range(self.d)])
+        return np.array(self._bits(k), dtype=float)
 
     def support_box(self, k: int) -> Box:
-        lo = np.array([0.5 if (k >> i) & 1 else 0.0 for i in range(self.d)])
+        lo = 0.5 * self.corner(k)
         return Box(lower=lo, upper=lo + 0.5)
 
     def zero_member(self) -> RankOneTensor:
@@ -73,33 +81,19 @@ class FoolingFamily:
         return RankOneTensor(factors=(zero,) * self.d, r=self.r, M=self.M)
 
 
-def orthants_touched(x: np.ndarray) -> List[int]:
-    """Bitmasks of all orthants whose closure contains x.
-
-    A coordinate exactly at 1/2 touches both halves; this conservative
-    convention only shrinks the set of certifiably untouched orthants.
+def untouched_orthant(queries: np.ndarray) -> int:
+    """Smallest orthant index k whose members read 0 at every row of the
+    (n, d) array ``queries``: a row with a coordinate at 1/2 takes no index,
+    any other row its sign pattern (bit i set where x_i > 1/2).  So k <= n,
+    and only patterns below 2^L, L = n.bit_length(), can equal it, at any d.
     """
-    masks = [0]
-    for i, c in enumerate(x):
-        if c < 0.5:
-            bits = (0,)
-        elif c > 0.5:
-            bits = (1,)
-        else:
-            bits = (0, 1)
-        masks = [m | (b << i) for m in masks for b in bits]
-    return masks
-
-
-def find_untouched_orthant(queries: List[np.ndarray], d: int) -> Optional[int]:
-    """Smallest orthant index no query touches, or None."""
-    covered = set()
-    for x in queries:
-        covered.update(orthants_touched(x))
-    for k in range(2 ** d):
-        if k not in covered:
-            return k
-    return None
+    X = np.asarray(queries, dtype=float)
+    L = len(X).bit_length()
+    right = X[~np.any(X == 0.5, axis=1)] > 0.5
+    low = right[~np.any(right[:, L:], axis=1), :L]
+    taken = np.zeros(2 ** L, dtype=bool)
+    taken[low @ (1 << np.arange(low.shape[1]))] = True
+    return int(np.argmin(taken))
 
 
 def _support_error(tensor: RankOneTensor, family: FoolingFamily, k: int,
@@ -120,20 +114,17 @@ def fool_deterministic(strategy: Strategy, d: int, r: int, n: int,
     """Certify error >= 1 for a deterministic strategy with n < 2^d queries.
 
     Runs strategy(oracle, 0) on the zero function to extract its query
-    set, finds an orthant k no query touches, and returns the measured
-    error with (k, +member, -member): the three inputs look alike to the
-    strategy, and |f| = 1 at member k's corner, so the error is >= 1.
+    set, finds an orthant k whose members read 0 at every query, and
+    returns the measured error with (k, +member, -member): the three inputs
+    look alike to the strategy, and |f| = 1 at member k's corner, so the
+    error is >= 1.
     """
     family = FoolingFamily(d=d, r=r)
     if n >= family.size:
         raise ParameterError(f"n = {n} >= 2^d = {family.size}: no untouched orthant is guaranteed")
     oracle = QueryOracle(family.zero_member(), budget=n, log=True)
     output = strategy(oracle, 0)
-    k = find_untouched_orthant(oracle.query_log, d)
-    if k is None:
-        raise AssertionError(
-            "no untouched orthant despite n < 2^d; queries sit on boundaries "
-            "covering every orthant under the conservative convention")
+    k = untouched_orthant(np.reshape(oracle.query_log, (-1, d)))
     plus = family.member(k, +1)
     minus = family.member(k, -1)
     gen = rng.spawn(0, k)

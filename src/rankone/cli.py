@@ -17,6 +17,7 @@ import functools
 import io
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
@@ -134,6 +135,11 @@ def cmd_recover(args) -> int:
 
 def cmd_approx(args) -> int:
     cfg = ExperimentConfig.from_dict(_load_json(args.config), seed=args.seed)
+    try:  # one stat refuses an --out that is not a directory before any trial
+        if args.out is not None and not stat.S_ISDIR(args.out.stat().st_mode):
+            raise ConfigError(f"--out {args.out} is not a directory")
+    except FileNotFoundError:
+        pass
     rows, summary = run_pipeline(cfg)
     _write_csv(args.out, "trials.csv", rows,
                ["trial", "seed", "queries_phase1", "queries_phase2", "found",

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from rankone.adversary import (FoolingFamily, find_untouched_orthant,
-                               fool_deterministic, fool_randomized,
-                               orthants_touched)
+from rankone.adversary import (FoolingFamily, fool_deterministic, fool_randomized,
+                               untouched_orthant)
 from rankone.errors import InstanceTooLargeError, ParameterError
 from rankone.search import run_search
 from rankone.tensor import QueryOracle, check_membership
@@ -69,32 +68,49 @@ class TestFoolingFamily:
             fam.member(0, 2)
 
 
+def _sign_pattern(x):
+    return sum(1 << i for i, c in enumerate(x) if c > 0.5)
+
+
 class TestOrthants:
     def test_interior_point_single_orthant(self):
-        assert orthants_touched(np.array([0.1, 0.9])) == [2]
+        assert untouched_orthant(np.array([[0.1, 0.2]])) == 1
+        assert untouched_orthant(np.array([[0.1, 0.2], [0.9, 0.2]])) == 2
+        assert untouched_orthant(np.array([[0.1, 0.9]])) == 0
 
-    def test_boundary_touches_both(self):
-        masks = orthants_touched(np.array([0.5, 0.1]))
-        assert sorted(masks) == [0, 1]
+    def test_boundary_takes_no_orthant(self):
+        # both bumps vanish at 1/2, so a query there reads 0 on every member
+        assert untouched_orthant(np.array([[0.5, 0.1]])) == 0
+        assert untouched_orthant(np.array([[0.5, 0.1], [0.1, 0.1]])) == 1
 
-    def test_center_touches_all(self):
-        masks = orthants_touched(np.full(3, 0.5))
-        assert sorted(masks) == list(range(8))
+    @pytest.mark.parametrize("d", [1, 3, 20, 100])
+    def test_center_takes_no_orthant(self, d):
+        # the centre once counted as touching all 2^d orthants
+        assert untouched_orthant(np.full((1, d), 0.5)) == 0
 
     def test_finder_matches_brute_force(self):
         gen = np.random.default_rng(7)
-        for d in (2, 3, 6, 10):
-            queries = [gen.random(d) for _ in range(min(2 ** d - 1, 40))]
-            got = find_untouched_orthant(queries, d)
-            covered = set()
-            for q in queries:
-                covered.update(orthants_touched(q))
-            brute = next((k for k in range(2 ** d) if k not in covered), None)
-            assert got == brute
+        for d in (1, 2, 3, 6, 10):
+            for n in sorted({1, min(2 ** d - 1, 40)}):
+                # a quarter of the coordinates at exactly 1/2
+                X = np.where(gen.random((n, d)) < 0.25, 0.5, gen.random((n, d)))
+                taken = {_sign_pattern(x) for x in X if not np.any(x == 0.5)}
+                brute = next(k for k in range(2 ** d) if k not in taken)
+                assert untouched_orthant(X) == brute
 
-    def test_full_cover_returns_none(self):
-        queries = [np.array([a, b]) for a in (0.2, 0.8) for b in (0.2, 0.8)]
-        assert find_untouched_orthant(queries, 2) is None
+    def test_full_low_cover(self):
+        # 2^d - 1 queries on distinct orthants leave only the last one
+        X = np.array([[0.75 if (k >> i) & 1 else 0.25 for i in range(3)] for k in range(8)])
+        assert untouched_orthant(np.delete(X, 5, axis=0)) == 5
+        assert untouched_orthant(X[:7]) == 7
+
+    def test_past_64_axes(self):
+        # a right-half bit at axis 70 takes an index past 2^64, not index 0
+        X = np.full((3, 100), 0.25)
+        X[1, 0] = 0.75
+        X[2, 70] = 0.75
+        assert untouched_orthant(X) == 2
+        assert untouched_orthant(X[[0, 2]]) == 1
 
 
 class TestFoolDeterministic:
@@ -135,6 +151,43 @@ class TestFoolDeterministic:
         seeds = []
         fool_deterministic(lambda o, s: seeds.append(s), 3, 1, 7)
         assert seeds == [0]
+
+    @pytest.mark.parametrize("d", [1, 16, 20, 40])
+    def test_centre_query_certified(self, d):
+        # the centre reads 0 on every member; it once raised AssertionError
+        # ("no untouched orthant") at d = 1 and d = 16, after listing 2^d masks
+        def centre(oracle, seed):
+            oracle.evaluate(np.full(oracle.d, 0.5))
+            return None
+        err, (k, _, _) = fool_deterministic(centre, d, 1, 1)
+        assert err == 1.0 and k == 0
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_members_vanish_at_every_query(self, d):
+        # both signed members of the returned orthant read exactly 0.0 at
+        # every query, so the strategy saw what it sees on the zero member
+        def scan(oracle, seed):
+            run_search("det", oracle, oracle.budget, seed)
+            return None
+
+        def snapped(oracle, seed):
+            gen = np.random.default_rng(d)
+            X = gen.random((oracle.budget, oracle.d))
+            oracle.evaluate_batch(np.where(gen.random(X.shape) < 0.3, 0.5, X))
+            return None
+
+        for strategy in (scan, snapped):
+            for n in sorted({1, 2 ** (d - 1), 2 ** d - 1}):
+                logs = []
+
+                def logged(oracle, seed):
+                    logs.append(oracle.query_log)
+                    return strategy(oracle, seed)
+                _, (k, plus, minus) = fool_deterministic(logged, d, 2, n)
+                X = np.array(logs[0])
+                assert X.shape == (n, d)
+                assert np.all(plus.value_batch(X) == 0.0)
+                assert np.all(minus.value_batch(X) == 0.0)
 
     def test_guard_at_two_to_the_d(self):
         with pytest.raises(ParameterError):

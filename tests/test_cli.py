@@ -89,9 +89,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", ["out-is-a-file", "out-below-a-file",
                                       "config-is-a-directory"])
-    def test_os_errors_exit_2(self, tmp_path, capsys, case):
+    def test_os_errors_exit_2(self, tmp_path, capsys, monkeypatch, case):
         # each once ended in a traceback (exit 1): FileExistsError after
-        # every trial had run, NotADirectoryError and IsADirectoryError
+        # every trial had run, NotADirectoryError and IsADirectoryError;
+        # a bad --out is now refused before run_pipeline starts
+        def no_pipeline(cfg):
+            raise AssertionError("run_pipeline ran before --out was checked")
+        monkeypatch.setattr("rankone.cli.run_pipeline", no_pipeline)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(APPROX_CONFIG))
         a_file = tmp_path / "a_file"
@@ -706,6 +710,15 @@ class TestOutputs:
         summary = json.loads((out / "adversary.json").read_text())
         assert summary["mode"] == "det" and summary["certified_error_lower"] >= 1.0
         assert 0 <= summary["untouched_orthant"] < 16
+
+    def test_adversary_det_halton_scan_at_d_1(self, capsys):
+        # the first Halton point is 1/2, which reads 0 on both members; it
+        # once counted as touching both orthants, and the run ended in an
+        # AssertionError traceback (exit 1)
+        assert run(["adversary", "--mode", "det", "--d", "1", "--n", "1",
+                    "--strategy", "halton-scan"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["certified_error_lower"] == 1.0 and summary["untouched_orthant"] == 0
 
     def test_adversary_ran_halton_scan(self, tmp_path, capsys):
         # halton-scan was once refused in ran mode (exit 3); it never
