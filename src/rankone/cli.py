@@ -135,11 +135,6 @@ def cmd_recover(args) -> int:
 
 def cmd_approx(args) -> int:
     cfg = ExperimentConfig.from_dict(_load_json(args.config), seed=args.seed)
-    try:  # one stat refuses an --out that is not a directory before any trial
-        if args.out is not None and not stat.S_ISDIR(args.out.stat().st_mode):
-            raise ConfigError(f"--out {args.out} is not a directory")
-    except FileNotFoundError:
-        pass
     rows, summary = run_pipeline(cfg)
     _write_csv(args.out, "trials.csv", rows,
                ["trial", "seed", "queries_phase1", "queries_phase2", "found",
@@ -322,6 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        try:  # one stat refuses an --out that is not a directory before any work
+            if args.out is not None and not stat.S_ISDIR(args.out.stat().st_mode):
+                raise ConfigError(f"--out {args.out} is not a directory")
+        except FileNotFoundError:
+            pass
         # looked up per call, so a replaced cmd_* global takes effect
         return globals()["cmd_" + args.command](args)
     except ConfigError as exc:

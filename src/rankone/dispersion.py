@@ -123,7 +123,7 @@ def halton(n: int, d: int) -> PointSet:
 
 
 def uniform_pointset(n: int, d: int, seed: int) -> PointSet:
-    """n i.i.d. uniform points; point i is a pure function of (seed, i)."""
+    """n i.i.d. uniform points; point i is a pure function of (seed, i, d)."""
     _positive_ints(n=n, d=d)
     return PointSet(points=rng.uniform_points(seed, n, d),
                     provenance=f"uniform(seed={seed})")

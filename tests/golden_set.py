@@ -6,13 +6,17 @@ shows as a diff of that directory.
 
 rewrites every file from the code in the tree.  The commands run in
 process, from the repository root, and their inputs are the JSON files
-in tests/golden/.
+in tests/golden/.  A command with ``--out $OUT`` writes into a fresh
+temporary directory, and its golden file also holds every file written
+there, so the per-trial values that the summaries aggregate are pinned
+too.
 """
 
 import contextlib
 import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from rankone import cli
@@ -33,11 +37,14 @@ CASES = {
     "recover-trig": f"recover --config {TRIG} --z 0.3,0.6,0.2 --budget 61",
     "approx-shifted-smooth": "approx --config tests/golden/shifted_smooth.json",
     "approx-trig-smooth": "approx --config tests/golden/trig_smooth.json",
+    "approx-shifted-smooth-out": "approx --config tests/golden/shifted_smooth.json --out $OUT",
     "dispersion-halton": "dispersion --generator halton --n 100 --d 2",
     "dispersion-uniform-d3": "dispersion --generator uniform --n 60 --d 3 --seed 1",
     "dispersion-estimate": "dispersion --estimate --n 50 --d 3",
     "adversary-ran": "adversary --mode ran --d 10 --n 512 --trials 300 "
                      "--strategy uniform-recover --seed 4",
+    "adversary-ran-out": "adversary --mode ran --d 10 --n 512 --trials 300 "
+                         "--strategy uniform-recover --seed 4 --out $OUT",
     "adversary-det-zero": "adversary --mode det --d 4 --n 15 --strategy zero",
     "adversary-det-halton-scan": "adversary --mode det --d 4 --n 15 --strategy halton-scan",
     "adversary-det-uniform-recover": "adversary --mode det --d 4 --n 15 "
@@ -53,16 +60,22 @@ CASES = {
 def render(command: str) -> str:
     """'$ rankone <command>', 'exit <code>' and the command's stdout, run
     in process from the repository root; an uncaught exception reads as
-    exit 1, as a traceback would."""
+    exit 1, as a traceback would.  $OUT in the command names a temporary
+    directory: each file written there follows, as '--- $OUT/<name>' and
+    its bytes, and $OUT stands for the directory's path in the stdout."""
     stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = cli.main(command.split())
-        except SystemExit as exc:
-            code = exc.code
-        except Exception:
-            code = 1
-    return f"$ rankone {command}\nexit {code}\n{stdout.getvalue()}"
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(command.replace("$OUT", out).split())
+            except SystemExit as exc:
+                code = exc.code
+            except Exception:
+                code = 1
+        text = f"$ rankone {command}\nexit {code}\n{stdout.getvalue().replace(out, '$OUT')}"
+        for path in sorted(Path(out).iterdir()):
+            text += f"--- $OUT/{path.name}\n{path.read_bytes().decode()}"
+    return text
 
 
 def main():

@@ -107,6 +107,21 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error:")
         assert a_file.read_text() == ""
 
+    @pytest.mark.parametrize("below", [False, True], ids=["out-is-a-file", "out-below-a-file"])
+    def test_adversary_refuses_bad_out_before_any_trial(self, tmp_path, capsys,
+                                                        monkeypatch, below):
+        # a 2,000-trial run once exited 2 only after every trial, at its write
+        def no_trials(*args):
+            raise AssertionError("fool_randomized ran before --out was checked")
+        monkeypatch.setattr("rankone.cli.fool_randomized", no_trials)
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        out = a_file / "sub" if below else a_file
+        assert run(["adversary", "--mode", "ran", "--d", "10", "--n", "512",
+                    "--trials", "2000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert a_file.read_text() == ""
+
     @pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["no-seed", "seed"])
     @pytest.mark.parametrize("raw", [[1, 2], "cfg", 5], ids=["list", "str", "int"])
     def test_config_that_is_not_an_object(self, tmp_path, capsys, raw, seed):

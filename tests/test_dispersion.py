@@ -23,6 +23,19 @@ def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+def splitmix64_words(seed: int, count: int) -> list:
+    """The first ``count`` words of SplitMix64 started at the 64-bit seed,
+    in Python ints: word k is the finalizer of seed + (k + 1) * golden."""
+    mask = (1 << 64) - 1
+    words = []
+    for k in range(count):
+        z = (int(seed) + (k + 1) * 0x9E3779B97F4A7C15) & mask
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+        words.append(z ^ (z >> 31))
+    return words
+
+
 def scalar_radical_inverse(i: int, base: int) -> float:
     """The scalar loop that halton once ran for each coordinate, kept as
     its bit-for-bit reference."""
@@ -301,21 +314,21 @@ class TestPointSet:
         with pytest.raises(ParameterError):
             PointSet.from_csv(path)
 
-    # d = 5, 9 and 13 take the Philox blocks after the first
-    @pytest.mark.parametrize("seed", [0, 12345, 2 ** 63 - 1, 2 ** 64 - 1, -1])
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 13])
-    def test_uniform_rows_are_per_index_streams(self, seed, d):
-        ps = uniform_pointset(7, d, seed)
-        for i in range(7):
-            np.testing.assert_array_equal(ps.points[i], rng.spawn(seed, i).random(d))
+    def test_splitmix64_reference_known_answer(self):
+        # the first words of SplitMix64 at seed 1234567, a known-answer
+        # vector that ports of Vigna's splitmix64.c check against
+        assert splitmix64_words(1234567, 5) == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821]
 
-    @pytest.mark.parametrize("d", [1, 13])
-    def test_uniform_rows_across_stream_passes(self, d):
-        # two full passes of streams and a ragged third one
-        n = 2 * (rng._PASS_BLOCKS // -(-d // 4)) + 3
-        ps = uniform_pointset(n, d, 2 ** 64 - 1)
-        for i in range(n):
-            np.testing.assert_array_equal(ps.points[i], rng.spawn(2 ** 64 - 1, i).random(d))
+    @pytest.mark.parametrize("seed", [0, 12345, 2 ** 63 - 1, 2 ** 64 - 1, -1])
+    @pytest.mark.parametrize("d", range(1, 14))
+    def test_uniform_points_are_one_splitmix64_stream(self, seed, d):
+        n = 7
+        want = [(w >> 11) * 2.0 ** -53 for w in splitmix64_words(seed, n * d)]
+        got = uniform_pointset(n, d, seed).points
+        assert got.shape == (n, d)
+        np.testing.assert_array_equal(bits(got.ravel()), bits(want))
 
     def test_uniform_sets_leave_numpy_random_unimported(self):
         code = ("import sys\n"
@@ -635,8 +648,10 @@ class TestSlabsPinned:
     ])
     def test_uniform_sets_pinned(self, n, seed, value, lower, upper):
         # too large for the exhaustive reference: the values and witnesses
-        # of the slab-by-slab sweep that the chunked d = 3 level replaced
-        res = exact_dispersion(uniform_pointset(n, 3, seed))
+        # of the slab-by-slab sweep that the chunked d = 3 level replaced,
+        # on the per-index Philox rows that uniform sets were drawn from then
+        pts = np.array([rng.spawn(seed, i).random(3) for i in range(n)])
+        res = exact_dispersion(PointSet(points=pts, provenance="x"))
         assert repr(res.value) == value
         assert repr(res.witness_box.lower.tolist()) == lower
         assert repr(res.witness_box.upper.tolist()) == upper
