@@ -19,11 +19,12 @@ import numpy as np
 from . import rng
 from .errors import (FLOAT_MIN, ConfigError, DomainError, InstanceTooLargeError,
                      ParameterError, check_float_range)
-from .recovery import RecoveryConfig, recover
+from .recovery import RecoveryConfig, pieces_per_line, recover
 from .search import (REGIME_STRATEGY, STRATEGIES, BudgetPlan, SubsetSearchParams,
                      plan, run_search)
 from .specs import tensor_from_spec
-from .tensor import RankOneTensor, QueryOracle, sup_distance_bound, sup_norm
+from .tensor import (DEFAULT_GRID, QueryOracle, RankOneTensor, error_upper,
+                     sup_distance_bound, sup_norm)
 from .univariate import UnivariateFactor, table_factor, trig_factor
 
 
@@ -49,12 +50,15 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96,
 def fit_order(pairs: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
     """Least-squares slope of log(error) against log(n), with its standard error.
 
-    Non-positive errors are dropped (with a stderr-independent warning by
-    the caller); fewer than 4 surviving points is an error.
+    Pairs with a non-positive n or error are dropped without notice;
+    fewer than 4 surviving pairs, or fewer than 2 distinct n among them
+    (no line through them is determined), is a ParameterError.
     """
     clean = [(n, e) for n, e in pairs if e > 0 and n > 0]
     if len(clean) < 4:
         raise ParameterError(f"need at least 4 positive (n, error) pairs, got {len(clean)}")
+    if len({n for n, _ in clean}) < 2:
+        raise ParameterError(f"need at least 2 distinct n to fit a slope, got {clean[0][0]}")
     x = np.log([n for n, _ in clean])
     y = np.log([e for _, e in clean])
     A = np.vstack([x, np.ones_like(x)]).T
@@ -195,7 +199,7 @@ class ExperimentConfig:
     n2: Optional[int] = None
     trials: int = 100
     seed: int = 0
-    grid: int = 10_001
+    grid: int = DEFAULT_GRID
     samples: int = 20_000
 
     @classmethod
@@ -329,17 +333,12 @@ def run_pipeline(cfg: ExperimentConfig) -> Tuple[List[Dict[str, Any]], Dict[str,
 
 
 def convergence_sweep(d: int, r: int, budgets: Sequence[int], seed: int = 0,
-                      grid: int = 10_001, samples: int = 20_000) -> List[Tuple[int, float]]:
-    """Reconstruction error (telescoping upper bound) as a function of the
-    phase-2 budget, over the smooth trigonometric family at M = 0.2 (2 pi)^r."""
+                      ) -> List[Tuple[int, float]]:
+    """The certified reconstruction error ``error_upper`` against the
+    phase-2 budget, over the smooth trigonometric family at M = 0.2
+    (2 pi)^r.  Closed form: no query, recovery or scan.  Needs (2 pi)^r
+    in the float range (r <= 386); InstanceTooLargeError otherwise."""
+    check_float_range(r * math.log(2 * math.pi), f"(2 pi)^r of trig_smooth at r = {r}")
     tensor = family_trig_smooth(d, r, 0.2 * (2 * np.pi) ** r, rng.spawn(seed, 0xC0))
-    z = np.full(d, 0.41)  # fixed interior point; factors are nonzero everywhere
-    pairs = []
-    for n2 in budgets:
-        oracle = QueryOracle(tensor)
-        rec = recover(oracle, z, RecoveryConfig(r=r, budget_n2=int(n2)))
-        upper, _ = sup_distance_bound(tensor, rec.line_interpolants,
-                                      rec.center_value, grid=grid,
-                                      samples=samples, seed=seed)
-        pairs.append((int(n2), float(upper)))
-    return pairs
+    return [(int(n2), error_upper(tensor, pieces_per_line(RecoveryConfig(r, int(n2)), d)))
+            for n2 in budgets]

@@ -79,30 +79,38 @@ def min_budget(d: int, r: int) -> int:
     return 1 + d * max(r, 2)
 
 
+def pieces_per_line(cfg: RecoveryConfig, d: int) -> int:
+    """k = floor(m / r) blocks of r nodes on each of d axis lines, where
+    m = floor((budget_n2 - 1) / d) is what the budget leaves each line
+    after the center; BudgetTooSmallError below ``min_budget(d, r)``."""
+    m = (cfg.budget_n2 - 1) // d
+    if cfg.budget_n2 < min_budget(d, cfg.r):
+        raise BudgetTooSmallError(f"budget {cfg.budget_n2} gives {m} nodes per line; "
+                                  f"need budget >= {min_budget(d, cfg.r)}")
+    return m // cfg.r
+
+
 def recover(oracle: QueryOracle, z_star, cfg: RecoveryConfig) -> RankOneApproximant:
     """Reconstruct a rank-one approximant from axis lines through z*.
 
-    Samples m = floor((budget - 1) / d) block-Chebyshev nodes per axis
-    line (rounded down to a multiple of r), reusing the center sample
-    when a node coincides with z*_i.  Total queries <= budget_n2.
+    Samples ``pieces_per_line`` blocks of r Chebyshev nodes per axis
+    line, reusing the center sample when a node coincides with z*_i.
+    Total queries <= budget_n2.
     """
     z = np.asarray(z_star, dtype=float)
     d = oracle.d
     if z.shape != (d,):
         raise ParameterError(f"z* must be a {d}-vector")
-    m = (cfg.budget_n2 - 1) // d
-    if cfg.budget_n2 < min_budget(d, cfg.r):
-        raise BudgetTooSmallError(f"budget {cfg.budget_n2} gives {m} nodes per line; "
-                                  f"need budget >= {min_budget(d, cfg.r)}")
+    k = pieces_per_line(cfg, d)
 
     center = oracle.evaluate(z)
     if center == 0.0:
         raise NonzeroCenterError("f(z*) = 0: recovery requires a nonzero center")
 
-    # the d axis lines, queried in axis-major order as (lines, m, d) slabs
+    # the d axis lines, queried in axis-major order as (lines, k r, d) slabs
     # of at most _GRID_CELLS cells once the budget is known to cover
     # them all; a node equal to z*_i reuses f(z*) instead of a query
-    nodes = block_chebyshev_nodes(m, cfg.r)
+    nodes = block_chebyshev_nodes(k * cfg.r, cfg.r)
     query = nodes != z[:, None]
     oracle.require(int(query.sum()))
     vals = np.full(query.shape, center)

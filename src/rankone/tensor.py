@@ -257,55 +257,36 @@ def check_membership(t: RankOneTensor) -> Tuple[str, ...]:
     return tuple(failures)
 
 
-def sup_distance_bound(t: RankOneTensor,
-                       lines: PiecewisePolynomial,
-                       scale: float,
-                       grid: int = DEFAULT_GRID,
-                       samples: int = DEFAULT_SAMPLES,
-                       seed: int = 0) -> Tuple[float, float]:
-    """Bracket the sup distance between f and A = scale * prod_i (g_i / scale).
+def error_upper(t: RankOneTensor, k: int) -> float:
+    """Certified sup|f - A| for ``recover``'s approximant A of t on k
+    blocks of r = t.r Chebyshev nodes per line; reads only t's declared
+    bounds, k and r.
 
-    ``lines`` must be ``recover``'s ``line_interpolants`` for t, its d
-    lines g_i on k blocks of r = t.r Chebyshev nodes: g_i f_i(z*_i) /
-    scale interpolates f_i, so it errs by at most e_i = deriv_bound_i 2
-    (1/(4k))^r / r! (``log_block_remainder``).  With s_i = sup_bound_i,
-    upper is sum_i e_i prod_{j<i} (s_j + e_j) prod_{j>i} s_j plus the
-    rounding allowance 8 d (r + 1) 2^-53 prod_i (s_i + e_i).  Why 8: f(x)
-    and A(x) are products of d factors of about r + 1 roundings each, so
-    together they err by about 2 d (r + 1) 2^-53 prod_i (s_i + e_i) to
-    first order; the factor 4 is headroom for the barycentric
-    amplification and the rounding of the node values.  That headroom
-    covers the Lebesgue constant of r Chebyshev nodes only up to about
-    r = 100, where it is 3.89: it is 4.19 at r = 160 and 4.75 at r = 386,
-    and ``shifted_smooth`` runs to r = 170 and ``trig_smooth`` to r = 386.
+    Line i, rescaled, errs by at most e_i = deriv_bound_i 2 (1/(4k))^r /
+    r! (``log_block_remainder``).  With s_i = sup_bound_i the bound is
+    sum_i e_i prod_{j<i} (s_j + e_j) prod_{j>i} s_j plus the rounding
+    allowance 8 d (r + 1) 2^-53 prod_i (s_i + e_i).  Why 8: f(x) and A(x)
+    are products of d factors of about r + 1 roundings each, so together
+    they err by about 2 d (r + 1) 2^-53 prod_i (s_i + e_i) to first
+    order; the factor 4 is headroom for the barycentric amplification and
+    the rounding of the node values.  That headroom covers the Lebesgue
+    constant of r Chebyshev nodes only up to about r = 100, where it is
+    3.89: it is 4.19 at r = 160 and 4.75 at r = 386, and
+    ``shifted_smooth`` runs to r = 170 and ``trig_smooth`` to r = 386.
     There the allowance is no bound and rests on the measured margin: over
-    r = 20 to 380 at d = 2 and 6, the lower end stayed below 0.07 of the
-    upper.  On ``shifted_smooth`` the lower end equals the upper in exact
-    arithmetic; in 720 brackets of it and ``trig_smooth`` (r = 1..9,
-    d <= 400) it passed the upper without allowance 139 times, by at
-    most 1.8 of the 8 units.
+    r = 20 to 380 at d = 2 and 6, the lower end of ``sup_distance_bound``
+    stayed below 0.07 of this bound.  On ``shifted_smooth`` that lower end
+    equals the bound in exact arithmetic; in 720 brackets of it and
+    ``trig_smooth`` (r = 1..9, d <= 400) it passed the bound without
+    allowance 139 times, by at most 1.8 of the 8 units.
 
-    lower: the largest computed |f(x) - A(x)| at real points x, the best
-    point on the d axis lines through y (y_i the argmax of |f_i| on
-    ``grid`` points; all lines scanned at once with prefix and suffix
-    products) and ``samples`` seeded random points, in blocks.
-
-    Raises DomainError for a number of lines other than d, lines of
-    another r, a table factor at r >= 2 (it has no bounded r-th
-    derivative) and lower > upper (the lines are not recover's
-    interpolants of t, or t's bounds are false); InstanceTooLargeError
-    for an upper end past the float range or below its normal range.
+    Raises DomainError for a table factor at r >= 2 (it has no bounded
+    r-th derivative); InstanceTooLargeError for a bound past the float
+    range or below its normal range.
     """
     d, r = t.d, t.r
-    n, k, q = lines.values.shape
-    if (n, q) != (d, r):
-        raise DomainError(f"need {d} approximant lines of r = {r} nodes per piece, "
-                          f"got {n} lines of {q}")
-    if scale == 0:
-        raise DomainError("scale must be nonzero")
     if tables := _table_failures(t):
         raise DomainError("; ".join(tables))
-
     e = (np.array([f.deriv_bound for f in t.factors])
          * math.exp(log_block_remainder(k, r)))
     s = np.array([f.sup_bound for f in t.factors])
@@ -316,6 +297,39 @@ def sup_distance_bound(t: RankOneTensor,
     if not FLOAT_MIN <= upper <= FLOAT_MAX:  # so that NaN fails
         raise InstanceTooLargeError(f"the error bound {upper!r} is outside the normal "
                                     "float range")
+    return upper
+
+
+def sup_distance_bound(t: RankOneTensor,
+                       lines: PiecewisePolynomial,
+                       scale: float,
+                       grid: int = DEFAULT_GRID,
+                       samples: int = DEFAULT_SAMPLES,
+                       seed: int = 0) -> Tuple[float, float]:
+    """Bracket the sup distance between f and A = scale * prod_i (g_i / scale).
+
+    ``lines`` must be ``recover``'s ``line_interpolants`` for t, its d
+    lines g_i on k blocks of r = t.r Chebyshev nodes: g_i f_i(z*_i) /
+    scale interpolates f_i.  upper is ``error_upper(t, lines.pieces)``.
+
+    lower: the largest computed |f(x) - A(x)| at real points x, the best
+    point on the d axis lines through y (y_i the argmax of |f_i| on
+    ``grid`` points; all lines scanned at once with prefix and suffix
+    products) and ``samples`` seeded random points, in blocks.
+
+    Raises DomainError for a number of lines other than d, lines of
+    another r and lower > upper (the lines are not recover's
+    interpolants of t, or t's bounds are false), and what ``error_upper``
+    raises.
+    """
+    d, r = t.d, t.r
+    n, _, q = lines.values.shape
+    if (n, q) != (d, r):
+        raise DomainError(f"need {d} approximant lines of r = {r} nodes per piece, "
+                          f"got {n} lines of {q}")
+    if scale == 0:
+        raise DomainError("scale must be nonzero")
+    upper = error_upper(t, lines.pieces)
 
     # f_i and g_i / scale as rows of (d, grid) arrays, filled by blocks of
     # grid columns; then, in place, row i becomes |f - A| on the line i of y

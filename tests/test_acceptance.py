@@ -101,8 +101,7 @@ def test_criterion_04_convergence_order():
     slopes = {}
     for r in (1, 2, 3):
         budgets = [mult * 3 for mult in (6, 12, 24, 48, 96)]
-        pairs = convergence_sweep(3, r, budgets, seed=0, grid=4001,
-                                  samples=200)
+        pairs = convergence_sweep(3, r, budgets, seed=0)
         slope, _ = fit_order(pairs)
         slopes[r] = slope
     ok = all(slopes[r] <= -r + 0.3 for r in slopes)

@@ -815,6 +815,17 @@ class TestOutputs:
         summary = json.loads((out / "curve.json").read_text())
         assert summary["slope"] < -1.5
 
+    @pytest.mark.parametrize("argv, message", [
+        # r = 387 once ended in an OverflowError traceback with exit 1
+        (["--r", "387"], "(2 pi)^r of trig_smooth at r = 387 is past the float range"),
+        # four pairs at one n once printed a slope of -0.923 with stderr 0.0
+        (["--budgets", "31,31,31,31"], "need at least 2 distinct n to fit a slope, got 31"),
+        (["--budgets", "5,61,121,241"], "budget 5 gives 1 nodes per line; need budget >= 7"),
+    ], ids=["r-387", "one-budget", "budget-below-min"])
+    def test_curves_refusals_exit_3(self, capsys, argv, message):
+        assert run(["curves"] + argv) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 # nonzero exactly where every coordinate exceeds 1/2: a hit has probability 1/16
 BUMP_SPEC = {"d": 4, "r": 1, "M": 1.9, "replicate": True,

@@ -14,7 +14,9 @@ from rankone.pipeline import (ExperimentConfig, convergence_sweep,
                               fit_order, run_pipeline, wilson_interval)
 from rankone.search import (SubsetSearchParams, run_search, search_subset,
                             search_uniform_multi, search_uniform_single)
-from rankone.tensor import QueryOracle, check_membership, sup_norm
+from rankone.recovery import RecoveryConfig, pieces_per_line, recover
+from rankone.tensor import (QueryOracle, check_membership, error_upper, sup_distance_bound,
+                            sup_norm)
 from rankone.univariate import polynomial_factor
 from rankone import rng
 
@@ -55,6 +57,13 @@ class TestFitOrder:
     def test_too_few_points(self):
         with pytest.raises(ParameterError):
             fit_order([(10, 1.0), (20, 0.5), (40, 0.25)])
+
+    def test_needs_two_distinct_n(self):
+        # four pairs at one n once gave lstsq's minimum-norm slope, -0.923
+        # with stderr 0.0, for a line that no data determines
+        with pytest.raises(ParameterError, match="2 distinct n"):
+            fit_order([(31, 0.032)] * 4)
+        fit_order([(31, 0.032)] * 3 + [(61, 0.008)])
 
 
 class TestFamilies:
@@ -396,13 +405,49 @@ def test_det_phase1_does_not_depend_on_the_seed():
 
 class TestConvergenceSweep:
     def test_errors_decrease(self):
-        pairs = convergence_sweep(2, 2, [12, 24, 48, 96], seed=0,
-                                  grid=1001, samples=200)
+        pairs = convergence_sweep(2, 2, [12, 24, 48, 96], seed=0)
         errs = [e for _, e in pairs]
         assert errs == sorted(errs, reverse=True)
 
     def test_slope_near_minus_r(self):
-        pairs = convergence_sweep(2, 2, [12, 24, 48, 96, 192], seed=0,
-                                  grid=2001, samples=200)
+        pairs = convergence_sweep(2, 2, [12, 24, 48, 96, 192], seed=0)
         slope, _ = fit_order(pairs)
         assert slope <= -1.7
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_measured_error_converges_at_order_r(self, r):
+        # criterion 4's setting, on the lower end of the bracket: what
+        # recover's approximant is measured to miss by, not the formula
+        tensor = family_trig_smooth(3, r, 0.2 * (2 * np.pi) ** r, rng.spawn(0, 0xC0))
+        pairs = []
+        for n2 in [mult * 3 for mult in (6, 12, 24, 48, 96)]:
+            cfg = RecoveryConfig(r=r, budget_n2=n2)
+            ap = recover(QueryOracle(tensor), np.full(3, 0.41), cfg)
+            _, lower = sup_distance_bound(tensor, ap.line_interpolants, ap.center_value,
+                                          grid=4001, samples=200, seed=0)
+            assert lower <= error_upper(tensor, pieces_per_line(cfg, 3))
+            pairs.append((n2, lower))
+        slope, _ = fit_order(pairs)
+        assert slope <= -r + 0.3
+
+    def test_makes_no_query(self, monkeypatch):
+        # the closed form alone: the pairs of tests/golden/curves.txt,
+        # which the sweep once took from recover and the whole bracket
+        def refuse(*args, **kwargs):
+            raise AssertionError("convergence_sweep queried f")
+
+        monkeypatch.setattr(pipeline, "recover", refuse)
+        monkeypatch.setattr(pipeline, "QueryOracle", refuse)
+        assert convergence_sweep(3, 2, [31, 61, 121, 241, 481]) == [
+            (31, 0.0321295523872318), (61, 0.007942256117521813),
+            (121, 0.001979957085371694), (241, 0.0004946392483571115),
+            (481, 0.00012363794207862058)]
+
+    def test_r_past_the_float_range_refused(self):
+        # 0.2 (2 pi)^387 once overflowed in Python, an OverflowError
+        # before family_trig_smooth could refuse the class
+        with pytest.raises(InstanceTooLargeError, match="at r = 387 is past the float range"):
+            convergence_sweep(3, 387, [1162, 2323, 4645, 9289])
+        pairs = convergence_sweep(3, 386, [1159, 2317, 4633, 9265])
+        assert [n for n, _ in pairs] == [1159, 2317, 4633, 9265]
+        assert all(0.0 < e < 1e-10 for _, e in pairs)

@@ -12,7 +12,7 @@ from rankone.pipeline import FAMILIES, ExperimentConfig, family_shifted_smooth
 from rankone.recovery import RecoveryConfig, recover
 from rankone.search import plan
 from rankone.tensor import (Box, QueryOracle, RankOneTensor, check_membership,
-                            sup_distance_bound, sup_norm)
+                            error_upper, sup_distance_bound, sup_norm)
 from rankone.univariate import (PiecewisePolynomial, block_chebyshev_nodes,
                                 interpolate_line, make_bump, polynomial_factor,
                                 table_factor, trig_factor)
@@ -531,29 +531,57 @@ class TestSupDistanceBound:
                                         grid=201, samples=20, seed=d)
             assert 0.0 <= lo <= up
 
-    def test_bound_past_the_float_range(self):
+    def _upper(self, entry, t, k, z=0.37):
+        """The upper end at k pieces per line: from error_upper alone, with
+        no lines at all, or from the bracket of recover's approximant, whose
+        lower end must not pass it."""
+        if entry == "error_upper":
+            return error_upper(t, k)
+        ap = recover(QueryOracle(t), np.full(t.d, z),
+                     RecoveryConfig(r=t.r, budget_n2=1 + t.d * t.r * k))
+        assert ap.line_interpolants.pieces == k
+        up, lo = sup_distance_bound(t, ap.line_interpolants, ap.center_value, 101, 10)
+        assert 0.0 <= lo <= up
+        return up
+
+    @pytest.mark.parametrize("entry", ["error_upper", "sup_distance_bound"])
+    def test_bound_past_the_float_range(self, entry):
         # two nodes per line at r = 1 and a steep factor: (s + e)^300 =
         # 12.2^300 is past the float range, and no finite bound holds
         t = RankOneTensor(factors=tuple(trig_factor(0.9, 8.0, 0.0, 0.0, 1)
                                         for _ in range(300)), r=1, M=50.0)
-        ap = recover(QueryOracle(t), np.full(300, 0.03),
-                     RecoveryConfig(r=1, budget_n2=1 + 300 * 2))
         with pytest.raises(InstanceTooLargeError):
-            sup_distance_bound(t, ap.line_interpolants, ap.center_value, 101, 10)
+            self._upper(entry, t, 2, z=0.03)
 
+    @pytest.mark.parametrize("entry", ["error_upper", "sup_distance_bound"])
     @pytest.mark.parametrize("c, refused", [(1e-150, True), (1e-100, False)])
-    def test_upper_end_below_the_normal_range(self, c, refused):
+    def test_upper_end_below_the_normal_range(self, c, refused, entry):
         # f = c^2 is interpolated exactly, and the upper end is the rounding
         # allowance 32 * 2^-53 c^2 alone: at c = 1e-150 it is subnormal, with
         # few significant bits, and is refused; at 1e-100 it is a normal float
         t = RankOneTensor(factors=(polynomial_factor([c], 1),) * 2, r=1, M=1.0)
-        ap = self._recover(t, 5)
         if refused:
             with pytest.raises(InstanceTooLargeError, match="outside the normal float range"):
-                sup_distance_bound(t, ap.line_interpolants, ap.center_value, 101, 10)
+                self._upper(entry, t, 2)
         else:
-            up, lo = sup_distance_bound(t, ap.line_interpolants, ap.center_value, 101, 10)
-            assert sys.float_info.min <= up < 1e-210 and 0.0 <= lo <= up
+            assert sys.float_info.min <= self._upper(entry, t, 2) < 1e-210
+
+    @pytest.mark.parametrize("d", [1, 4, 10])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_error_upper_is_the_brackets_upper_end(self, family, d):
+        # bit for bit, and with the same refusal of a table factor at r >= 2
+        for r in (1, 2, 5):
+            t = ExperimentConfig(r=r, M=10.0, d=d, eps=0.1, family=family).make_tensor(r)
+            z = np.array([nonzero_midpoint(f, 0.37) for f in t.factors])
+            ap = recover(QueryOracle(t), z, RecoveryConfig(r=r, budget_n2=1 + 6 * r * d))
+            k = ap.line_interpolants.pieces
+            bracket = (t, ap.line_interpolants, ap.center_value, 501, 50)
+            if r >= 2 and family in ("box_support", "offcenter_triangle"):
+                for bound, args in ((error_upper, (t, k)), (sup_distance_bound, bracket)):
+                    with pytest.raises(DomainError, match="piecewise-linear table"):
+                        bound(*args)
+                continue
+            assert bits(error_upper(t, k)) == bits(sup_distance_bound(*bracket)[0])
 
     def test_lines_off_recovers_layout_rejected(self):
         # the remainder bound is for blocks of r = t.r nodes: lines of
