@@ -97,7 +97,7 @@ def untouched_orthant(queries: np.ndarray) -> int:
 
 
 def _support_error(tensor: RankOneTensor, family: FoolingFamily, k: int,
-                   output, gen: np.random.Generator,
+                   output, gen: rng.Stream,
                    samples: int = 256) -> float:
     """Lower estimate of sup|tensor - output| on the support orthant of
     member k, anchored at the corner where |tensor| = 1."""
@@ -155,7 +155,7 @@ def fool_randomized(strategy: Strategy, d: int, r: int, n: int,
     sqrt(2)/2 for any strategy.
     """
     family = FoolingFamily(d=d, r=r)
-    if d > 64:  # each trial draws its orthant index as one 64-bit integer
+    if d > 64:  # each trial draws its orthant index from one 64-bit word
         raise ParameterError(f"the randomized harness needs d <= 64, got d = {d}")
     if n > 2 ** (d - 1):
         raise ParameterError(f"n = {n} exceeds 2^(d-1) = {2 ** (d - 1)}")
@@ -164,11 +164,11 @@ def fool_randomized(strategy: Strategy, d: int, r: int, n: int,
     errors = np.empty(trials)
     for t in range(trials):
         g = rng.spawn(seed, t)
-        k = int(g.integers(0, family.size, dtype=np.uint64))
-        sign = 1 if g.integers(2) else -1
+        k = g.bits(d)
+        sign = 1 if g.bits(1) else -1
         hidden = family.member(k, sign)
         oracle = QueryOracle(hidden, budget=n)
-        output = strategy(oracle, int(g.integers(2 ** 63)))
+        output = strategy(oracle, g.bits(63))
         errors[t] = _support_error(hidden, family, k, output, g)
     sq = errors ** 2
     mean_sq = float(sq.mean())

@@ -5,7 +5,7 @@ adversary, curves.  Raw trial data goes to CSV, aggregates to JSON; both
 are pure functions of the configuration and the master seed.
 
 Exit codes: 0 success, 2 configuration error, 3 budget or precondition
-error.
+error, 141 (128 + SIGPIPE) when the reader of stdout has closed it.
 """
 
 from __future__ import annotations
@@ -323,7 +323,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except FileNotFoundError:
             pass
         # looked up per call, so a replaced cmd_* global takes effect
-        return globals()["cmd_" + args.command](args)
+        code = globals()["cmd_" + args.command](args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:  # quietly, as SIGPIPE would; the flush at exit goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -123,9 +123,11 @@ def halton(n: int, d: int) -> PointSet:
 
 
 def uniform_pointset(n: int, d: int, seed: int) -> PointSet:
-    """n i.i.d. uniform points; point i is a pure function of (seed, i, d)."""
+    """n i.i.d. uniform points: the first n d doubles of ``rng.spawn(seed)``,
+    in rows of d, so point i depends only on (seed, i, d) and a smaller n
+    gives a prefix of the set."""
     _positive_ints(n=n, d=d)
-    return PointSet(points=rng.uniform_points(seed, n, d),
+    return PointSet(points=rng.spawn(seed).random((n, d)),
                     provenance=f"uniform(seed={seed})")
 
 

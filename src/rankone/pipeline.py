@@ -94,7 +94,7 @@ def triangle_factor(support_lo: float, support_hi: float, peak: float,
                         deriv_bound=peak / half, r=r)
 
 
-def family_shifted_smooth(d: int, r: int, M: float, gen: np.random.Generator,
+def family_shifted_smooth(d: int, r: int, M: float, gen: rng.Stream,
                           ) -> RankOneTensor:
     """Factors 1 - a t - b t^r with small random a, b: sup-norm exactly 1
     at the origin, r-th derivative bound b r! <= M (a + b <= M at r = 1,
@@ -117,13 +117,13 @@ def family_shifted_smooth(d: int, r: int, M: float, gen: np.random.Generator,
     for k in range(r, 0, -1):
         deriv = deriv * k
     factors = tuple(
-        UnivariateFactor(fn=None, sup_bound=1.0, deriv_bound=float(deriv[i]), r=r,
+        UnivariateFactor(sup_bound=1.0, deriv_bound=float(deriv[i]), r=r,
                          kind="polynomial-piecewise", params=tuple(C[:, i].tolist()))
         for i in range(d))
     return RankOneTensor(factors=factors, r=r, M=M)
 
 
-def family_trig_smooth(d: int, r: int, M: float, gen: np.random.Generator,
+def family_trig_smooth(d: int, r: int, M: float, gen: rng.Stream,
                        ) -> RankOneTensor:
     """Factors a + b sin(2 pi t + phi): genuinely non-polynomial, bounded
     away from zero, derivative bound b (2 pi)^r <= M.  Needs (2 pi)^r in
@@ -136,7 +136,7 @@ def family_trig_smooth(d: int, r: int, M: float, gen: np.random.Generator,
     return RankOneTensor(factors=tuple(factors), r=r, M=M)
 
 
-def family_box_support(d: int, r: int, V: float, gen: np.random.Generator,
+def family_box_support(d: int, r: int, V: float, gen: rng.Stream,
                        ) -> RankOneTensor:
     """Product of triangle spikes with per-axis support V^(1/d): the
     nonzero set has measure exactly V."""
@@ -150,7 +150,7 @@ def family_box_support(d: int, r: int, V: float, gen: np.random.Generator,
 
 
 def family_offcenter_triangle(d: int, r: int, M: float, eps: float,
-                              gen: np.random.Generator) -> RankOneTensor:
+                              gen: rng.Stream) -> RankOneTensor:
     """Most adversarial admissible spikes: minimal support given the
     product sup-norm target eps (slopes at the class bound M)."""
     peak = min(eps ** (1.0 / d) * 1.05, 1.0)  # small headroom over the minimum

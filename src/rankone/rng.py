@@ -2,15 +2,15 @@
 
 Every draw in this package is a pure function of a seed and stream
 indices, so results are reproducible and independent of thread count or
-chunking.  ``spawn(seed, *stream)`` returns a numpy Philox generator
-keyed by them.  ``uniform_points`` reads one SplitMix64 counter stream
-started at the seed (Steele, Lea and Flood, "Fast splittable
-pseudorandom number generators", OOPSLA 2014), written as uint64 array
-operations, so that drawing a uniform point set never imports
-``numpy.random``.
+chunking.  ``spawn(seed, *stream)`` returns a SplitMix64 counter stream
+(Steele, Lea and Flood, "Fast splittable pseudorandom number
+generators", OOPSLA 2014) keyed by them, written as Python integer and
+uint64 array operations, so that no draw imports ``numpy.random``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,7 +19,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 def _mix(*stream: int) -> int:
-    """Fold stream indices into one 64-bit word (splitmix-style)."""
+    """Fold stream indices into one 64-bit word (splitmix-style); 0 for none."""
     h = 0
     for s in stream:
         h = (h ^ (int(s) + 1)) * _GOLDEN & _MASK64
@@ -27,33 +27,45 @@ def _mix(*stream: int) -> int:
     return h
 
 
-def spawn(seed: int, *stream: int) -> np.random.Generator:
-    """Return a generator keyed by ``seed`` and optional stream indices.
+def _finalize(z):
+    """SplitMix64's finalizer, Stafford's variant 13 of MurmurHash3's, on
+    a 64-bit Python int or a uint64 array."""
+    z ^= z >> 30
+    z = z * 0xBF58476D1CE4E5B9 & _MASK64
+    z ^= z >> 27
+    z = z * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
 
-    Identical arguments always yield an identical stream; distinct stream
-    indices give statistically independent streams.
-    """
-    key = np.array([int(seed) & _MASK64, _mix(*stream)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+
+class Stream:
+    """The SplitMix64 stream at a 64-bit key: word k = 1, 2, ... is the
+    finalizer of key + k golden (mod 2^64).  Draws read the words in
+    order, one per double and one per ``bits`` call."""
+
+    def __init__(self, key: int):
+        self.key = key & _MASK64
+        self.count = 0  # words read so far
+
+    def bits(self, b: int) -> int:
+        """The top b bits (0 <= b <= 64) of the next word: a uniform
+        integer in [0, 2^b)."""
+        self.count += 1
+        return _finalize((self.key + self.count * _GOLDEN) & _MASK64) >> (64 - b)
+
+    def random(self, shape=None):
+        """Uniform doubles in [0, 1) of this shape (an int or a tuple),
+        filled in C order, or one float when it is omitted.  A word gives a double as numpy's
+        ``random()`` does: its top 53 bits times 2^-53."""
+        if shape is None:
+            return self.bits(53) * 2.0 ** -53
+        n = math.prod(shape) if isinstance(shape, tuple) else shape
+        k = np.arange(self.count + 1, self.count + n + 1, dtype=np.uint64)
+        self.count += n
+        return ((_finalize(k * _GOLDEN + self.key) >> 11) * 2.0 ** -53).reshape(shape)
 
 
-def uniform_points(seed: int, n: int, d: int) -> np.ndarray:
-    """The first ``n`` uniform points in [0,1)^d for this seed, shape (n, d).
-
-    Word k of the SplitMix64 stream at the 64-bit seed s is the finalizer
-    of s + (k + 1) * golden, and row i holds words i d to i d + d - 1, so
-    a row depends only on (seed, i, d) and a smaller n gives a prefix of
-    the set.  Each word gives one double as numpy's ``random()`` does:
-    its top 53 bits times 2^-53.
-    """
-    z = np.arange(1, n * d + 1, dtype=np.uint64)
-    z *= np.uint64(_GOLDEN)
-    z += np.uint64(int(seed) & _MASK64)
-    # the finalizer: Stafford's variant 13 of MurmurHash3's, as SplitMix64 has it
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    z >>= np.uint64(11)
-    return (z * 2.0 ** -53).reshape(n, d)
+def spawn(seed: int, *stream: int) -> Stream:
+    """The stream at key (seed + ``_mix(*stream)``) mod 2^64; with no
+    stream indices, at the seed itself.  Identical arguments always yield
+    an identical stream; distinct ones give independent streams."""
+    return Stream(int(seed) + _mix(*stream))

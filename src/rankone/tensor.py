@@ -87,8 +87,6 @@ class RankOneTensor:
                 break
             log_partial += math.log(abs(f.sup_bound))
             check_float_range(log_partial, "a product of the factors' sup bounds")
-        object.__setattr__(self, "_functions_only",
-                           all(f.fn is not None for f in self.factors))
 
     @property
     def d(self) -> int:
@@ -96,39 +94,25 @@ class RankOneTensor:
 
     @functools.cached_property
     def _groups(self) -> list:
-        """One (columns, kernel, params (p, g)) per kind and parameter
-        count of the closed-form factors; (i, None, None) for each factor
-        i that is a function.  Built on first use."""
+        """One (columns, kernel, params (p, g)) per kind and parameter count."""
         keys: dict = {}
         for i, f in enumerate(self.factors):
-            key = i if f.fn is not None else (f.kind, len(f.params))
-            keys.setdefault(key, []).append(i)
-        groups = []
-        for cols in keys.values():
-            f = self.factors[cols[0]]
-            if f.fn is not None:
-                groups.append((cols[0], None, None))
-            else:
-                groups.append((slice(None) if len(cols) == self.d else np.array(cols),
-                               KERNELS[f.kind],
-                               np.array([self.factors[i].params for i in cols]).T))
-        return groups
-
-    def _group_values(self, X, cols, kernel, P):
-        if kernel is None:
-            return self.factors[cols](X[:, cols])
-        return kernel(X[:, cols], P, self.r)
+            keys.setdefault((f.kind, len(f.params)), []).append(i)
+        return [(slice(None) if len(cols) == self.d else np.array(cols), KERNELS[kind],
+                 np.array([self.factors[i].params for i in cols]).T)
+                for (kind, _), cols in keys.items()]
 
     def factor_values(self, X: np.ndarray) -> np.ndarray:
-        """f_i(X[:, i]) in column i; shape (rows, d).  Same-kind closed
-        forms are evaluated together, with one kernel call."""
+        """f_i(X[:, i]) in column i; shape (rows, d).  Factors of one kind
+        and parameter count are evaluated together, with one kernel call."""
         X = np.asarray(X, dtype=float)
         groups = self._groups
-        if len(groups) == 1 and isinstance(groups[0][0], slice):
-            return self._group_values(X, *groups[0])
+        if len(groups) == 1:
+            _, kernel, P = groups[0]
+            return kernel(X, P, self.r)
         V = np.empty(X.shape)
-        for g in groups:
-            V[:, g[0]] = self._group_values(X, *g)
+        for cols, kernel, P in groups:
+            V[:, cols] = kernel(X[:, cols], P, self.r)
         return V
 
     def value(self, x) -> float:
@@ -136,15 +120,8 @@ class RankOneTensor:
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
         """Values at each row of X; shape (k,).  The product runs over the
-        factors in order: with closed-form factors one block of rows at a
-        time, otherwise one factor call at a time, since a tensor of
-        functions gains nothing from a (rows, d) block."""
+        factors in order, one block of rows at a time."""
         X = np.asarray(X, dtype=float)
-        if self._functions_only:
-            out = np.ones(len(X))
-            for i, f in enumerate(self.factors):
-                out *= f(X[:, i])
-            return out
         out = np.empty(len(X))
         for rows in _row_blocks(len(X), self.d):
             out[rows] = np.multiply.reduce(self.factor_values(X[rows]), axis=1)

@@ -8,8 +8,8 @@ axis lines with its remainder bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -32,46 +32,73 @@ def _sine(X, P, r):
     return a * np.sin(2 * np.pi * k * X + phi) + c
 
 
-# the closed form of each factor kind that has one, evaluated on a
-# (rows, g) array X whose column j belongs to the factor with params P[:, j]
-KERNELS = {"polynomial-piecewise": _horner, "trig": _sine}
+def _bump(X, P, r):
+    """c (s (X - m) / h)^r on the left (s = -1) half [a, m) or the right
+    (s = 1) half (m, b] of [a, b], else c 0.0; s (X - m) is m - X for s =
+    -1, so each value has the bits of c times make_bump's formula."""
+    c, a, m, b, h, s = P
+    u = s * (X - m)
+    inside = (X >= a) & (X <= b) & (u > 0)
+    return c * np.where(inside, u / h, 0.0) ** r
+
+
+def _table(X, P, r):
+    """np.interp(X, xs, ys) bit for bit, xs = P[:n] the sorted breakpoints
+    and ys = P[n:] their values: ys[0] below xs[0], ys[n-1] from xs[n-1]
+    on, ys[j] at X = xs[j], else slope_j (X - xs[j]) + ys[j], j the last
+    breakpoint <= X; a zero row pads the slopes to one per breakpoint."""
+    n = len(P) // 2
+    xs, ys = P[:n], P[n:]
+    j = np.zeros(X.shape, dtype=np.intp)
+    for x in xs[1:]:
+        j += X >= x
+    xj, yj = np.take_along_axis(xs, j, axis=0), np.take_along_axis(ys, j, axis=0)
+    # the slopes at repeated breakpoints, and the line at X = +-inf, are never read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = np.vstack(((ys[1:] - ys[:-1]) / (xs[1:] - xs[:-1]), np.zeros_like(xs[:1])))
+        out = np.take_along_axis(slopes, j, axis=0) * (X - xj) + yj
+    return np.where((X == xj) | (X < xs[0]) | (j == n - 1), yj, out)
+
+
+# the closed form of each factor kind, evaluated on a (rows, g) array X
+# whose column j belongs to the factor with params P[:, j]
+KERNELS = {"polynomial-piecewise": _horner, "trig": _sine, "bump": _bump,
+           "explicit-table": _table}
+# the entries of a row of n parameters that each kind is linear in: a
+# polynomial's coefficients, trig amplitude and offset, bump amplitude, table values
+_LINEAR = {"polynomial-piecewise": lambda n: slice(None), "trig": lambda n: [0, 3],
+           "bump": lambda n: [0], "explicit-table": lambda n: slice(n // 2, None)}
 
 
 @dataclass(frozen=True)
 class UnivariateFactor:
     """An evaluable function on [0,1] with declared bounds.
 
-    With ``fn`` None the factor is the closed form ``KERNELS[kind]``
-    with the numbers ``params``; otherwise it is ``fn``, which must be
-    exact, side-effect free and vectorized over
-    numpy arrays.  ``sup_bound`` and ``deriv_bound`` are declared bounds
+    The factor is the closed form ``KERNELS[kind]`` with the numbers
+    ``params``.  ``sup_bound`` and ``deriv_bound`` are declared bounds
     on the sup-norm of the function and of its r-th derivative; they are
     supplied analytically at construction, never estimated.
     """
 
-    fn: Optional[Callable[[np.ndarray], np.ndarray]]
     sup_bound: float
     deriv_bound: float
     r: int
     kind: str
-    params: Tuple[float, ...] = ()
+    params: Tuple[float, ...]
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if self.fn is not None:
-            return self.fn(t)
         P = np.array(self.params)[:, None]
-        return KERNELS[self.kind](t[..., None], P, self.r)[..., 0]
+        return KERNELS[self.kind](t.reshape(-1, 1), P, self.r).reshape(t.shape)
 
     def scaled(self, c: float) -> "UnivariateFactor":
-        """The factor multiplied by the constant c."""
-        return UnivariateFactor(
-            fn=lambda t: c * self(t),
-            sup_bound=abs(c) * self.sup_bound,
-            deriv_bound=abs(c) * self.deriv_bound,
-            r=self.r,
-            kind=self.kind,
-        )
+        """The factor times c: c times the parameters its kind is linear in.
+        By a power of two, -1 or 0 each value is c times the factor's (a
+        zero of a sum may change sign at -1 and 0)."""
+        p = np.array(self.params)
+        p[_LINEAR[self.kind](len(p))] *= c
+        return replace(self, sup_bound=abs(c) * self.sup_bound,
+                       deriv_bound=abs(c) * self.deriv_bound, params=tuple(p.tolist()))
 
 
 def polynomial_factor(coeffs: Sequence[float], r: int) -> UnivariateFactor:
@@ -87,14 +114,8 @@ def polynomial_factor(coeffs: Sequence[float], r: int) -> UnivariateFactor:
         sup, deriv = _poly_abs_max(poly), _poly_abs_max(poly.deriv(r))
     for bound, what in ((sup, "sup bound"), (deriv, f"bound on the {r}-th derivative")):
         check_float_range(math.log(max(bound, 1.0)), f"the {what} of a polynomial factor")
-    return UnivariateFactor(
-        fn=None,
-        sup_bound=sup,
-        deriv_bound=deriv,
-        r=r,
-        kind="polynomial-piecewise",
-        params=tuple(c.tolist()),
-    )
+    return UnivariateFactor(sup_bound=sup, deriv_bound=deriv, r=r,
+                            kind="polynomial-piecewise", params=tuple(c.tolist()))
 
 
 def trig_factor(amplitude: float, frequency: float, phase: float, offset: float,
@@ -111,28 +132,21 @@ def trig_factor(amplitude: float, frequency: float, phase: float, offset: float,
         check_float_range(r * math.log(w) + math.log(max(abs(a), 1.0)),
                           f"the derivative bound |a| (2 pi |k|)^r of a trig factor "
                           f"at k = {k!r}, r = {r}")
-    return UnivariateFactor(
-        fn=None,
-        sup_bound=sup,
-        deriv_bound=abs(a) * w ** r,
-        r=r,
-        kind="trig",
-        params=(a, k, phi, c),
-    )
+    return UnivariateFactor(sup_bound=sup, deriv_bound=abs(a) * w ** r, r=r, kind="trig",
+                            params=(a, k, phi, c))
 
 
 def table_factor(ts: Sequence[float], vals: Sequence[float], sup_bound: float,
                  deriv_bound: float, r: int) -> UnivariateFactor:
-    """Piecewise-linear factor through a table, with declared bounds."""
+    """Piecewise-linear factor through a table of nondecreasing breakpoints
+    ts and their values, as np.interp has it, with declared bounds."""
     ts = np.asarray(ts, dtype=float)
     vals = np.asarray(vals, dtype=float)
-    return UnivariateFactor(
-        fn=lambda t: np.interp(t, ts, vals),
-        sup_bound=float(sup_bound),
-        deriv_bound=float(deriv_bound),
-        r=r,
-        kind="explicit-table",
-    )
+    if ts.ndim != 1 or ts.shape != vals.shape or not ts.size or np.any(ts[1:] < ts[:-1]):
+        raise ParameterError("a table needs one value per breakpoint, at least one "
+                             "breakpoint, and nondecreasing breakpoints")
+    return UnivariateFactor(sup_bound=float(sup_bound), deriv_bound=float(deriv_bound), r=r,
+                            kind="explicit-table", params=tuple(ts.tolist() + vals.tolist()))
 
 
 def make_bump(r: int, orientation: str, interval: Tuple[float, float] = (0.0, 1.0),
@@ -163,23 +177,9 @@ def make_bump(r: int, orientation: str, interval: Tuple[float, float] = (0.0, 1.
     # |log h|: r! and h^r, which deriv_bound computes first, must be in range too
     check_float_range(math.lgamma(r + 1) + r * abs(math.log(h)),
                       f"the derivative bound r!/h^r of a bump of half-width h = {h!r} at r = {r}")
-
-    if orientation == "left":
-        def fn(t, a=a, m=m, h=h, r=r):
-            t = np.asarray(t, dtype=float)
-            return np.where((t >= a) & (t < m), np.maximum(0.0, (m - t) / h) ** r, 0.0)
-    else:
-        def fn(t, b=b, m=m, h=h, r=r):
-            t = np.asarray(t, dtype=float)
-            return np.where((t > m) & (t <= b), np.maximum(0.0, (t - m) / h) ** r, 0.0)
-
-    return UnivariateFactor(
-        fn=fn,
-        sup_bound=1.0,
-        deriv_bound=math.factorial(r) / h ** r,
-        r=r,
-        kind="bump",
-    )
+    s = -1.0 if orientation == "left" else 1.0
+    return UnivariateFactor(sup_bound=1.0, deriv_bound=math.factorial(r) / h ** r, r=r,
+                            kind="bump", params=(1.0, a, m, b, h, s))
 
 
 def _poly_abs_max(poly: np.polynomial.Polynomial) -> float:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rankone import rng
 from rankone.adversary import (FoolingFamily, fool_deterministic, fool_randomized,
                                untouched_orthant)
 from rankone.errors import InstanceTooLargeError, ParameterError
@@ -215,6 +216,17 @@ class TestFoolRandomized:
             fool_randomized(lambda o, s: None, d=3, r=1, n=5, trials=10)
         with pytest.raises(ParameterError):
             fool_randomized(lambda o, s: None, d=3, r=1, n=4, trials=0)
+
+    def test_orthant_index_is_a_whole_word_at_d_64(self, monkeypatch):
+        # trial t hides member bits(64) of stream (seed, t): at d = 64 the
+        # indices at or above 2^63 are drawn too
+        seen = []
+        member = FoolingFamily.member
+        monkeypatch.setattr(FoolingFamily, "member",
+                            lambda self, k, sign=1: seen.append(k) or member(self, k, sign))
+        fool_randomized(lambda o, s: None, d=64, r=1, n=4, trials=16, seed=3)
+        assert seen == [rng.spawn(3, t).bits(64) for t in range(16)]
+        assert any(k >= 2 ** 63 for k in seen)
 
     def test_reproducible(self):
         a = fool_randomized(lambda o, s: None, d=4, r=2, n=4, trials=20, seed=9)

@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,15 @@ from rankone.univariate import polynomial_factor
 
 def run(args):
     return main(args)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _python(*args, **kwargs):
+    """Run a fresh Python on the package's sources, from the repository root."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, timeout=300, **kwargs)
 
 
 # one short pipeline trial at d = 3, in the tractable regime
@@ -886,3 +898,43 @@ class TestSearchStrategies:
             run(["search", "--config", str(spec), "--strategy", "det",
                  "--pointset", "uniform"])
         assert exc.value.code == 2
+
+
+class TestProcess:
+    def test_closed_stdout_exits_141_quietly(self):
+        # the reader closes its end at once, so the first write to stdout
+        # fails with EPIPE: once "config error: [Errno 32] Broken pipe", exit 2
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _python("-m", "rankone.cli", "plan", "--r", "5", "--M", "10", "--d", "5",
+                           "--eps", "0.1", stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
+    def test_no_command_imports_numpy_random(self):
+        # every draw is a SplitMix64 stream; numpy.random would add about
+        # 5.6 MiB to each process
+        commands = [
+            "approx --config tests/golden/shifted_smooth.json",
+            "adversary --mode ran --d 6 --n 32 --trials 20 --strategy uniform-recover",
+            "search --config tests/golden/bump.json --strategy multi --n1 100",
+            "search --config tests/golden/bump.json --strategy subset --n1 100 --eps 0.2",
+            "dispersion --estimate --n 50 --d 3",
+            "dispersion --generator uniform --n 20 --d 2",
+            "curves",
+            "recover --config tests/golden/trig.json --z 0.3,0.6,0.2 --budget 61",
+        ]
+        script = ("import contextlib, io, sys\n"
+                  "import numpy\n"
+                  "print('numpy.random' in sys.modules)\n"
+                  "from rankone import cli\n"
+                  "for command in sys.argv[1:]:\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "        assert cli.main(command.split()) == 0, command\n"
+                  "print('numpy.random' in sys.modules)\n")
+        proc = _python("-c", script, *commands, capture_output=True, text=True)
+        if proc.stdout.startswith("True"):
+            pytest.skip("this numpy imports numpy.random itself")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nFalse\n", "")

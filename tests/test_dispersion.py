@@ -377,6 +377,41 @@ class TestPointSet:
         np.testing.assert_array_equal(a.points[:6], b.points)
 
 
+class TestStreams:
+    """Every draw reads ``rng.spawn``'s SplitMix64 streams."""
+
+    def test_spawn_at_the_seed_is_the_uniform_set(self):
+        for seed, n, d in [(0, 1, 1), (7, 5, 3), (2 ** 63 + 5, 40, 2), (-3, 4, 4)]:
+            got = rng.spawn(seed).random((n, d))
+            assert got.tobytes() == uniform_pointset(n, d, seed).points.tobytes()
+
+    def test_draws_read_the_words_in_order(self):
+        # scalar and array doubles and bits(b) share one counter; bits(b)
+        # is the top b bits of the next word
+        g = rng.spawn(11, 4, 0xFA)
+        words = splitmix64_words(11 + rng._mix(4, 0xFA), 12)
+        assert g.random() == (words[0] >> 11) * 2.0 ** -53
+        assert g.random((2, 3)).tolist() == [
+            [(w >> 11) * 2.0 ** -53 for w in words[i:i + 3]] for i in (1, 4)]
+        assert [g.bits(b) for b in (1, 10, 63, 64)] == [
+            words[7] >> 63, words[8] >> 54, words[9] >> 1, words[10]]
+        assert g.random(1)[0] == (words[11] >> 11) * 2.0 ** -53
+
+    @pytest.mark.parametrize("b", [1, 10, 63, 64])
+    def test_bits_are_uniform_b_bit_integers(self, b):
+        g = rng.spawn(3)
+        draws = [g.bits(b) for _ in range(2000)]
+        assert all(0 <= x < 2 ** b for x in draws)
+        assert 900 < sum(x >> (b - 1) for x in draws) < 1100  # the top bit: 1000 +- 4.5 sigma
+
+    def test_stream_keys_are_distinct(self):
+        # the (seed, stream) pairs that the commands draw from, at small seeds
+        streams = ({(), (0x5D,), (0xD15,), (0xC0,)} | {(t,) for t in range(200)}
+                   | {(t, 0xFA) for t in range(200)})
+        keys = {rng.spawn(seed, *s).key for seed in range(50) for s in streams}
+        assert len(keys) == 50 * len(streams)
+
+
 class TestExactDispersion:
     def test_empty_set(self):
         res = exact_dispersion(PointSet(points=np.empty((0, 2)), provenance="x"))
@@ -650,7 +685,8 @@ class TestSlabsPinned:
         # too large for the exhaustive reference: the values and witnesses
         # of the slab-by-slab sweep that the chunked d = 3 level replaced,
         # on the per-index Philox rows that uniform sets were drawn from then
-        pts = np.array([rng.spawn(seed, i).random(3) for i in range(n)])
+        pts = np.array([np.random.Generator(np.random.Philox(
+            key=np.array([seed, rng._mix(i)], dtype=np.uint64))).random(3) for i in range(n)])
         res = exact_dispersion(PointSet(points=pts, provenance="x"))
         assert repr(res.value) == value
         assert repr(res.witness_box.lower.tolist()) == lower

@@ -37,7 +37,7 @@ def per_factor_product(t, X):
 
 
 def mixed_tensor(r=3):
-    """Every factor kind, closed forms interleaved with tables, some scaled."""
+    """Every factor kind, the kinds interleaved, some factors scaled."""
     gen = np.random.default_rng(r)
     fs = []
     for i in range(12):

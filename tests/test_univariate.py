@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankone.errors import InstanceTooLargeError, ParameterError
+from rankone.pipeline import triangle_factor
+from rankone.tensor import RankOneTensor
 from rankone.univariate import (_node_sum, block_chebyshev_nodes, interpolate_line,
                                 make_bump, polynomial_factor, table_factor, trig_factor)
 
@@ -235,15 +237,121 @@ class TestFactors:
         assert same(polynomial_factor(c, r)(t[7]), np.polynomial.Polynomial(c)(t[7]))
 
     def test_scaled_twice_scales_in_turn(self):
+        # by powers of two, whose products with the coefficients are exact
         f = polynomial_factor([0.3, 0.7], 1)
         t = np.linspace(0.0, 1.0, 11)
-        np.testing.assert_array_equal(f.scaled(3.0).scaled(0.1)(t), 0.1 * (3.0 * f(t)))
-        assert f.scaled(3.0).scaled(0.1).deriv_bound == pytest.approx(0.3 * 0.7)
+        np.testing.assert_array_equal(f.scaled(4.0).scaled(-0.125)(t), -0.125 * (4.0 * f(t)))
+        assert f.scaled(4.0).scaled(-0.125).deriv_bound == pytest.approx(0.5 * 0.7)
 
     def test_table(self):
         f = table_factor([0, 0.5, 1], [0, 1, 0], 1.0, 2.0, 1)
         assert float(f(0.25)) == pytest.approx(0.5)
         assert float(f(0.5)) == pytest.approx(1.0)
+
+
+def closure_bump(r, orientation, interval):
+    """make_bump's value as two numpy closures computed it before bumps
+    had a kernel: the reference for the kernel's bits."""
+    a, b = float(interval[0]), float(interval[1])
+    m = 0.5 * (a + b)
+    h = m - a
+    if orientation == "left":
+        def fn(t, a=a, m=m, h=h, r=r):
+            t = np.asarray(t, dtype=float)
+            return np.where((t >= a) & (t < m), np.maximum(0.0, (m - t) / h) ** r, 0.0)
+    else:
+        def fn(t, b=b, m=m, h=h, r=r):
+            t = np.asarray(t, dtype=float)
+            return np.where((t > m) & (t <= b), np.maximum(0.0, (t - m) / h) ** r, 0.0)
+    return fn
+
+
+def near(*points):
+    """Each point with its two float neighbours."""
+    p = np.array(points, dtype=float)
+    return np.concatenate([p, np.nextafter(p, -np.inf), np.nextafter(p, np.inf)])
+
+
+# the bumps that make_bump accepts on the intervals (0, 1), (0, 0.4), (0.3, 1)
+BUMPS = [("left", (0.0, 1.0)), ("left", (0.0, 0.4)),
+         ("right", (0.0, 1.0)), ("right", (0.3, 1.0))]
+
+
+class TestKernels:
+    """Each closed form against the numpy expression it replaced, byte for
+    byte, signed zeros included."""
+
+    @staticmethod
+    def points(*special):
+        gen = np.random.default_rng(len(special))
+        return np.concatenate([near(0.0, 1.0, *special), gen.random(300),
+                               [-0.0, -0.5, 1.5, -np.inf, np.inf]])
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_bump_is_its_closure(self, r):
+        fs, refs, cols = [], [], []
+        for orientation, (a, b) in BUMPS:
+            m = 0.5 * (a + b)
+            t = self.points(a, m, b)
+            for c in (1.0, -1.0, 0.0):  # the amplitudes the fooling family uses
+                f = make_bump(r, orientation, (a, b))
+                want = c * closure_bump(r, orientation, (a, b))(t)
+                got = f(t) if c == 1.0 else f.scaled(c)(t)
+                assert got.tobytes() == want.tobytes(), (orientation, a, b, c)
+                fs.append(f.scaled(c))
+                refs.append(want)
+                cols.append(t)
+        # all of them at once, as one kernel group of a tensor
+        tensor = RankOneTensor(factors=tuple(fs), r=r, M=1e12)
+        assert len(tensor._groups) == 1
+        got = tensor.factor_values(np.stack(cols, axis=1))
+        assert got.tobytes() == np.stack(refs, axis=1).tobytes()
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_bump_at_nan_is_zero(self, r):
+        for orientation, interval in BUMPS:
+            assert make_bump(r, orientation, interval)(np.nan) == 0.0
+
+    @pytest.mark.parametrize("lo, hi, peak", [
+        (-0.2, 0.5, 1.0), (0.6, 1.3, 1.0), (-0.5, 1.5, 0.7), (0.25, 0.75, 0.8),
+        (-0.3, 0.1, 1.0), (0.99, 1.01, 0.5)])
+    def test_triangle_table_is_interp(self, lo, hi, peak):
+        f = triangle_factor(lo, hi, peak, 1)
+        n = len(f.params) // 2
+        xs, ys = np.array(f.params[:n]), np.array(f.params[n:])
+        t = self.points(lo, 0.5 * (lo + hi), hi)
+        assert f(t).tobytes() == np.interp(t, xs, ys).tobytes()
+        for c in (-1.0, 0.0):
+            assert f.scaled(c)(t).tobytes() == np.interp(t, xs, c * ys).tobytes()
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([0.3], [0.7]),  # one breakpoint
+        ([0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 0.2, -0.0]),  # a jump at a repeated one
+        ([0.0, 1.0], [-0.0, -0.0]),
+        ([0.1, 0.2, 0.4, 0.7, 0.9, 0.95], [0.5, -0.25, 0.0, 1.0, 0.125, -1.0]),
+    ])
+    def test_table_is_interp(self, xs, ys):
+        f = table_factor(xs, ys, 1.0, 10.0, 1)
+        t = self.points(*xs)
+        assert f(t).tobytes() == np.interp(t, xs, ys).tobytes()
+        assert np.isnan(f(np.nan)) == np.isnan(np.interp(np.nan, xs, ys))
+
+    @pytest.mark.parametrize("ts, vals", [([], []), ([0.0, 1.0], [1.0]),
+                                          ([0.5, 0.2], [1.0, 0.0])])
+    def test_bad_table_refused(self, ts, vals):
+        with pytest.raises(ParameterError, match="table"):
+            table_factor(ts, vals, 1.0, 1.0, 1)
+
+    @pytest.mark.parametrize("c", [2.0 ** -3, 2.0 ** 5, -1.0, 0.0])
+    def test_scaled_is_c_times_the_factor(self, c):
+        t = self.points(0.25, 0.5)[:-2]  # finite: at t = inf, 0 f(t) is NaN
+        for f in (polynomial_factor([0.3, -0.6, 0.2], 2), trig_factor(0.3, 2.0, 0.1, -0.5, 2),
+                  make_bump(2, "right", (0.3, 1.0)), triangle_factor(-0.1, 0.6, 0.9, 2),
+                  table_factor([0.0, 0.4, 1.0], [0.2, -0.7, 0.6], 1.0, 4.0, 2)):
+            g = f.scaled(c)
+            assert np.array_equal(g(t), c * f(t)), (f.kind, c)
+            assert (g.sup_bound, g.deriv_bound) == (abs(c) * f.sup_bound,
+                                                    abs(c) * f.deriv_bound)
 
 
 class TestInterpolateLine:
